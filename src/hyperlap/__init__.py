@@ -8,6 +8,7 @@ them on generated families and seeded random instances.
 """
 
 from ._kernels import backend, warm_up
+from .analysis import ENUMERATION_CAP, Analysis, analyze
 from .bounds import (
     BoundReport,
     EdgeDegreeSumCheck,
@@ -30,7 +31,6 @@ from .core import (
     laplacian,
 )
 from .cuts import (
-    ENUMERATION_CAP,
     ConnectivitySummary,
     CutReport,
     boundary_quadratic,

@@ -4,6 +4,9 @@ Every bound lands in a BoundReport carrying the bound value, the computed
 lambda_n, the slack, and a witness for where the maximum was attained, so
 callers can both rank bounds and audit them.  ``holds`` uses a relative
 tolerance of 1e-8 scaled by max(1, lambda_n).
+
+Bounds read lambda_n, degrees and adjacency from ``analyze(h)``; the ones
+``all_bounds`` reports also take an explicit ``lambda_n`` to report against.
 """
 
 from dataclasses import dataclass
@@ -11,14 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Hypergraph, adjacency_matrix, degree_profile, laplacian
-from .errors import (
-    BadWeightFunctionError,
-    NoEdgesError,
-    NotUniformError,
-    TooSmallError,
-)
-from .spectral import eigendecompose, lambda_n as _lambda_n
+from .analysis import Analysis, analyze
+from .core import Hypergraph
+from .errors import BadWeightFunctionError, NoEdgesError, NotUniformError
 
 HOLDS_TOL = 1e-8
 
@@ -38,8 +36,9 @@ class NeighborhoodProfile:
 
 
 def neighborhood_profile(h: Hypergraph, weighted: bool = False) -> NeighborhoodProfile:
-    a = adjacency_matrix(h)
-    d = degree_profile(h).d.astype(np.float64)
+    h = analyze(h)
+    a = h.adjacency
+    d = h.degrees.d.astype(np.float64)
     sets = tuple(frozenset(np.flatnonzero(a[i]).tolist()) for i in range(h.n))
     with np.errstate(invalid="ignore", divide="ignore"):
         if weighted:
@@ -72,15 +71,8 @@ def _report(name: str, value: float, lam: float, witness) -> BoundReport:
     )
 
 
-def _resolve_lambda_n(h: Hypergraph, lam: Optional[float]) -> float:
-    if lam is not None:
-        return float(lam)
-    if h.n < 2:
-        raise TooSmallError("eigenvalue bounds need at least two vertices")
-    return _lambda_n(eigendecompose(laplacian(h)))
-
-
-def _adjacent_pairs(h: Hypergraph, a: np.ndarray):
+def _adjacent_pairs(h: Analysis):
+    a = h.adjacency
     pairs = [
         (i, j)
         for i in range(h.n)
@@ -104,19 +96,20 @@ def _max_over_pairs(pairs, score) -> tuple:
 
 def bound_twice_max_delta(h: Hypergraph, lambda_n: Optional[float] = None) -> BoundReport:
     """lambda_n <= 2 * max_i delta_i."""
-    lam = _resolve_lambda_n(h, lambda_n)
-    delta = degree_profile(h).delta
+    h = analyze(h)
+    lam = h.lambda_n if lambda_n is None else float(lambda_n)
+    delta = h.degrees.delta
     i = int(np.argmax(delta))
     return _report("twice_max_laplacian_degree", 2.0 * float(delta[i]), lam, (i,))
 
 
 def bound_delta_pair_sum(h: Hypergraph, lambda_n: Optional[float] = None) -> BoundReport:
     """lambda_n <= max over adjacent pairs of delta_i + delta_j."""
-    lam = _resolve_lambda_n(h, lambda_n)
-    a = adjacency_matrix(h)
-    delta = degree_profile(h).delta
+    h = analyze(h)
+    lam = h.lambda_n if lambda_n is None else float(lambda_n)
+    delta = h.degrees.delta
     value, pair = _max_over_pairs(
-        _adjacent_pairs(h, a), lambda i, j: float(delta[i] + delta[j])
+        _adjacent_pairs(h), lambda i, j: float(delta[i] + delta[j])
     )
     return _report("adjacent_laplacian_degree_sum", value, lam, pair)
 
@@ -125,7 +118,6 @@ def zhu_generic_bound(
     h: Hypergraph,
     f: Callable[[int, int], float],
     strict_exclusion: bool = False,
-    lambda_n: Optional[float] = None,
 ) -> BoundReport:
     """lambda_n <= max over adjacent i~j of
     |N(i) & N(j)| + (sum_{l in N(i)\\N(j)} f(i,l) + sum_{l in N(j)\\N(i)} f(j,l)) / f(i,j)
@@ -134,11 +126,11 @@ def zhu_generic_bound(
     By default the difference sets are taken literally, so l may hit j (or
     i); ``strict_exclusion`` drops both endpoints from the sums.
     """
-    lam = _resolve_lambda_n(h, lambda_n)
-    a = adjacency_matrix(h)
+    h = analyze(h)
+    lam = h.lambda_n
     profile = neighborhood_profile(h)
     sets = profile.neighbor_sets
-    pairs = _adjacent_pairs(h, a)
+    pairs = _adjacent_pairs(h)
 
     def score(i: int, j: int) -> float:
         fij = float(f(i, j))
@@ -167,8 +159,9 @@ def bound_zhu_uniform(h: Hypergraph, lambda_n: Optional[float] = None) -> BoundR
 
     Sharp for 2-graphs; k >= 3 can break it (the battery records offenders).
     """
-    lam = _resolve_lambda_n(h, lambda_n)
-    dp = degree_profile(h)
+    h = analyze(h)
+    lam = h.lambda_n if lambda_n is None else float(lambda_n)
+    dp = h.degrees
     if h.m == 0:
         raise NoEdgesError("uniform degree bound needs at least one edge")
     if dp.k_min != dp.k_max:
@@ -189,8 +182,9 @@ def bound_zhu_nonuniform(
     min-multiplicity common term); both readings are recorded by the battery
     because neither survives every instance.
     """
-    lam = _resolve_lambda_n(h, lambda_n)
-    dp = degree_profile(h)
+    h = analyze(h)
+    lam = h.lambda_n if lambda_n is None else float(lambda_n)
+    dp = h.degrees
     if h.m == 0:
         raise NoEdgesError("degree bound needs at least one edge")
     factor = (dp.k_max - 1) / (dp.k_min - 1)
@@ -199,10 +193,10 @@ def bound_zhu_nonuniform(
     return _report(name, factor * value, lam, pair)
 
 
-def _zhu_bracket_max(h: Hypergraph, weighted: bool) -> tuple:
-    a = adjacency_matrix(h)
-    d = degree_profile(h).d.astype(np.float64)
-    pairs = _adjacent_pairs(h, a)
+def _zhu_bracket_max(h: Analysis, weighted: bool) -> tuple:
+    a = h.adjacency
+    d = h.degrees.d.astype(np.float64)
+    pairs = _adjacent_pairs(h)
     support = a > 0
 
     def score(i: int, j: int) -> float:
@@ -234,9 +228,10 @@ class EdgeDegreeSumCheck:
     witness_edge: Optional[tuple]
 
 
-def check_edge_degree_sum(h: Hypergraph, lambda_n: Optional[float] = None) -> EdgeDegreeSumCheck:
-    lam = _resolve_lambda_n(h, lambda_n)
-    d = degree_profile(h).d
+def check_edge_degree_sum(h: Hypergraph) -> EdgeDegreeSumCheck:
+    h = analyze(h)
+    lam = h.lambda_n
+    d = h.degrees.d
     best = 0
     witness = None
     for edge in h.edges:
@@ -253,11 +248,12 @@ def check_edge_degree_sum(h: Hypergraph, lambda_n: Optional[float] = None) -> Ed
 
 def all_bounds(h: Hypergraph, lambda_n: Optional[float] = None) -> list:
     """Every applicable bound, in a fixed order (for reports)."""
-    lam = _resolve_lambda_n(h, lambda_n)
+    h = analyze(h)
+    lam = h.lambda_n if lambda_n is None else float(lambda_n)
     out = [bound_twice_max_delta(h, lam)]
     if h.m > 0:
         out.append(bound_delta_pair_sum(h, lam))
-        dp = degree_profile(h)
+        dp = h.degrees
         if dp.k_min == dp.k_max:
             out.append(bound_zhu_uniform(h, lam))
         out.append(bound_zhu_nonuniform(h, weighted=False, lambda_n=lam))

@@ -11,10 +11,9 @@ import sys
 from typing import Optional
 
 from . import hgio, report
-from .bounds import _resolve_lambda_n
+from .analysis import analyze
 from .core import Hypergraph
 from .cuts import (
-    ENUMERATION_CAP,
     boundary_sandwich,
     connectivity_summary,
     edge_boundary,
@@ -27,7 +26,6 @@ from .generators import (
     random_hypergraph,
     star_kgraph,
 )
-from .spectral import hypergraph_spectrum
 from .verify import random_battery, verify_instances
 
 
@@ -43,9 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> tuple:
+    """(Analysis, source name) of one input; commands share the analysis."""
     if path == "-":
-        return hgio.loads(sys.stdin.read()), "<stdin>"
-    return hgio.load(path), path
+        return analyze(hgio.loads(sys.stdin.read())), "<stdin>"
+    return analyze(hgio.load(path)), path
 
 
 def _parse_subset(h: Hypergraph, text: str) -> list:
@@ -63,15 +62,14 @@ def _parse_subset(h: Hypergraph, text: str) -> list:
 
 def _cmd_spectrum(args) -> int:
     h, source = _read(args.path)
-    payload = report.spectrum_payload(h, hypergraph_spectrum(h), source)
+    payload = report.spectrum_payload(h, h.spectrum, source)
     sys.stdout.write(report.dumps(payload))
     return 0
 
 
 def _cmd_bounds(args) -> int:
     h, _ = _read(args.path)
-    lam = _resolve_lambda_n(h, None)
-    sys.stdout.write(report.dumps(report.bounds_payload(h, lam)))
+    sys.stdout.write(report.dumps(report.bounds_payload(h, h.lambda_n)))
     return 0
 
 
@@ -144,11 +142,9 @@ def _cmd_verify(args) -> int:
         h, source = _read(args.path)
         rep = verify_instances([(source, h)], source)
         summary = None
-        if h.m > 0 and h.n <= ENUMERATION_CAP:
+        if h.m > 0 and h.enumerable:
             summary = connectivity_summary(h)
-        payload = report.analysis_payload(
-            h, source, hypergraph_spectrum(h), rep, summary
-        )
+        payload = report.analysis_payload(h, source, h.spectrum, rep, summary)
         sys.stdout.write(report.dumps(payload))
         return 0 if rep.passed else 2
     else:

@@ -134,7 +134,12 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
 
 def laplacian(h: Hypergraph) -> np.ndarray:
     """L = diag(delta) - A; symmetric with exactly zero row sums."""
-    a = adjacency_matrix(h).astype(np.int64)
+    return laplacian_from_adjacency(adjacency_matrix(h))
+
+
+def laplacian_from_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """diag(row sums) - A, in exact integer arithmetic."""
+    a = adjacency.astype(np.int64)
     lap = -a
     np.fill_diagonal(lap, a.sum(axis=1))
     return lap.astype(np.float64)

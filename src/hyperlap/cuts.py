@@ -5,6 +5,8 @@ are capped at 20 vertices.  Since a cut and its complement have the same
 boundary, only subsets avoiding vertex n-1 are scanned (half the masks).
 Ratios are compared as exact rationals; floats only preselect candidates,
 with a cushion far below the coarsest possible ratio gap.
+
+Spectra, degrees and the subset scan are read from ``analyze(h)``.
 """
 
 from dataclasses import dataclass
@@ -13,27 +15,17 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import popcount_array, subset_scan
-from .core import Hypergraph, degree_profile, laplacian
+from .analysis import analyze
+from .core import Hypergraph
 from .errors import (
     DegenerateSubsetError,
     DisconnectedError,
     DuplicateVertexError,
     NoEdgesError,
-    TooLargeError,
     TooSmallError,
     VertexOutOfRangeError,
 )
-from .spectral import (
-    Spectrum,
-    eigendecompose,
-    fiedler_vector,
-    is_connected,
-    lambda2,
-    lambda_n,
-)
-
-ENUMERATION_CAP = 20
+from .spectral import Spectrum, fiedler_vector, lambda2, lambda_n
 
 _PRESELECT_CUSHION = 1e-9
 
@@ -108,15 +100,9 @@ def boundary_quadratic(h: Hypergraph, subset: Iterable[int]) -> tuple:
     per_edge = sum(edge_contribution(e, s) for e in h.edges)
     chi = np.zeros(h.n, dtype=np.int64)
     chi[list(s)] = 1
-    lap_int = laplacian(h).astype(np.int64)
+    lap_int = analyze(h).laplacian.astype(np.int64)
     quad = int(chi @ lap_int @ chi)
     return per_edge, quad
-
-
-def _spectral_pair(h: Hypergraph, spectrum: Optional[Spectrum]) -> tuple:
-    if spectrum is None:
-        spectrum = eigendecompose(laplacian(h))
-    return lambda2(spectrum), lambda_n(spectrum)
 
 
 def boundary_sandwich(
@@ -124,11 +110,15 @@ def boundary_sandwich(
     subset: Iterable[int],
     spectrum: Optional[Spectrum] = None,
 ) -> CutReport:
-    """Boundary size of one subset between its two spectral bounds."""
-    dp = degree_profile(h)
+    """Boundary size of one subset between its two spectral bounds;
+    ``spectrum`` defaults to the hypergraph's own."""
+    h = analyze(h)
+    dp = h.degrees
     if h.m == 0:
         raise NoEdgesError("spectral cut bounds need at least one edge")
-    lam2, lam_n = _spectral_pair(h, spectrum)
+    if spectrum is None:
+        spectrum = h.spectrum
+    lam2, lam_n = lambda2(spectrum), lambda_n(spectrum)
     s = _clean_subset(h, subset)
     size = len(s)
     pairs = size * (h.n - size)
@@ -145,49 +135,25 @@ def boundary_sandwich(
     )
 
 
-def edge_density_bounds(
-    h: Hypergraph,
-    subset: Iterable[int],
-    spectrum: Optional[Spectrum] = None,
-) -> tuple:
+def edge_density_bounds(h: Hypergraph, subset: Iterable[int]) -> tuple:
     """(density, lower, upper) with the sandwich divided through by
     s*(n-s); the bounds no longer depend on the subset."""
     s = _clean_subset(h, subset)
     if len(s) == 0 or len(s) == h.n:
         raise DegenerateSubsetError("density needs a proper nonempty subset")
-    report = boundary_sandwich(h, s, spectrum)
+    report = boundary_sandwich(h, s)
     pairs = len(s) * (h.n - len(s))
     return report.density, report.lower / pairs, report.upper / pairs
-
-
-def _scan_arrays(h: Hypergraph) -> tuple:
-    """Kernel scan over all subsets of {0..n-2}: (boundary, quad, sizes)."""
-    p = h.n - 1
-    masks = np.array(
-        [sum(1 << v for v in e) for e in h.edges], dtype=np.int64
-    ).reshape(-1)
-    sizes = np.array([len(e) for e in h.edges], dtype=np.int64).reshape(-1)
-    boundary, quad = subset_scan(masks, sizes, p)
-    subset_sizes = popcount_array(np.arange(1 << p, dtype=np.int64))
-    return boundary, quad, subset_sizes
 
 
 def _bits(mask: int, n: int) -> tuple:
     return tuple(v for v in range(n) if (mask >> v) & 1)
 
 
-def _require_enumerable(h: Hypergraph) -> None:
-    if h.n > ENUMERATION_CAP:
-        raise TooLargeError(
-            f"exact enumeration capped at {ENUMERATION_CAP} vertices, got {h.n}"
-        )
-
-
 def max_cut(h: Hypergraph) -> tuple:
     """(value, witness): max boundary size over all subsets; the witness is
     the lexicographically least sorted tuple attaining it."""
-    _require_enumerable(h)
-    boundary, _, _ = _scan_arrays(h)
+    boundary, _, _ = analyze(h).scan
     value = int(boundary.max())
     if value == 0:
         return 0, ()
@@ -210,10 +176,9 @@ def isoperimetric(h: Hypergraph) -> tuple:
     tuple.  Floats preselect near-minimal candidates; exact rationals pick
     the winner, so float rounding can never flip the result.
     """
-    _require_enumerable(h)
     if h.n < 2:
         raise TooSmallError("isoperimetric number needs at least two vertices")
-    boundary, _, sizes = _scan_arrays(h)
+    boundary, _, sizes = analyze(h).scan
     b = boundary.astype(np.float64)
     s = sizes.astype(np.float64)
     comp = float(h.n) - s
@@ -250,9 +215,7 @@ def isoperimetric(h: Hypergraph) -> tuple:
     return best, best_witness
 
 
-def fiedler_sweep(
-    h: Hypergraph, spectrum: Optional[Spectrum] = None
-) -> tuple:
+def fiedler_sweep(h: Hypergraph) -> tuple:
     """(subset, CutReport) for the best prefix cut of the Fiedler order.
 
     Vertices are sorted by descending Fiedler-vector value (the positive
@@ -260,13 +223,12 @@ def fiedler_sweep(
     on the exact ratio |bd S_t| / t, earliest prefix winning ties.  The
     ratio always upper bounds the true isoperimetric number.
     """
+    h = analyze(h)
     if h.n < 2:
         raise TooSmallError("sweep cut needs at least two vertices")
-    if not is_connected(h):
+    if not h.connected:
         raise DisconnectedError("sweep cut needs a connected hypergraph")
-    if spectrum is None:
-        spectrum = eigendecompose(laplacian(h))
-    order = np.argsort(-fiedler_vector(spectrum), kind="stable")
+    order = np.argsort(-fiedler_vector(h.spectrum), kind="stable")
     best = None
     best_subset = None
     for t in range(1, h.n):
@@ -277,18 +239,17 @@ def fiedler_sweep(
         ratio = Fraction(count, t)
         if best is None or ratio < best:
             best, best_subset = ratio, subset
-    return best_subset, boundary_sandwich(h, best_subset, spectrum)
+    return best_subset, boundary_sandwich(h, best_subset)
 
 
-def connectivity_summary(
-    h: Hypergraph, spectrum: Optional[Spectrum] = None
-) -> ConnectivitySummary:
+def connectivity_summary(h: Hypergraph) -> ConnectivitySummary:
     """Exact cut quantities with their spectral bounds, one report."""
-    _require_enumerable(h)
-    dp = degree_profile(h)
+    h = analyze(h)
+    h.require_enumerable()
+    dp = h.degrees
     if h.m == 0:
         raise NoEdgesError("connectivity summary needs at least one edge")
-    lam2, lam_n = _spectral_pair(h, spectrum)
+    lam2, lam_n = h.lambda2, h.lambda_n
     mc, mc_witness = max_cut(h)
     iso, iso_witness = isoperimetric(h)
     return ConnectivitySummary(

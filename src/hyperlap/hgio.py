@@ -98,8 +98,19 @@ def dumps(h: Hypergraph, comment: Optional[str] = None) -> str:
 
 
 def load(path: str) -> Hypergraph:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    """Parse a ``.hg`` file; bytes that are not UTF-8 raise HgParseError
+    naming the line of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines the way loads does; the prefix before the bad byte decodes.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise HgParseError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line
+        ) from None
+    return loads(text)
 
 
 def dump(h: Hypergraph, path: str, comment: Optional[str] = None) -> None:

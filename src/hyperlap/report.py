@@ -3,7 +3,8 @@
 Identical input and flags must produce byte-identical output: key order is
 fixed by construction, floats are rounded to 10 decimal places, non-finite
 floats become null, and exact rationals are emitted as numerator/denominator
-pairs next to a rounded decimal.
+pairs next to a rounded decimal.  Degrees and connectivity are read from
+``analyze(h)``.
 """
 
 import json
@@ -13,10 +14,11 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import analyze
 from .bounds import all_bounds
-from .core import Hypergraph, degree_profile
+from .core import Hypergraph
 from .cuts import ConnectivitySummary, CutReport
-from .spectral import Spectrum, is_connected
+from .spectral import Spectrum
 from .verify import VerifyReport
 
 _PLACES = 10
@@ -61,7 +63,7 @@ def _labels(h: Hypergraph, vertices) -> Optional[list]:
 
 
 def _shape(h: Hypergraph, source: str) -> dict:
-    dp = degree_profile(h)
+    dp = analyze(h).degrees
     return {
         "input": source,
         "n": h.n,
@@ -72,11 +74,12 @@ def _shape(h: Hypergraph, source: str) -> dict:
 
 
 def spectrum_payload(h: Hypergraph, spectrum: Spectrum, source: str) -> dict:
+    h = analyze(h)
     lam = spectrum.eigenvalues
     payload = _shape(h, source)
     payload.update(
         {
-            "connected": is_connected(h),
+            "connected": h.connected,
             "eigenvalues": list(lam),
             "lambda_2": float(lam[1]) if h.n >= 2 else None,
             "lambda_n": float(lam[-1]) if h.n >= 2 else None,
@@ -184,12 +187,13 @@ def analysis_payload(
 ) -> dict:
     """Single-input verification: shape, spectrum, bounds, optional exact
     cuts, recorded violations, and the hard-check outcomes."""
+    h = analyze(h)
     lam = spectrum.eigenvalues
     payload = _shape(h, source)
     payload.update(
         {
             "spectrum": list(lam),
-            "connected": is_connected(h),
+            "connected": h.connected,
             "bounds": bounds_payload(h, float(lam[-1])) if h.n >= 2 else [],
             "cuts": _summary_fields(h, summary) if summary is not None else None,
             "violations": [

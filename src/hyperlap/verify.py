@@ -13,34 +13,18 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .analysis import Analysis, analyze
 from .bounds import (
-    HOLDS_TOL,
     bound_delta_pair_sum,
     bound_twice_max_delta,
     bound_zhu_nonuniform,
     bound_zhu_uniform,
     check_edge_degree_sum,
 )
-from .core import (
-    Hypergraph,
-    adjacency_matrix,
-    connected_components,
-    degree_profile,
-    laplacian,
-)
-from .cuts import (
-    ENUMERATION_CAP,
-    _scan_arrays,
-    fiedler_sweep,
-    isoperimetric,
-    max_cut,
-)
+from .core import connected_components, degree_profile
+from .cuts import fiedler_sweep, isoperimetric, max_cut
 from .generators import SplitMix64, random_hypergraph
-from .spectral import (
-    eigendecompose,
-    spectral_component_count,
-    zero_threshold,
-)
+from .spectral import spectral_component_count
 
 _WITNESS_CAP = 5
 _FAILURE_CAP = 5
@@ -100,33 +84,8 @@ class VerifyReport:
         return all(c.passed for c in self.hard_checks)
 
 
-class _Instance:
-    """Shared per-instance computations for the checks."""
-
-    def __init__(self, name: str, h: Hypergraph, index: int):
-        self.name = name
-        self.h = h
-        self.index = index
-        self.dp = degree_profile(h)
-        self.a = adjacency_matrix(h)
-        self.lap = laplacian(h)
-        self.fro = float(np.linalg.norm(self.lap, "fro"))
-        self.spectrum = eigendecompose(self.lap)
-        self.lam = self.spectrum.eigenvalues
-        self.lam_n = float(self.lam[-1]) if h.n >= 2 else 0.0
-        self.components = connected_components(h)
-        self.connected = len(self.components) == 1
-        self.enumerable = h.n <= ENUMERATION_CAP
-        self._scan = None
-
-    def scan(self):
-        if self._scan is None:
-            self._scan = _scan_arrays(self.h)
-        return self._scan
-
-
-def _check_laplacian_structure(ctx: _Instance) -> Optional[str]:
-    h, a, dp = ctx.h, ctx.a, ctx.dp
+def _check_laplacian_structure(an: Analysis, index: int) -> Optional[str]:
+    a, dp = an.adjacency, an.degrees
     if not np.array_equal(a, a.T):
         return "adjacency not symmetric"
     if np.any(np.diagonal(a) != 0):
@@ -140,9 +99,9 @@ def _check_laplacian_structure(ctx: _Instance) -> Optional[str]:
         return "pair multiplicity exceeds min(d_i, d_j)"
     if not np.array_equal(a.sum(axis=1), dp.delta.astype(np.float64)):
         return "delta differs from adjacency row sums"
-    if np.any(ctx.lap.sum(axis=1) != 0):
+    if np.any(an.laplacian.sum(axis=1) != 0):
         return "Laplacian row sums not exactly zero"
-    if h.m > 0:
+    if an.m > 0:
         if np.any(dp.delta < (dp.k_min - 1) * d) or np.any(
             dp.delta > (dp.k_max - 1) * d
         ):
@@ -152,48 +111,50 @@ def _check_laplacian_structure(ctx: _Instance) -> Optional[str]:
     return None
 
 
-def _check_spectrum_certificates(ctx: _Instance) -> Optional[str]:
-    lam, vec = ctx.spectrum.eigenvalues, ctx.spectrum.eigenvectors
-    scale = max(1.0, ctx.fro)
+def _check_spectrum_certificates(an: Analysis, index: int) -> Optional[str]:
+    lam, vec = an.spectrum.eigenvalues, an.spectrum.eigenvectors
+    scale = max(1.0, an.frobenius)
     residual = float(
-        np.max(np.linalg.norm(ctx.lap @ vec - vec * lam, axis=0))
+        np.max(np.linalg.norm(an.laplacian @ vec - vec * lam, axis=0))
     )
     if residual > 1e-8 * scale:
         return f"eigen residual {residual:.3e}"
-    ortho = float(np.max(np.abs(vec.T @ vec - np.eye(ctx.h.n))))
+    ortho = float(np.max(np.abs(vec.T @ vec - np.eye(an.n))))
     if ortho > 1e-10:
         return f"eigenvectors not orthonormal ({ortho:.3e})"
     if np.any(np.diff(lam) < 0):
         return "eigenvalues not ascending"
     if float(lam[0]) < -1e-10 * scale:
         return f"negative eigenvalue {float(lam[0]):.3e}"
-    trace = float(np.trace(ctx.lap))
+    trace = float(np.trace(an.laplacian))
     if abs(float(lam.sum()) - trace) > 1e-8 * max(1.0, abs(trace)):
         return "eigenvalue sum differs from trace"
     return None
 
 
-def _check_connectivity_agreement(ctx: _Instance) -> Optional[str]:
-    thr = zero_threshold(ctx.lap)
-    count = spectral_component_count(ctx.spectrum, thr)
-    if count != len(ctx.components):
+def _check_connectivity_agreement(an: Analysis, index: int) -> Optional[str]:
+    thr = an.zero_threshold
+    count = spectral_component_count(an.spectrum, thr)
+    if count != len(an.components):
         return (
-            f"zero multiplicity {count} != component count {len(ctx.components)}"
+            f"zero multiplicity {count} != component count {len(an.components)}"
         )
-    if ctx.h.n >= 2:
-        spectral = float(ctx.lam[1]) > thr
-        if spectral != ctx.connected:
+    if an.n >= 2:
+        spectral = an.lambda2 > thr
+        if spectral != an.connected:
             return "spectral connectivity disagrees with union-find"
     return None
 
 
-def _check_degree_bounds(ctx: _Instance) -> Optional[str]:
-    twice = bound_twice_max_delta(ctx.h, ctx.lam_n)
+def _check_degree_bounds(an: Analysis, index: int) -> Optional[str]:
+    if an.n < 2:
+        return None  # lambda_n is undefined; 2 max delta = 0 bounds nothing
+    twice = bound_twice_max_delta(an)
     if not twice.holds:
         return f"2 max delta = {twice.value} < lambda_n = {twice.lambda_n}"
-    if ctx.h.m == 0:
+    if an.m == 0:
         return None
-    pair = bound_delta_pair_sum(ctx.h, ctx.lam_n)
+    pair = bound_delta_pair_sum(an)
     if not pair.holds:
         return f"max delta_i+delta_j = {pair.value} < lambda_n = {pair.lambda_n}"
     if pair.value > twice.value:
@@ -201,24 +162,24 @@ def _check_degree_bounds(ctx: _Instance) -> Optional[str]:
     return None
 
 
-def _check_zhu_two_graph(ctx: _Instance) -> Optional[str]:
-    if ctx.h.m == 0 or not (ctx.dp.k_min == ctx.dp.k_max == 2):
+def _check_zhu_two_graph(an: Analysis, index: int) -> Optional[str]:
+    if an.m == 0 or not (an.degrees.k_min == an.degrees.k_max == 2):
         return None
-    rep = bound_zhu_uniform(ctx.h, ctx.lam_n)
+    rep = bound_zhu_uniform(an)
     if not rep.holds:
         return f"2-graph bound {rep.value} < lambda_n {rep.lambda_n}"
     return None
 
 
-def _check_subset_sandwich(ctx: _Instance) -> Optional[str]:
-    if not ctx.enumerable or ctx.h.m == 0 or ctx.h.n < 2:
+def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
+    if not an.enumerable or an.m == 0 or an.n < 2:
         return None
-    boundary, _, sizes = ctx.scan()
-    n, dp = ctx.h.n, ctx.dp
-    lam2 = float(ctx.lam[1])
+    boundary, _, sizes = an.scan
+    n, dp = an.n, an.degrees
+    lam2 = an.lambda2
     pairs = sizes.astype(np.float64) * (n - sizes.astype(np.float64))
     lower = 4.0 * lam2 * pairs / (n * dp.k_max**2)
-    upper = ctx.lam_n * pairs / (n * (dp.k_min - 1))
+    upper = an.lambda_n * pairs / (n * (dp.k_min - 1))
     b = boundary.astype(np.float64)
     bad_low = np.flatnonzero(b < lower - 1e-8)
     if bad_low.size:
@@ -231,17 +192,17 @@ def _check_subset_sandwich(ctx: _Instance) -> Optional[str]:
     return None
 
 
-def _check_quadratic_identity(ctx: _Instance) -> Optional[str]:
-    if not ctx.enumerable:
+def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
+    if not an.enumerable:
         return None
-    _, quad, _ = ctx.scan()
-    n = ctx.h.n
+    _, quad, _ = an.scan
+    n = an.n
     p = n - 1
-    lap_int = ctx.lap.astype(np.int64)
+    lap_int = an.laplacian.astype(np.int64)
     if n <= _FULL_QUAD_N:
         masks = np.arange(1 << p, dtype=np.int64)
     else:
-        rng = SplitMix64(0xA5C3 + ctx.index)
+        rng = SplitMix64(0xA5C3 + index)
         masks = np.array(
             sorted({rng.randrange(1 << p) for _ in range(_QUAD_SAMPLES)}),
             dtype=np.int64,
@@ -254,28 +215,28 @@ def _check_quadratic_identity(ctx: _Instance) -> Optional[str]:
     return None
 
 
-def _check_maxcut_iso_bounds(ctx: _Instance) -> Optional[str]:
-    if not ctx.enumerable or ctx.h.m == 0 or ctx.h.n < 2:
+def _check_maxcut_iso_bounds(an: Analysis, index: int) -> Optional[str]:
+    if not an.enumerable or an.m == 0 or an.n < 2:
         return None
-    n, dp = ctx.h.n, ctx.dp
-    mc, _ = max_cut(ctx.h)
-    bound = n * ctx.lam_n / (4.0 * (dp.k_min - 1))
+    n, dp = an.n, an.degrees
+    mc, _ = max_cut(an)
+    bound = n * an.lambda_n / (4.0 * (dp.k_min - 1))
     if mc > bound + 1e-8:
         return f"max cut {mc} above n lambda_n / (4 (k_min - 1)) = {bound:.6f}"
-    if ctx.connected:
-        iso, _ = isoperimetric(ctx.h)
-        low = 2.0 * float(ctx.lam[1]) / dp.k_max**2
+    if an.connected:
+        iso, _ = isoperimetric(an)
+        low = 2.0 * an.lambda2 / dp.k_max**2
         if float(iso) < low - 1e-8:
             return f"isoperimetric {iso} below 2 lambda_2 / k_max^2 = {low:.6f}"
     return None
 
 
-def _check_sweep_ratio(ctx: _Instance) -> Optional[str]:
-    if not ctx.enumerable or not ctx.connected or ctx.h.n < 2 or ctx.h.m == 0:
+def _check_sweep_ratio(an: Analysis, index: int) -> Optional[str]:
+    if not an.enumerable or not an.connected or an.n < 2 or an.m == 0:
         return None
-    subset, report = fiedler_sweep(ctx.h, ctx.spectrum)
+    subset, report = fiedler_sweep(an)
     ratio = Fraction(report.boundary_size, len(subset))
-    iso, _ = isoperimetric(ctx.h)
+    iso, _ = isoperimetric(an)
     if ratio < iso:
         return f"sweep ratio {ratio} below isoperimetric number {iso}"
     return None
@@ -294,58 +255,46 @@ _HARD_CHECKS = (
 )
 
 
-def _record_zhu(ctx: _Instance, weighted: bool) -> Optional[dict]:
-    if ctx.h.m == 0 or ctx.h.n < 2:
-        return None
-    rep = bound_zhu_nonuniform(ctx.h, weighted=weighted, lambda_n=ctx.lam_n)
+def _bound_violation(rep) -> Optional[dict]:
     if rep.holds:
         return None
-    return {
-        "instance": ctx.name,
-        "bound": rep.value,
-        "lambda_n": rep.lambda_n,
-        "pair": list(rep.witness),
-    }
+    return {"bound": rep.value, "lambda_n": rep.lambda_n, "pair": list(rep.witness)}
 
 
-def _record_zhu_uniform_k3(ctx: _Instance) -> Optional[dict]:
-    dp = ctx.dp
-    if ctx.h.m == 0 or ctx.h.n < 2 or dp.k_min != dp.k_max or dp.k_min < 3:
+def _record_zhu(an: Analysis, weighted: bool) -> Optional[dict]:
+    if an.m == 0 or an.n < 2:
         return None
-    rep = bound_zhu_uniform(ctx.h, ctx.lam_n)
-    if rep.holds:
-        return None
-    return {
-        "instance": ctx.name,
-        "bound": rep.value,
-        "lambda_n": rep.lambda_n,
-        "pair": list(rep.witness),
-    }
+    return _bound_violation(bound_zhu_nonuniform(an, weighted=weighted))
 
 
-def _record_maxcut_printed(ctx: _Instance) -> Optional[dict]:
-    if not ctx.enumerable or ctx.h.m == 0 or ctx.h.n < 2:
+def _record_zhu_uniform_k3(an: Analysis) -> Optional[dict]:
+    dp = an.degrees
+    if an.m == 0 or an.n < 2 or dp.k_min != dp.k_max or dp.k_min < 3:
         return None
-    mc, witness = max_cut(ctx.h)
-    bound = ctx.h.n * ctx.lam_n / (4.0 * (ctx.dp.k_max - 1))
+    return _bound_violation(bound_zhu_uniform(an))
+
+
+def _record_maxcut_printed(an: Analysis) -> Optional[dict]:
+    if not an.enumerable or an.m == 0 or an.n < 2:
+        return None
+    mc, witness = max_cut(an)
+    bound = an.n * an.lambda_n / (4.0 * (an.degrees.k_max - 1))
     if mc <= bound + 1e-8:
         return None
     return {
-        "instance": ctx.name,
         "max_cut": mc,
         "bound": bound,
         "witness": list(witness),
     }
 
 
-def _record_edge_degree_sum(ctx: _Instance) -> Optional[dict]:
-    if ctx.h.m == 0 or ctx.h.n < 2:
+def _record_edge_degree_sum(an: Analysis) -> Optional[dict]:
+    if an.m == 0 or an.n < 2:
         return None
-    chk = check_edge_degree_sum(ctx.h, ctx.lam_n)
+    chk = check_edge_degree_sum(an)
     if not chk.exceeded:
         return None
     return {
-        "instance": ctx.name,
         "edge_max": chk.edge_max,
         "lambda_n": chk.lambda_n,
         "edge": list(chk.witness_edge),
@@ -353,8 +302,8 @@ def _record_edge_degree_sum(ctx: _Instance) -> Optional[dict]:
 
 
 _RECORDED = (
-    ("zhu_nonuniform_distinct", lambda ctx: _record_zhu(ctx, weighted=False)),
-    ("zhu_nonuniform_weighted", lambda ctx: _record_zhu(ctx, weighted=True)),
+    ("zhu_nonuniform_distinct", lambda an: _record_zhu(an, weighted=False)),
+    ("zhu_nonuniform_weighted", lambda an: _record_zhu(an, weighted=True)),
     ("zhu_uniform_k3plus", _record_zhu_uniform_k3),
     ("maxcut_kmax_bound", _record_maxcut_printed),
     ("edge_degree_sum_exceeded", _record_edge_degree_sum),
@@ -362,17 +311,19 @@ _RECORDED = (
 
 
 def verify_instances(instances: Iterable, source: str) -> VerifyReport:
-    """Run every check over (name, hypergraph) pairs."""
+    """Run every check over (name, hypergraph) pairs.  Each instance is
+    analysed once, and its analysis dropped before the next is built."""
     checks = [CheckResult(name) for name, _ in _HARD_CHECKS]
     recorded = [RecordedClaim(name) for name, _ in _RECORDED]
     count = 0
     for index, (name, h) in enumerate(instances):
-        ctx = _Instance(name, h, index)
+        an = analyze(h)
         count += 1
         for result, (_, fn) in zip(checks, _HARD_CHECKS):
-            result.record(name, fn(ctx))
+            result.record(name, fn(an, index))
         for claim, (_, fn) in zip(recorded, _RECORDED):
-            claim.record(fn(ctx))
+            witness = fn(an)
+            claim.record(None if witness is None else {"instance": name, **witness})
     return VerifyReport(
         source=source,
         instance_count=count,

@@ -239,3 +239,32 @@ class TestTopLevel:
         code, stdout, _ = _run(capsys, "--help")
         assert code == 0
         assert "spectrum" in stdout
+
+
+class TestInputEdgeCases:
+    def test_non_utf8_file_is_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(b"\xff\xfe a b\n")
+        code, stdout, err = _run(capsys, "spectrum", str(bad))
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == ["error: line 1: invalid UTF-8 byte 0xff"]
+
+    @pytest.mark.parametrize(
+        "text, bounds",
+        [
+            # lambda_n is undefined on one vertex, so no bound is reported
+            ("!vertices a\n", []),
+            ("!vertices a b\n", ["twice_max_laplacian_degree"]),
+        ],
+    )
+    def test_verify_without_edges(self, capsys, tmp_path, text, bounds):
+        path = tmp_path / "small.hg"
+        path.write_text(text)
+        code, stdout, _ = _run(capsys, "verify", str(path))
+        assert code == 0
+        payload = json.loads(stdout)
+        assert [b["name"] for b in payload["bounds"]] == bounds
+        assert payload["cuts"] is None
+        assert payload["passed"] is True
+        assert all(c["failed"] == 0 for c in payload["hard_checks"])

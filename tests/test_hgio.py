@@ -120,3 +120,19 @@ def test_round_trip_random(seed):
     h = hl.random_hypergraph(n=8, m=6, k_min=2, k_max=4, seed=seed)
     back = hl.loads(hl.dumps(h))
     assert back.n == h.n and back.edges == h.edges
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xff\xfe a b\n", 1),
+        (b"a b\r\nc d\r\n\n# caf\xc3\xa9\nb \xe9 c\n", 5),
+        (b"a b\r\xff\n", 2),
+    ],
+)
+def test_load_rejects_non_utf8_with_line(tmp_path, data, line):
+    path = tmp_path / "bad.hg"
+    path.write_bytes(data)
+    with pytest.raises(hl.HgParseError, match="UTF-8") as exc:
+        hl.load(str(path))
+    assert exc.value.line == line
