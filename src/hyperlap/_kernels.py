@@ -1,35 +1,20 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels: cyclic Jacobi sweeps and the subset-boundary scan.
 
-Two kernels dominate runtime: cyclic Jacobi eigendecomposition sweeps and
-the exhaustive subset-boundary scan. Each has a numba ``@njit`` build and a
-pure-numpy build. Setting the environment variable ``HYPERLAP_NO_NUMBA=1``
-(before import) forces the numpy path; it is also taken automatically when
-numba cannot be imported. ``benchmarks/bench_kernels.py`` times both.
+These two loops do nearly all of the package's numeric work: the Jacobi
+sweeps behind every spectrum, and the scan over all vertex subsets behind
+exact max cut and the isoperimetric number.  Each has one numpy build.
+Jacobi applies each rotation as row and column slice updates in a fixed
+cyclic order; the scan vectorizes over the whole mask range, one pass per
+edge, counting bits with ``np.bitwise_count``.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-_FORCE_NUMPY = os.environ.get("HYPERLAP_NO_NUMBA", "").strip().lower() not in (
-    "",
-    "0",
-    "false",
-)
-
-USE_NUMBA = _HAVE_NUMBA and not _FORCE_NUMPY
-
 
 def backend() -> str:
-    """Name of the kernel path selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel build.  There is only the numpy one; this stays
+    because benchmark results record it with the machine facts."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -42,49 +27,7 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_loops(a, v, max_sweeps, off_tol):
-    n = a.shape[0]
-    for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if np.sqrt(2.0 * off) <= off_tol:
-            return sweep
-        if sweep == max_sweeps:
-            return -1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    return -1
-
-
-def jacobi_sweeps_numpy(a, v, max_sweeps, off_tol):
-    """Numpy build: same sweep order, rotations applied as column slices."""
+def jacobi_sweeps(a, v, max_sweeps, off_tol):
     n = a.shape[0]
     for sweep in range(max_sweeps + 1):
         od = a - np.diag(np.diagonal(a))
@@ -129,70 +72,20 @@ def jacobi_sweeps_numpy(a, v, max_sweeps, off_tol):
 # ---------------------------------------------------------------------------
 
 
-def _scan_loops(edge_masks, edge_sizes, p):
-    m = edge_masks.shape[0]
-    total = 1 << p
-    boundary = np.zeros(total, dtype=np.int64)
-    quad = np.zeros(total, dtype=np.int64)
-    for s in range(total):
-        b = 0
-        q = 0
-        for e in range(m):
-            x = s & edge_masks[e]
-            t = 0
-            while x:
-                x &= x - 1
-                t += 1
-            sz = edge_sizes[e]
-            q += t * (sz - t)
-            if 0 < t < sz:
-                b += 1
-        boundary[s] = b
-        quad[s] = q
-    return boundary, quad
-
-
-_M1 = np.int64(0x5555555555555555)
-_M2 = np.int64(0x3333333333333333)
-_M4 = np.int64(0x0F0F0F0F0F0F0F0F)
-
-
-def popcount_array(x):
-    """Per-element bit count of a non-negative int64 array (SWAR)."""
-    x = x - ((x >> 1) & _M1)
-    x = (x & _M2) + ((x >> 2) & _M2)
-    x = (x + (x >> 4)) & _M4
-    x = x + (x >> 8)
-    x = x + (x >> 16)
-    x = x + (x >> 32)
-    return x & np.int64(0x7F)
-
-
-def subset_scan_numpy(edge_masks, edge_sizes, p):
-    """Numpy build: vectorized over the full mask range, one pass per edge."""
+def subset_scan(edge_masks, edge_sizes, p):
     masks = np.arange(1 << p, dtype=np.int64)
     boundary = np.zeros(masks.size, dtype=np.int64)
     quad = np.zeros(masks.size, dtype=np.int64)
     for em, sz in zip(edge_masks, edge_sizes):
-        t = popcount_array(masks & em)
+        t = np.bitwise_count(masks & em).astype(np.int64)
         quad += t * (sz - t)
-        boundary += ((t > 0) & (t < sz)).astype(np.int64)
+        boundary += (t > 0) & (t < sz)
     return boundary, quad
 
 
-if _HAVE_NUMBA:
-    jacobi_sweeps_numba = _njit(cache=True)(_jacobi_loops)
-    subset_scan_numba = _njit(cache=True)(_scan_loops)
-else:  # pragma: no cover
-    jacobi_sweeps_numba = None
-    subset_scan_numba = None
-
-jacobi_sweeps = jacobi_sweeps_numba if USE_NUMBA else jacobi_sweeps_numpy
-subset_scan = subset_scan_numba if USE_NUMBA else subset_scan_numpy
-
-
 def warm_up():
-    """Trigger JIT compilation on toy inputs so timed runs stay clean."""
+    """Run both kernels once on toy inputs.  Nothing is compiled any more;
+    this stays because the benchmark calls it before it starts timing."""
     a = np.array([[2.0, -1.0], [-1.0, 2.0]])
     v = np.eye(2)
     jacobi_sweeps(a, v, 30, 1e-12 * np.sqrt(10.0))

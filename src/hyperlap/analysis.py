@@ -6,13 +6,22 @@ hypergraph they are given, so passing one Analysis to all of them computes
 each quantity once per input.  It keeps the subset scan once computed, so
 build one per input and drop it with that input; it is not attached to the
 Hypergraph it came from.
+
+Exact max cut and the isoperimetric number enumerate vertex subsets, so
+they are capped at ENUMERATION_CAP vertices.  Since a cut and its
+complement have the same boundary, only subsets avoiding vertex n-1 are
+scanned (half the masks).  Ratios are compared as exact rationals; floats
+only preselect candidates, with a cushion far below the coarsest possible
+ratio gap.
 """
 
+from fractions import Fraction
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-from ._kernels import popcount_array, subset_scan
+from ._kernels import subset_scan
 from .core import (
     DegreeProfile,
     Hypergraph,
@@ -21,10 +30,15 @@ from .core import (
     degree_profile,
     laplacian_from_adjacency,
 )
-from .errors import TooLargeError
+from .errors import TooLargeError, TooSmallError
 from .spectral import ZERO_EIGENVALUE_TOL, Spectrum, eigendecompose, lambda2, lambda_n
 
 ENUMERATION_CAP = 20
+_PRESELECT_CUSHION = 1e-9
+
+
+def _bits(mask: int, n: int) -> tuple:
+    return tuple(v for v in range(n) if (mask >> v) & 1)
 
 
 class Analysis(Hypergraph):
@@ -96,8 +110,67 @@ class Analysis(Hypergraph):
         ).reshape(-1)
         sizes = np.array([len(e) for e in self.edges], dtype=np.int64).reshape(-1)
         boundary, quad = subset_scan(masks, sizes, p)
-        subset_sizes = popcount_array(np.arange(1 << p, dtype=np.int64))
-        return boundary, quad, subset_sizes
+        subset_sizes = np.bitwise_count(np.arange(1 << p, dtype=np.int64))
+        return boundary, quad, subset_sizes.astype(np.int64)
+
+    @cached_property
+    def max_cut(self) -> tuple:
+        """(value, witness) of :func:`hyperlap.cuts.max_cut`."""
+        boundary, _, _ = self.scan
+        value = int(boundary.max())
+        if value == 0:
+            return 0, ()
+        best = None
+        for mask in np.flatnonzero(boundary == value):
+            side = _bits(int(mask), self.n)
+            inside = set(side)
+            other = tuple(v for v in range(self.n) if v not in inside)
+            cand = min(side, other)
+            if best is None or cand < best:
+                best = cand
+        return value, best
+
+    @cached_property
+    def isoperimetric(self) -> tuple:
+        """(value, witness) of :func:`hyperlap.cuts.isoperimetric`."""
+        n = self.n
+        if n < 2:
+            raise TooSmallError("isoperimetric number needs at least two vertices")
+        boundary, _, sizes = self.scan
+        b = boundary.astype(np.float64)
+        s = sizes.astype(np.float64)
+        comp = float(n) - s
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direct = np.where((sizes >= 1) & (2 * sizes <= n), b / s, np.inf)
+            flipped = np.where(
+                (n - sizes >= 1) & (2 * (n - sizes) <= n), b / comp, np.inf
+            )
+        approx = min(direct.min(), flipped.min())
+        cutoff = approx + _PRESELECT_CUSHION
+
+        best: Optional[Fraction] = None
+        best_witness = None
+        for mask in np.flatnonzero(np.minimum(direct, flipped) <= cutoff):
+            mask = int(mask)
+            count = int(boundary[mask])
+            size = int(sizes[mask])
+            candidates = []
+            if 1 <= size and 2 * size <= n and direct[mask] <= cutoff:
+                candidates.append((Fraction(count, size), _bits(mask, n)))
+            flip_size = n - size
+            if 1 <= flip_size and 2 * flip_size <= n and flipped[mask] <= cutoff:
+                inside = set(_bits(mask, n))
+                other = tuple(v for v in range(n) if v not in inside)
+                candidates.append((Fraction(count, flip_size), other))
+            for ratio, witness in candidates:
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and witness < best_witness)
+                ):
+                    best, best_witness = ratio, witness
+        return best, best_witness
 
 
 def analyze(h: Hypergraph) -> Analysis:

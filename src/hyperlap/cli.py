@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 def _read(path: str) -> tuple:
     """(Analysis, source name) of one input; commands share the analysis."""
     if path == "-":
-        return analyze(hgio.loads(sys.stdin.read())), "<stdin>"
+        return analyze(hgio.loads(hgio.decode(sys.stdin.buffer.read()))), "<stdin>"
     return analyze(hgio.load(path)), path
 
 

@@ -1,12 +1,8 @@
 """Edge boundaries, spectral cut bounds, and exact connectivity quantities.
 
-Exact max-cut and isoperimetric searches enumerate vertex subsets, so they
-are capped at 20 vertices.  Since a cut and its complement have the same
-boundary, only subsets avoiding vertex n-1 are scanned (half the masks).
-Ratios are compared as exact rationals; floats only preselect candidates,
-with a cushion far below the coarsest possible ratio gap.
-
-Spectra, degrees and the subset scan are read from ``analyze(h)``.
+Spectra, degrees, the subset scan and the exact max cut and isoperimetric
+number are read from ``analyze(h)``; the exact searches are capped at
+``ENUMERATION_CAP`` (20) vertices.
 """
 
 from dataclasses import dataclass
@@ -26,8 +22,6 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .spectral import Spectrum, fiedler_vector, lambda2, lambda_n
-
-_PRESELECT_CUSHION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,73 +140,23 @@ def edge_density_bounds(h: Hypergraph, subset: Iterable[int]) -> tuple:
     return report.density, report.lower / pairs, report.upper / pairs
 
 
-def _bits(mask: int, n: int) -> tuple:
-    return tuple(v for v in range(n) if (mask >> v) & 1)
-
-
 def max_cut(h: Hypergraph) -> tuple:
     """(value, witness): max boundary size over all subsets; the witness is
-    the lexicographically least sorted tuple attaining it."""
-    boundary, _, _ = analyze(h).scan
-    value = int(boundary.max())
-    if value == 0:
-        return 0, ()
-    best = None
-    for mask in np.flatnonzero(boundary == value):
-        side = _bits(int(mask), h.n)
-        inside = set(side)
-        other = tuple(v for v in range(h.n) if v not in inside)
-        cand = min(side, other)
-        if best is None or cand < best:
-            best = cand
-    return value, best
+    the lexicographically least sorted tuple attaining it.  Computed once
+    per Analysis."""
+    return analyze(h).max_cut
 
 
 def isoperimetric(h: Hypergraph) -> tuple:
     """(value, witness): min over nonempty S with |S| <= n/2 of
     |bd S| / |S|, as an exact Fraction.  Disconnected hypergraphs give 0.
+    Computed once per Analysis.
 
     Witness rule: among minimizers, the lexicographically least sorted
     tuple.  Floats preselect near-minimal candidates; exact rationals pick
     the winner, so float rounding can never flip the result.
     """
-    if h.n < 2:
-        raise TooSmallError("isoperimetric number needs at least two vertices")
-    boundary, _, sizes = analyze(h).scan
-    b = boundary.astype(np.float64)
-    s = sizes.astype(np.float64)
-    comp = float(h.n) - s
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where((sizes >= 1) & (2 * sizes <= h.n), b / s, np.inf)
-        flipped = np.where(
-            (h.n - sizes >= 1) & (2 * (h.n - sizes) <= h.n), b / comp, np.inf
-        )
-    approx = min(direct.min(), flipped.min())
-    cutoff = approx + _PRESELECT_CUSHION
-
-    best: Optional[Fraction] = None
-    best_witness = None
-    for mask in np.flatnonzero(np.minimum(direct, flipped) <= cutoff):
-        mask = int(mask)
-        count = int(boundary[mask])
-        size = int(sizes[mask])
-        candidates = []
-        if 1 <= size and 2 * size <= h.n and direct[mask] <= cutoff:
-            candidates.append((Fraction(count, size), _bits(mask, h.n)))
-        flip_size = h.n - size
-        if 1 <= flip_size and 2 * flip_size <= h.n and flipped[mask] <= cutoff:
-            inside = set(_bits(mask, h.n))
-            other = tuple(v for v in range(h.n) if v not in inside)
-            candidates.append((Fraction(count, flip_size), other))
-        for ratio, witness in candidates:
-            if (
-                best is None
-                or ratio < best
-                or (ratio == best and witness < best_witness)
-            ):
-                best, best_witness = ratio, witness
-    return best, best_witness
+    return analyze(h).isoperimetric
 
 
 def fiedler_sweep(h: Hypergraph) -> tuple:

@@ -97,20 +97,24 @@ def dumps(h: Hypergraph, comment: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load(path: str) -> Hypergraph:
-    """Parse a ``.hg`` file; bytes that are not UTF-8 raise HgParseError
+def decode(data: bytes) -> str:
+    """``.hg`` bytes as text; bytes that are not UTF-8 raise HgParseError
     naming the line of the first bad byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Count lines the way loads does; the prefix before the bad byte decodes.
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise HgParseError(
             f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line
         ) from None
-    return loads(text)
+
+
+def load(path: str) -> Hypergraph:
+    """Parse a ``.hg`` file, decoded by :func:`decode`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return loads(decode(data))
 
 
 def dump(h: Hypergraph, path: str, comment: Optional[str] = None) -> None:

@@ -1,14 +1,8 @@
-"""Shared fixtures: the worked example hypergraphs and a JIT warm-up."""
+"""Shared fixtures: the worked example hypergraphs."""
 
 import pytest
 
 import hyperlap as hl
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Compile the numba kernels before any timed assertion runs.
-    hl.warm_up()
 
 
 @pytest.fixture

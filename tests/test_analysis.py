@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib
 import pkgutil
 from collections import Counter
@@ -65,6 +66,22 @@ def test_verify_file_analyses_once(counts, small_file, capsys):
     assert counts == {"scan": 1, "jacobi": 1, "adjacency": 1, "degrees": 1}
 
 
+def test_verify_file_computes_exact_cuts_once(monkeypatch, small_file, capsys):
+    counts = Counter()
+    for name in ("max_cut", "isoperimetric"):
+        compute = vars(hl.Analysis)[name].func
+
+        def counted(self, name=name, compute=compute):
+            counts[name] += 1
+            return compute(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(hl.Analysis, name)
+        monkeypatch.setattr(hl.Analysis, name, prop)
+    assert cli.run(["verify", small_file]) == 0
+    assert counts == {"max_cut": 1, "isoperimetric": 1}
+
+
 def test_cuts_exact_analyses_once(counts, small_file, capsys):
     assert cli.run(["cuts", small_file, "--exact"]) == 0
     assert counts["scan"] == 1 and counts["jacobi"] == 1
@@ -109,3 +126,34 @@ def test_scan_is_capped():
     assert not an.enumerable
     with pytest.raises(hl.TooLargeError):
         an.scan
+
+
+def _recount(h, mask):
+    """(boundary, quad, size) of one subset bitmask, counted edge by edge."""
+    bits = [v for v in range(h.n) if (mask >> v) & 1]
+    return (
+        hl.edge_boundary(h, bits)[0],
+        sum(hl.edge_contribution(e, bits) for e in h.edges),
+        len(bits),
+    )
+
+
+def test_scan_matches_per_mask_recount():
+    h = hl.random_hypergraph(12, 30, 2, 5, 11)
+    boundary, quad, sizes = hl.analyze(h).scan
+    assert boundary.dtype == quad.dtype == sizes.dtype == np.int64
+    assert boundary.size == 1 << 11
+    for mask in range(boundary.size):
+        got = (int(boundary[mask]), int(quad[mask]), int(sizes[mask]))
+        assert got == _recount(h, mask), mask
+
+
+def test_scan_top_bit_masks_match_recount():
+    h = hl.random_hypergraph(20, 40, 2, 6, 5)
+    boundary, quad, sizes = hl.analyze(h).scan
+    top = 1 << 18
+    masks = [top, top | 1, top | 0x2AAAA, (1 << 19) - 2, (1 << 19) - 1]
+    assert boundary.size == 1 << 19
+    for mask in masks:
+        got = (int(boundary[mask]), int(quad[mask]), int(sizes[mask]))
+        assert got == _recount(h, mask), mask

@@ -52,7 +52,8 @@ class TestSpectrum:
         assert payload["k_min"] == 3 and payload["k_max"] == 3
 
     def test_stdin_dash(self, capsys, monkeypatch, g_mixed_sizes):
-        monkeypatch.setattr("sys.stdin", io.StringIO(hl.dumps(g_mixed_sizes)))
+        data = hl.dumps(g_mixed_sizes).encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
         code, stdout, _ = _run(capsys, "spectrum", "-")
         assert code == 0
         payload = json.loads(stdout)
@@ -246,6 +247,14 @@ class TestInputEdgeCases:
         bad = tmp_path / "bad.hg"
         bad.write_bytes(b"\xff\xfe a b\n")
         code, stdout, err = _run(capsys, "spectrum", str(bad))
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == ["error: line 1: invalid UTF-8 byte 0xff"]
+
+    def test_non_utf8_stdin_is_one_error_line(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe a b\n"))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, stdout, err = _run(capsys, "cuts", "-", "--sweep")
         assert code == 1
         assert stdout == ""
         assert err.splitlines() == ["error: line 1: invalid UTF-8 byte 0xff"]

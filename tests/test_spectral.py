@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -190,28 +187,3 @@ def test_single_vertex_connected():
     h = hl.Hypergraph.from_edges([], n=1)
     assert hl.is_connected(h)
     assert hl.spectral_is_connected(h)
-
-
-class TestKernelBackends:
-    def test_numpy_and_dispatch_agree(self):
-        from hyperlap._kernels import jacobi_sweeps, jacobi_sweeps_numpy
-
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            m = _random_symmetric(rng, 7)
-            a1, v1 = m.copy(), np.eye(7)
-            a2, v2 = m.copy(), np.eye(7)
-            s1 = jacobi_sweeps(a1, v1, 100, 1e-12 * np.linalg.norm(m, "fro"))
-            s2 = jacobi_sweeps_numpy(a2, v2, 100, 1e-12 * np.linalg.norm(m, "fro"))
-            assert s1 >= 0 and s2 >= 0
-            np.testing.assert_allclose(
-                np.sort(np.diagonal(a1)), np.sort(np.diagonal(a2)), atol=1e-10
-            )
-
-    def test_env_flag_selects_numpy(self):
-        env = dict(os.environ, HYPERLAP_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "import hyperlap; print(hyperlap.backend())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
