@@ -1,11 +1,11 @@
-"""Hot numeric kernels: cyclic Jacobi sweeps and the subset-boundary scan.
+"""Hot numeric kernels: round-robin Jacobi sweeps and the subset-boundary scan.
 
 These two loops do nearly all of the package's numeric work: the Jacobi
 sweeps behind every spectrum, and the scan over all vertex subsets behind
 exact max cut and the isoperimetric number.  Each has one numpy build.
-Jacobi applies each rotation as row and column slice updates in a fixed
-cyclic order; the scan vectorizes over the whole mask range, one pass per
-edge, counting bits with ``np.bitwise_count``.
+Jacobi applies the n/2 disjoint rotations of each round-robin step at
+once, as fancy-indexed row updates; the scan vectorizes over the whole
+mask range, one pass per edge, counting bits with ``np.bitwise_count``.
 """
 
 import numpy as np
@@ -18,48 +18,83 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi sweeps
+# Round-robin parallel Jacobi sweeps (Brent & Luk 1985; Golub & Van Loan ch. 8)
 #
-# Rotates (p, q) planes in a fixed row-major order until the off-diagonal
-# Frobenius norm drops below off_tol. Mutates `a` (diagonal converges to the
-# eigenvalues) and accumulates rotations into the columns of `v`. Returns the
-# number of completed sweeps, or -1 if the cap was hit before convergence.
+# A sweep is the n'-1 steps of the circle-method tournament on n' = n rounded
+# up to even players; pairs with the padding player are dropped.  The pairs of
+# one step are disjoint, so their rotations commute and are applied at once as
+# fancy-indexed row updates; each (p, q) with p < q meets once per sweep.
+# Sweeps repeat until the off-diagonal Frobenius norm drops below off_tol.
+# Mutates `a` (diagonal converges to the eigenvalues) and accumulates
+# rotations into the columns of `v`. Returns the number of completed sweeps,
+# or -1 if the cap was hit before convergence.
 # ---------------------------------------------------------------------------
 
 
+def _round_robin(n):
+    """The steps of one sweep, each as index arrays (p, q) with p < q."""
+    players = list(range(n + n % 2))
+    half = len(players) // 2
+    steps = []
+    for _ in range(len(players) - 1):
+        pairs = [
+            (min(x, y), max(x, y))
+            for x, y in zip(players[:half], reversed(players[half:]))
+            if max(x, y) < n
+        ]
+        if pairs:
+            p, q = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+            steps.append((p, q))
+        players.insert(1, players.pop())
+    return steps
+
+
+def _rotate_rows(x, p, q, c, s):
+    """Row p becomes c*row_p - s*row_q and row q becomes s*row_p + c*row_q."""
+    xp = x[p]
+    xq = x[q]
+    x[p] = c * xp - s * xq
+    x[q] = s * xp + c * xq
+
+
 def jacobi_sweeps(a, v, max_sweeps, off_tol):
-    n = a.shape[0]
+    steps = _round_robin(a.shape[0])
+    # Only whole rows are rotated, since gathering rows is much cheaper than
+    # gathering columns: `w` takes its column update as a row update of its
+    # transpose, and the rows of `vt` are the columns of `v`.
+    w = a.copy()
+    vt = v.T.copy()
+    sweeps = -1
     for sweep in range(max_sweeps + 1):
-        od = a - np.diag(np.diagonal(a))
+        od = w - np.diag(np.diagonal(w))
         if np.sqrt(np.sum(od * od)) <= off_tol:
-            return sweep
+            sweeps = sweep
+            break
         if sweep == max_sweeps:
-            return -1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
+            break
+        for p, q in steps:
+            apq = w[p, q]
+            live = apq != 0.0
+            if not live.all():
+                p, q, apq = p[live], q[live], apq[live]
+                if p.size == 0:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                akp = a[:, p].copy()
-                akq = a[:, q].copy()
-                a[:, p] = c * akp - s * akq
-                a[:, q] = s * akp + c * akq
-                apk = a[p, :].copy()
-                aqk = a[q, :].copy()
-                a[p, :] = c * apk - s * aqk
-                a[q, :] = s * apk + c * aqk
-                vkp = v[:, p].copy()
-                vkq = v[:, q].copy()
-                v[:, p] = c * vkp - s * vkq
-                v[:, q] = s * vkp + c * vkq
-    return -1
+            # tau overflows to +-inf only when a_pq is negligible next to the
+            # diagonal gap; then t = 0 and the rotation is the identity.
+            with np.errstate(over="ignore"):
+                tau = (w[q, q] - w[p, p]) / (2.0 * apq)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            c = c[:, None]
+            s = s[:, None]
+            _rotate_rows(w, p, q, c, s)
+            w = w.T.copy()
+            _rotate_rows(w, p, q, c, s)
+            _rotate_rows(vt, p, q, c, s)
+    a[...] = w
+    v[...] = vt.T
+    return sweeps
 
 
 # ---------------------------------------------------------------------------

@@ -71,17 +71,18 @@ def _report(name: str, value: float, lam: float, witness) -> BoundReport:
     )
 
 
-def _adjacent_pairs(h: Analysis):
-    a = h.adjacency
-    pairs = [
-        (i, j)
-        for i in range(h.n)
-        for j in range(i + 1, h.n)
-        if a[i, j] > 0
-    ]
-    if not pairs:
+def _adjacent_pairs(h: Analysis) -> tuple:
+    """Index arrays (iu, ju) of the adjacent pairs i < j, in row-major order,
+    so the first maximum over them is the first in (i, j) order."""
+    iu, ju = np.nonzero(np.triu(h.adjacency > 0, 1))
+    if iu.size == 0:
         raise NoEdgesError("bound over adjacent pairs needs at least one edge")
-    return pairs
+    return iu, ju
+
+
+def _argmax_pair(scores: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> tuple:
+    k = int(np.argmax(scores))
+    return scores[k], (int(iu[k]), int(ju[k]))
 
 
 def _max_over_pairs(pairs, score) -> tuple:
@@ -108,10 +109,9 @@ def bound_delta_pair_sum(h: Hypergraph, lambda_n: Optional[float] = None) -> Bou
     h = analyze(h)
     lam = h.lambda_n if lambda_n is None else float(lambda_n)
     delta = h.degrees.delta
-    value, pair = _max_over_pairs(
-        _adjacent_pairs(h), lambda i, j: float(delta[i] + delta[j])
-    )
-    return _report("adjacent_laplacian_degree_sum", value, lam, pair)
+    iu, ju = _adjacent_pairs(h)
+    value, pair = _argmax_pair(delta[iu] + delta[ju], iu, ju)
+    return _report("adjacent_laplacian_degree_sum", float(value), lam, pair)
 
 
 def zhu_generic_bound(
@@ -130,7 +130,8 @@ def zhu_generic_bound(
     lam = h.lambda_n
     profile = neighborhood_profile(h)
     sets = profile.neighbor_sets
-    pairs = _adjacent_pairs(h)
+    iu, ju = _adjacent_pairs(h)
+    pairs = zip(iu.tolist(), ju.tolist())
 
     def score(i: int, j: int) -> float:
         fij = float(f(i, j))
@@ -196,22 +197,24 @@ def bound_zhu_nonuniform(
 def _zhu_bracket_max(h: Analysis, weighted: bool) -> tuple:
     a = h.adjacency
     d = h.degrees.d.astype(np.float64)
-    pairs = _adjacent_pairs(h)
-    support = a > 0
-
-    def score(i: int, j: int) -> float:
-        if weighted:
-            sum_i = float(a[i] @ d)
-            sum_j = float(a[j] @ d)
-            common = float(np.minimum(a[i], a[j]) @ d)
-        else:
-            sum_i = float(d[support[i]].sum())
-            sum_j = float(d[support[j]].sum())
-            common = float(d[support[i] & support[j]].sum())
-        num = d[i] * d[i] + sum_i + d[j] * d[j] + sum_j - 2.0 * common
-        return num / (d[i] + d[j])
-
-    return _max_over_pairs(pairs, score)
+    iu, ju = _adjacent_pairs(h)
+    # Every term is a sum of integers far below 2**53, so these sums are
+    # exact in any order.
+    if weighted:
+        sums = a @ d
+        # min(a_il, a_jl) summed against d_l, one row i at a time.
+        cut = np.searchsorted(iu, np.arange(h.n + 1))
+        common = np.concatenate(
+            [np.minimum(a[i], a[ju[cut[i] : cut[i + 1]]]) @ d for i in range(h.n)]
+        )
+    else:
+        support = (a > 0).astype(np.float64)
+        sums = support @ d
+        common = ((support * d) @ support.T)[iu, ju]
+    di = d[iu]
+    dj = d[ju]
+    num = di * di + sums[iu] + dj * dj + sums[ju] - 2.0 * common
+    return _argmax_pair(num / (di + dj), iu, ju)
 
 
 @dataclass(frozen=True)

@@ -108,27 +108,42 @@ class DegreeProfile:
     k_max: int
 
 
+def _edges_by_size(h: Hypergraph) -> dict:
+    """Edge size k -> int64 array of shape (#edges of size k, k), one row
+    per edge, in ascending order of k."""
+    groups: dict = {}
+    for edge in h.edges:
+        groups.setdefault(len(edge), []).append(edge)
+    return {k: np.array(groups[k], dtype=np.int64) for k in sorted(groups)}
+
+
 def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     """Weighted clique-expansion adjacency: A[i, j] = #edges containing both."""
-    a = np.zeros((h.n, h.n), dtype=np.int64)
-    for edge in h.edges:
-        for x, i in enumerate(edge):
-            for j in edge[x + 1 :]:
-                a[i, j] += 1
-                a[j, i] += 1
-    return a.astype(np.float64)
+    n = h.n
+    # Edges are sorted, so position x < y gives vertex i < j: count the
+    # upper triangle as flat indices i*n + j, then mirror it.
+    flat = [
+        e[:, x] * n + e[:, y]
+        for k, e in _edges_by_size(h).items()
+        for x in range(k)
+        for y in range(x + 1, k)
+    ]
+    upper = np.bincount(
+        np.concatenate([np.zeros(0, dtype=np.int64), *flat]), minlength=n * n
+    ).reshape(n, n)
+    return (upper + upper.T).astype(np.float64)
 
 
 def degree_profile(h: Hypergraph) -> DegreeProfile:
     d = np.zeros(h.n, dtype=np.int64)
     delta = np.zeros(h.n, dtype=np.int64)
-    sizes = [len(e) for e in h.edges]
-    for edge in h.edges:
-        for v in edge:
-            d[v] += 1
-            delta[v] += len(edge) - 1
-    k_min = min(sizes) if sizes else 0
-    k_max = max(sizes) if sizes else 0
+    groups = _edges_by_size(h)
+    for k, e in groups.items():
+        counts = np.bincount(e.ravel(), minlength=h.n)
+        d += counts
+        delta += (k - 1) * counts
+    k_min = min(groups, default=0)
+    k_max = max(groups, default=0)
     return DegreeProfile(d=d, delta=delta, k_min=k_min, k_max=k_max)
 
 

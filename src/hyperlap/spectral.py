@@ -1,7 +1,7 @@
 """Symmetric eigensolver and spectral connectivity tests.
 
-The solver is a self-contained cyclic Jacobi iteration (hot loop in
-:mod:`hyperlap._kernels`); it never calls into LAPACK, so test oracles can
+The solver is a self-contained round-robin parallel Jacobi iteration (hot
+loop in :mod:`hyperlap._kernels`); it never calls into LAPACK, so test oracles can
 cross-check it against an independent routine.
 """
 
@@ -14,7 +14,8 @@ from .core import Hypergraph, connected_components, laplacian
 from .errors import ConvergenceFailureError, TooSmallError
 
 # Convergence: off-diagonal Frobenius mass must drop below this times the
-# input norm.  100 cyclic sweeps is far beyond what desk-scale matrices need.
+# input norm.  100 sweeps is far beyond what desk-scale matrices need (n=128
+# takes about 7).
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
 

@@ -255,3 +255,50 @@ def test_holds_flag_matches_slack_rule(g_overlap_heavy):
     rep = hl.bound_delta_pair_sum(g_overlap_heavy)
     assert rep.slack == rep.value - rep.lambda_n
     assert rep.holds == (rep.slack >= -1e-8 * max(1.0, rep.lambda_n))
+
+
+def _pair_max_loops(h, score):
+    a = hl.adjacency_matrix(h)
+    best = best_pair = None
+    for i in range(h.n):
+        for j in range(i + 1, h.n):
+            if a[i, j] > 0:
+                s = score(a, i, j)
+                if best is None or s > best:
+                    best, best_pair = s, (i, j)
+    return best, best_pair
+
+
+def _zhu_bracket_loops(h, weighted):
+    d = hl.degree_profile(h).d.astype(np.float64)
+
+    def score(a, i, j):
+        if weighted:
+            sum_i, sum_j = float(a[i] @ d), float(a[j] @ d)
+            common = float(np.minimum(a[i], a[j]) @ d)
+        else:
+            sum_i, sum_j = float(d[a[i] > 0].sum()), float(d[a[j] > 0].sum())
+            common = float(d[(a[i] > 0) & (a[j] > 0)].sum())
+        num = d[i] * d[i] + sum_i + d[j] * d[j] + sum_j - 2.0 * common
+        return num / (d[i] + d[j])
+
+    return _pair_max_loops(h, score)
+
+
+def test_vectorised_pair_bounds_match_loops():
+    for seed in range(120):
+        n = 3 + seed % 18
+        m = min(1 + (seed * 7) % (2 * n), math.comb(n, 2))
+        h = hl.random_hypergraph(n=n, m=m, k_min=2, k_max=min(n, 2 + seed % 4), seed=seed)
+        dp = hl.degree_profile(h)
+        factor = (dp.k_max - 1) / (dp.k_min - 1)
+        for weighted in (False, True):
+            value, pair = _zhu_bracket_loops(h, weighted)
+            rep = hl.bound_zhu_nonuniform(h, weighted=weighted)
+            assert rep.value == factor * value and rep.witness == pair
+        value, pair = _pair_max_loops(
+            h, lambda a, i, j: float(dp.delta[i] + dp.delta[j])
+        )
+        rep = hl.bound_delta_pair_sum(h)
+        assert rep.value == value and rep.witness == pair
+        assert all(type(v) is int for v in rep.witness)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -186,3 +187,43 @@ def test_duplicate_edge_always_detected(seed, data):
     edges = list(h.edges) + [h.edges[pick]]
     with pytest.raises(hl.DuplicateEdgeError):
         hl.Hypergraph.from_edges(edges, n=6)
+
+
+def _adjacency_loops(h):
+    a = np.zeros((h.n, h.n), dtype=np.int64)
+    for edge in h.edges:
+        for x, i in enumerate(edge):
+            for j in edge[x + 1 :]:
+                a[i, j] += 1
+                a[j, i] += 1
+    return a.astype(np.float64)
+
+
+def _degrees_loops(h):
+    d = np.zeros(h.n, dtype=np.int64)
+    delta = np.zeros(h.n, dtype=np.int64)
+    for edge in h.edges:
+        for v in edge:
+            d[v] += 1
+            delta[v] += len(edge) - 1
+    return d, delta
+
+
+def test_vectorised_construction_matches_loops():
+    rng = random.Random(77)
+    cases = [hl.Hypergraph.from_edges([], n=1), hl.Hypergraph.from_edges([], n=4)]
+    for seed in range(150):
+        n = rng.randint(2, 24)
+        k_max = rng.randint(2, min(n, 7))
+        m = rng.randint(1, min(60, math.comb(n, 2)))
+        cases.append(hl.random_hypergraph(n=n, m=m, k_min=2, k_max=k_max, seed=seed))
+    for h in cases:
+        a = hl.adjacency_matrix(h)
+        assert a.dtype == np.float64
+        assert np.array_equal(a, _adjacency_loops(h))
+        dp = hl.degree_profile(h)
+        d, delta = _degrees_loops(h)
+        assert dp.d.dtype == dp.delta.dtype == np.int64
+        assert np.array_equal(dp.d, d) and np.array_equal(dp.delta, delta)
+        sizes = [len(e) for e in h.edges]
+        assert (dp.k_min, dp.k_max) == (min(sizes, default=0), max(sizes, default=0))

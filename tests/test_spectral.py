@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import hyperlap as hl
+from hyperlap import _kernels, spectral
 
 
 def _random_symmetric(rng, n):
@@ -187,3 +189,62 @@ def test_single_vertex_connected():
     h = hl.Hypergraph.from_edges([], n=1)
     assert hl.is_connected(h)
     assert hl.spectral_is_connected(h)
+
+
+class TestRoundRobinJacobi:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_schedule_steps_are_disjoint_and_cover_each_pair_once(self, n):
+        seen = []
+        for p, q in _kernels._round_robin(n):
+            assert np.all(p < q) and np.all(q < n)
+            touched = np.concatenate([p, q])
+            assert np.unique(touched).size == touched.size
+            seen += list(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    @staticmethod
+    def _laplacian(n, seed):
+        if n == 1:
+            return hl.laplacian(hl.Hypergraph.from_edges([], n=1))
+        m = 2 * n if n > 3 else n - 1
+        h = hl.random_hypergraph(n=n, m=m, k_min=2, k_max=min(4, n), seed=seed)
+        return hl.laplacian(h)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
+    def test_matches_eigh_with_small_residual(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for m in (_random_symmetric(rng, n), self._laplacian(n, n)):
+            a = m.copy()
+            v = np.eye(n)
+            off_tol = spectral.OFF_DIAGONAL_TOL * float(np.linalg.norm(m, "fro"))
+            assert _kernels.jacobi_sweeps(a, v, spectral.MAX_SWEEPS, off_tol) >= 0
+            bound = 1e-10 * max(1.0, float(np.linalg.norm(m, "fro")))
+            values = np.diagonal(a)
+            np.testing.assert_allclose(
+                np.sort(values), np.linalg.eigvalsh(m), rtol=0.0, atol=bound
+            )
+            assert np.abs(m @ v - v * values).max() <= bound
+            assert np.abs(v.T @ v - np.eye(n)).max() <= bound
+
+    def test_tiny_off_diagonal_entries_raise_no_warning(self):
+        # |a_pq| from 1e-200 to 1: tau reaches about 1e200, whose square
+        # overflows, so the rotation must not be computed from sqrt(1+tau^2).
+        rng = np.random.default_rng(44)
+        n = 12
+        mag = 10.0 ** -rng.uniform(0.0, 200.0, size=(n, n))
+        x = np.triu(mag * rng.choice([-1.0, 1.0], size=(n, n)), 1)
+        wide = x + x.T + np.diag(rng.uniform(-5.0, 5.0, size=n))
+        wide[0, 1] = wide[1, 0] = 1e-200
+        wide[2, 3] = wide[3, 2] = 1.0
+        # A subnormal a_pq next to a diagonal gap of 10: tau itself overflows.
+        subnormal = np.array([[0.0, 1e-320, 0.0], [1e-320, 10.0, 1.0], [0.0, 1.0, 5.0]])
+        for m in (wide, subnormal):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                s = hl.eigendecompose(m)
+            np.testing.assert_allclose(
+                s.eigenvalues,
+                np.linalg.eigvalsh(m),
+                rtol=0.0,
+                atol=1e-10 * np.linalg.norm(m),
+            )
