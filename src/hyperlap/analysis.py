@@ -3,9 +3,10 @@
 An :class:`Analysis` is a Hypergraph that computes each derived quantity
 once, on first use.  Bounds, cuts and reports call :func:`analyze` on the
 hypergraph they are given, so passing one Analysis to all of them computes
-each quantity once per input.  It keeps the subset scan once computed, so
-build one per input and drop it with that input; it is not attached to the
-Hypergraph it came from.
+each quantity once per input, the per-size edge index
+(``Hypergraph.edge_index``) that every per-edge pass reads included.  It
+keeps the subset scan once computed, so build one per input and drop it
+with that input; it is not attached to the Hypergraph it came from.
 
 Exact max cut and the isoperimetric number enumerate vertex subsets, so
 they are capped at ENUMERATION_CAP vertices.  Since a cut and its
@@ -105,10 +106,11 @@ class Analysis(Hypergraph):
         ENUMERATION_CAP vertices."""
         self.require_enumerable()
         p = self.n - 1
-        masks = np.array(
-            [sum(1 << v for v in e) for e in self.edges], dtype=np.int64
-        ).reshape(-1)
-        sizes = np.array([len(e) for e in self.edges], dtype=np.int64).reshape(-1)
+        masks = np.zeros(self.m, dtype=np.int64)
+        sizes = np.zeros(self.m, dtype=np.int64)
+        for k, (rows, positions) in self.edge_index.items():
+            masks[positions] = np.left_shift(1, rows).sum(axis=1)
+            sizes[positions] = k
         boundary, quad = subset_scan(masks, sizes, p)
         subset_sizes = np.bitwise_count(np.arange(1 << p, dtype=np.int64))
         return boundary, quad, subset_sizes.astype(np.int64)

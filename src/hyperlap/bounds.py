@@ -232,15 +232,19 @@ class EdgeDegreeSumCheck:
 
 
 def check_edge_degree_sum(h: Hypergraph) -> EdgeDegreeSumCheck:
+    """Every edge's degree sum from one gather over the shared edge index;
+    the witness is the first edge in canonical order with the largest sum."""
     h = analyze(h)
     lam = h.lambda_n
     d = h.degrees.d
+    totals = np.zeros(h.m, dtype=np.int64)
+    for rows, positions in h.edge_index.values():
+        totals[positions] = d[rows].sum(axis=1)
     best = 0
     witness = None
-    for edge in h.edges:
-        total = int(sum(d[v] for v in edge))
-        if total > best:
-            best, witness = total, edge
+    if h.m > 0:
+        i = int(np.argmax(totals))
+        best, witness = int(totals[i]), h.edges[i]
     return EdgeDegreeSumCheck(
         edge_max=best,
         lambda_n=lam,

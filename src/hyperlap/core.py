@@ -7,9 +7,17 @@ adjacency matrix A, the per-vertex Laplacian degree (row sums of A), and
 the Laplacian L = diag(delta) - A. Matrices are returned as float64 arrays
 but are built from exact integer counts, so structural identities (zero row
 sums, symmetry, degree bounds) hold exactly, not approximately.
+
+Every pass over the edge list reads one per-size edge index,
+``Hypergraph.edge_index``, built once per object: for each edge size k, an
+int64 array with one row per edge of that size plus each row's position in
+``edges``.  The adjacency and the degrees are ``np.bincount`` calls over it,
+so both cost O(sum |e|) numpy work and no incidence matrix is built.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -91,6 +99,33 @@ class Hypergraph:
     def edge_labels(self, edge: Sequence[int]) -> tuple:
         return tuple(self.label_of(v) for v in edge)
 
+    @cached_property
+    def edge_index(self) -> dict:
+        """Edge size k -> (rows, positions), in ascending order of k.
+
+        ``rows`` is an int64 array with one row per edge of size k (its
+        sorted members) and ``positions`` holds each row's position in
+        ``edges``, ascending.  Every per-edge pass (adjacency, degrees,
+        boundaries, the sweep, the subset scan's edge masks) reads this
+        index, built once per object: the members of all edges, grouped by
+        size, go into one flat array, and each size's rows are a view of it.
+        """
+        sizes = np.fromiter(map(len, self.edges), dtype=np.int64, count=self.m)
+        order = np.argsort(sizes, kind="stable")
+        members = np.fromiter(
+            chain.from_iterable(map(self.edges.__getitem__, order.tolist())),
+            dtype=np.int64,
+            count=int(sizes.sum()),
+        )
+        index = {}
+        start = first = 0
+        for k, count in zip(*(a.tolist() for a in np.unique(sizes, return_counts=True))):
+            rows = members[start : start + k * count].reshape(count, k)
+            index[k] = (rows, order[first : first + count])
+            start += k * count
+            first += count
+        return index
+
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -108,23 +143,14 @@ class DegreeProfile:
     k_max: int
 
 
-def _edges_by_size(h: Hypergraph) -> dict:
-    """Edge size k -> int64 array of shape (#edges of size k, k), one row
-    per edge, in ascending order of k."""
-    groups: dict = {}
-    for edge in h.edges:
-        groups.setdefault(len(edge), []).append(edge)
-    return {k: np.array(groups[k], dtype=np.int64) for k in sorted(groups)}
-
-
 def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     """Weighted clique-expansion adjacency: A[i, j] = #edges containing both."""
     n = h.n
-    # Edges are sorted, so position x < y gives vertex i < j: count the
-    # upper triangle as flat indices i*n + j, then mirror it.
+    # Rows are sorted, so column x < y gives vertex i < j: count the upper
+    # triangle as flat indices i*n + j, then mirror it.
     flat = [
-        e[:, x] * n + e[:, y]
-        for k, e in _edges_by_size(h).items()
+        rows[:, x] * n + rows[:, y]
+        for k, (rows, _) in h.edge_index.items()
         for x in range(k)
         for y in range(x + 1, k)
     ]
@@ -137,9 +163,9 @@ def adjacency_matrix(h: Hypergraph) -> np.ndarray:
 def degree_profile(h: Hypergraph) -> DegreeProfile:
     d = np.zeros(h.n, dtype=np.int64)
     delta = np.zeros(h.n, dtype=np.int64)
-    groups = _edges_by_size(h)
-    for k, e in groups.items():
-        counts = np.bincount(e.ravel(), minlength=h.n)
+    groups = h.edge_index
+    for k, (rows, _) in groups.items():
+        counts = np.bincount(rows.ravel(), minlength=h.n)
         d += counts
         delta += (k - 1) * counts
     k_min = min(groups, default=0)

@@ -2,7 +2,10 @@
 
 Spectra, degrees, the subset scan and the exact max cut and isoperimetric
 number are read from ``analyze(h)``; the exact searches are capped at
-``ENUMERATION_CAP`` (20) vertices.
+``ENUMERATION_CAP`` (20) vertices.  Boundaries, the quadratic identity and
+the Fiedler sweep read the shared per-size edge index
+(``Hypergraph.edge_index``), so each is O(sum |e|) numpy work; the sweep
+gets the boundary of every prefix from one difference array.
 """
 
 from dataclasses import dataclass
@@ -80,21 +83,35 @@ def edge_contribution(edge: Sequence[int], subset) -> int:
     return t * (len(edge) - t)
 
 
+def _members_inside(h: Hypergraph, subset: tuple) -> list:
+    """(k, positions, t) per edge size k, where t counts each edge's members
+    in the subset; read from the shared edge index."""
+    inside = np.zeros(h.n, dtype=np.int64)
+    inside[list(subset)] = 1
+    return [
+        (k, positions, inside[rows].sum(axis=1))
+        for k, (rows, positions) in h.edge_index.items()
+    ]
+
+
 def edge_boundary(h: Hypergraph, subset: Iterable[int]) -> tuple:
     """(count, edges) of hyperedges split by the subset, canonical order."""
-    s = set(_clean_subset(h, subset))
-    crossing = [e for e in h.edges if 0 < sum(1 for v in e if v in s) < len(e)]
+    s = _clean_subset(h, subset)
+    split = [positions[(t > 0) & (t < k)] for k, positions, t in _members_inside(h, s)]
+    positions = np.sort(np.concatenate([np.zeros(0, dtype=np.intp), *split]))
+    crossing = [h.edges[p] for p in positions.tolist()]
     return len(crossing), crossing
 
 
 def boundary_quadratic(h: Hypergraph, subset: Iterable[int]) -> tuple:
     """Both sides of the exact identity
     sum_e t_e(|e| - t_e) == chi_S^T L chi_S, as integers."""
+    h = analyze(h)
     s = _clean_subset(h, subset)
-    per_edge = sum(edge_contribution(e, s) for e in h.edges)
+    per_edge = sum(int((t * (k - t)).sum()) for k, _, t in _members_inside(h, s))
     chi = np.zeros(h.n, dtype=np.int64)
     chi[list(s)] = 1
-    lap_int = analyze(h).laplacian.astype(np.int64)
+    lap_int = h.laplacian.astype(np.int64)
     quad = int(chi @ lap_int @ chi)
     return per_edge, quad
 
@@ -165,24 +182,33 @@ def fiedler_sweep(h: Hypergraph) -> tuple:
     Vertices are sorted by descending Fiedler-vector value (the positive
     side first; exact ties keep index order); prefixes with 2t <= n compete
     on the exact ratio |bd S_t| / t, earliest prefix winning ties.  The
-    ratio always upper bounds the true isoperimetric number.
+    ratio always upper bounds the true isoperimetric number.  One pass over
+    the edge index gives every prefix's boundary: prefix t cuts edge e
+    exactly when minrank(e) < t <= maxrank(e) in the Fiedler order.
     """
     h = analyze(h)
     if h.n < 2:
         raise TooSmallError("sweep cut needs at least two vertices")
     if not h.connected:
         raise DisconnectedError("sweep cut needs a connected hypergraph")
+    n = h.n
     order = np.argsort(-fiedler_vector(h.spectrum), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # counts[t] = #edges with minrank < t <= maxrank, from a difference array.
+    change = np.zeros(n + 1, dtype=np.int64)
+    for rows, _ in h.edge_index.values():
+        r = rank[rows]
+        change += np.bincount(r.min(axis=1) + 1, minlength=n + 1)
+        change -= np.bincount(r.max(axis=1) + 1, minlength=n + 1)
+    counts = np.cumsum(change).tolist()
     best = None
-    best_subset = None
-    for t in range(1, h.n):
-        if 2 * t > h.n:
-            break
-        subset = tuple(sorted(int(v) for v in order[:t]))
-        count, _ = edge_boundary(h, subset)
-        ratio = Fraction(count, t)
+    best_t = None
+    for t in range(1, n // 2 + 1):
+        ratio = Fraction(counts[t], t)
         if best is None or ratio < best:
-            best, best_subset = ratio, subset
+            best, best_t = ratio, t
+    best_subset = tuple(sorted(order[:best_t].tolist()))
     return best_subset, boundary_sandwich(h, best_subset)
 
 

@@ -8,7 +8,7 @@ hypergraphs on every platform and Python version.
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,6 +17,17 @@ from .core import Hypergraph
 from .errors import BadParametersError, UnsatisfiableError
 
 _MASK64 = (1 << 64) - 1
+
+# Largest total member count sum |e| a generator builds.  Larger families
+# cannot be held in memory as edge tuples, so they are refused up front.
+MAX_MEMBERS = 10**7
+
+
+def _require_fits(members: int, what: str) -> None:
+    if members > MAX_MEMBERS:
+        raise BadParametersError(
+            f"{what} has {members} edge members in total, above the limit of {MAX_MEMBERS}"
+        )
 
 
 class SplitMix64:
@@ -86,6 +97,7 @@ def complete_kgraph(n: int, k: int) -> Hypergraph:
     """All k-subsets of n vertices as edges."""
     if k < 2 or k > n:
         raise BadParametersError(f"need 2 <= k <= n, got k={k}, n={n}")
+    _require_fits(comb(n, k) * k, f"complete n={n} k={k}")
     return Hypergraph.from_edges(combinations(range(n), k), n=n)
 
 
@@ -104,6 +116,7 @@ def complete_kpartite(sizes: Sequence[int]) -> Hypergraph:
         raise BadParametersError("need at least two parts")
     if any(s < 1 for s in sizes):
         raise BadParametersError(f"part sizes must be >= 1, got {sizes}")
+    _require_fits(prod(sizes) * len(sizes), f"kpartite sizes={sizes}")
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     blocks = [range(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
     return Hypergraph.from_edges(product(*blocks), n=int(offsets[-1]))
@@ -124,17 +137,15 @@ def complete_kpartite_spectrum(sizes: Sequence[int]) -> AnalyticSpectrum:
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise BadParametersError(f"bad part sizes {sizes}")
     k = len(sizes)
-    prod = 1
-    for s in sizes:
-        prod *= s
+    size_product = prod(sizes)
     pairs = [(0, 1)]
-    pairs += [((k - 1) * prod // s, s - 1) for s in sizes]
+    pairs += [((k - 1) * size_product // s, s - 1) for s in sizes]
     # Coefficient of X^(k-1-r) is (-1)^r * A_{k-1-r} where
-    # A_i = (i+1) * (k * prod)^(k-2-i) * e_{i+1}(sizes).
+    # A_i = (i+1) * (k * prod(sizes))^(k-2-i) * e_{i+1}(sizes).
     coeffs = [1]
     for j in range(1, k):
         i = k - 1 - j
-        a_i = (i + 1) * (k * prod) ** (k - 2 - i) * _elementary_symmetric(sizes, i + 1)
+        a_i = (i + 1) * (k * size_product) ** (k - 2 - i) * _elementary_symmetric(sizes, i + 1)
         coeffs.append((-1) ** j * a_i)
     return AnalyticSpectrum(_sorted_pairs(pairs), residual_poly=tuple(coeffs))
 
@@ -145,6 +156,7 @@ def star_kgraph(k: int, r: int) -> Hypergraph:
         raise BadParametersError(f"edge size must be >= 2, got {k}")
     if r < 1:
         raise BadParametersError(f"need at least one spoke, got {r}")
+    _require_fits(r * k, f"star k={k} r={r}")
     edges = []
     for j in range(r):
         start = 1 + j * (k - 1)
@@ -204,6 +216,8 @@ def random_hypergraph(n: int, m: int, k_min: int, k_max: int, seed: int) -> Hype
         )
     if m < 0:
         raise BadParametersError(f"edge count must be >= 0, got {m}")
+    # m * k_min is the least member count any such draw can have.
+    _require_fits(m * k_min, f"random n={n} m={m} kmin={k_min}")
     available = sum(comb(n, k) for k in range(k_min, k_max + 1))
     if m > available:
         raise UnsatisfiableError(

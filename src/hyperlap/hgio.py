@@ -9,10 +9,14 @@ Line-oriented UTF-8 format:
   vertex labels (arbitrary non-whitespace tokens).
 
 Without the directive the universe is the union of all labels in
-first-appearance order. Labels that start with ``#`` or ``!`` cannot appear
+first-appearance order. ``loads`` reads the text in one pass and builds the
+canonical Hypergraph itself, without re-checking it through
+``Hypergraph.from_edges``. Labels that start with ``#`` or ``!`` cannot appear
 as the first token of a line; generated files only use safe labels.
 """
 
+from collections import defaultdict
+from itertools import count
 from typing import Optional
 
 from .core import Hypergraph
@@ -20,29 +24,32 @@ from .errors import HgParseError
 
 
 def loads(text: str) -> Hypergraph:
-    """Parse ``.hg`` text; parse errors carry 1-based line numbers."""
-    order: list = []
-    index: dict = {}
-    pinned = False
-    edge_rows = []
+    """Parse ``.hg`` text; parse errors carry 1-based line numbers.
 
-    def intern(label: str) -> int:
-        if label not in index:
-            index[label] = len(order)
-            order.append(label)
-        return index[label]
+    One pass tokenises each line once, maps its labels to indices (interning
+    them in first-appearance order, or looking them up in the pinned
+    universe), sorts each edge and finds duplicate edges with a dict; the
+    edge list is sorted once and the Hypergraph is built directly, already
+    canonical.  Directive errors take precedence over edge errors, which
+    come in line order.
+    """
+    index: dict = defaultdict(count().__next__)  # a new label gets the next index
+    pinned = False
+    had_edges = False
+    edge_error = None
+    seen: dict = {}  # edge -> line of its first appearance
+    lookup = index.__getitem__
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        if line.startswith("!"):
-            tokens = line.split()
+        if tokens[0][0] == "!":
             if tokens[0] != "!vertices":
                 raise HgParseError(f"unknown directive {tokens[0]!r}", lineno)
             if pinned:
                 raise HgParseError("repeated !vertices directive", lineno)
-            if edge_rows:
+            if had_edges:
                 raise HgParseError(
                     "!vertices must precede all edge lines", lineno
                 )
@@ -53,37 +60,42 @@ def loads(text: str) -> Hypergraph:
                     raise HgParseError(
                         f"duplicate label {label!r} in !vertices", lineno
                     )
-                intern(label)
+                lookup(label)
+            index.default_factory = None  # unknown labels now raise KeyError
             pinned = True
             continue
-        edge_rows.append((lineno, line.split()))
-
-    edges = []
-    seen: dict = {}
-    for lineno, tokens in edge_rows:
-        if len(set(tokens)) != len(tokens):
-            raise HgParseError("edge repeats a vertex label", lineno)
-        if len(tokens) < 2:
-            raise HgParseError(
-                f"edge {tokens} has fewer than two vertices", lineno
+        had_edges = True
+        if edge_error is not None:
+            continue
+        try:
+            edge = tuple(sorted(map(lookup, tokens)))
+        except KeyError:
+            edge = None
+        if edge is None or len(tokens) < 2 or len(set(edge)) != len(edge):
+            edge_error = _edge_error(tokens, index, lineno)
+            continue
+        first = seen.setdefault(edge, lineno)
+        if first != lineno:
+            edge_error = HgParseError(
+                f"edge duplicates the set on line {first}", lineno
             )
-        if pinned:
-            for label in tokens:
-                if label not in index:
-                    raise HgParseError(
-                        f"label {label!r} not in pinned universe", lineno
-                    )
-        edge = tuple(sorted(intern(label) for label in tokens))
-        if edge in seen:
-            raise HgParseError(
-                f"edge duplicates the set on line {seen[edge]}", lineno
-            )
-        seen[edge] = lineno
-        edges.append(edge)
 
-    if not order:
+    if edge_error is not None:
+        raise edge_error
+    if not index:
         raise HgParseError("no vertices defined", 1)
-    return Hypergraph.from_edges(edges, n=len(order), labels=order)
+    return Hypergraph(n=len(index), edges=tuple(sorted(seen)), labels=tuple(index))
+
+
+def _edge_error(tokens: list, index: dict, lineno: int) -> HgParseError:
+    """The error for an edge line that is not a valid edge, by the rules'
+    priority: a repeated label, then too few labels, then an unpinned label."""
+    if len(set(tokens)) != len(tokens):
+        return HgParseError("edge repeats a vertex label", lineno)
+    if len(tokens) < 2:
+        return HgParseError(f"edge {tokens} has fewer than two vertices", lineno)
+    missing = next(label for label in tokens if label not in index)
+    return HgParseError(f"label {missing!r} not in pinned universe", lineno)
 
 
 def dumps(h: Hypergraph, comment: Optional[str] = None) -> str:

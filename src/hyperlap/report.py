@@ -31,8 +31,17 @@ def _round(x: float) -> Optional[float]:
     return round(x, _PLACES) + 0.0  # -0.0 -> 0.0
 
 
+class _Labels(list):
+    """A list of vertex labels: already JSON-safe, so :func:`jsonable`
+    returns it as it is."""
+
+    __slots__ = ()  # as small as a plain list
+
+
 def jsonable(obj):
     """Recursively convert to JSON-safe values with fixed float rounding."""
+    if type(obj) is _Labels:
+        return obj
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -59,7 +68,7 @@ def dumps(payload: dict) -> str:
 def _labels(h: Hypergraph, vertices) -> Optional[list]:
     if vertices is None:
         return None
-    return [h.label_of(v) for v in vertices]
+    return _Labels(map(h.label_of, vertices))
 
 
 def _shape(h: Hypergraph, source: str) -> dict:

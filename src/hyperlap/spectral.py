@@ -64,14 +64,13 @@ def eigendecompose(matrix: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> Spectrum
     values = np.diagonal(a).copy()
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = v[:, order].copy()
-    for col in range(n):
-        for row in range(n):
-            entry = vectors[row, col]
-            if abs(entry) > _SIGN_TOL:
-                if entry < 0.0:
-                    vectors[:, col] = -vectors[:, col]
-                break
+    vectors = v[:, order]
+    if n > 0:  # argmax has nothing to reduce over an empty column
+        # Flip each column whose first entry above _SIGN_TOL in magnitude is
+        # negative; a column with no such entry stays as it is.
+        large = np.abs(vectors) > _SIGN_TOL
+        first = vectors[np.argmax(large, axis=0), np.arange(n)]
+        vectors[:, large.any(axis=0) & (first < 0.0)] *= -1.0
     return Spectrum(values, vectors)
 
 

@@ -23,6 +23,7 @@ from .bounds import (
 )
 from .core import connected_components, degree_profile
 from .cuts import fiedler_sweep, isoperimetric, max_cut
+from .errors import BadParametersError
 from .generators import SplitMix64, random_hypergraph
 from .spectral import spectral_component_count
 
@@ -336,6 +337,8 @@ def random_battery(
     n: int, m: int, k_min: int, k_max: int, count: int, seed: int
 ) -> list:
     """Fixed-shape battery: instance i uses seed ``seed + i``."""
+    if count < 0:
+        raise BadParametersError(f"instance count must be >= 0, got {count}")
     return [
         (
             f"random(n={n},m={m},k={k_min}..{k_max},seed={seed + i})",

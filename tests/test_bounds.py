@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -302,3 +303,32 @@ def test_vectorised_pair_bounds_match_loops():
         rep = hl.bound_delta_pair_sum(h)
         assert rep.value == value and rep.witness == pair
         assert all(type(v) is int for v in rep.witness)
+
+
+def _edge_degree_sum_loops(h):
+    """The per-edge scan that the edge-index pass replaced."""
+    d = hl.degree_profile(h).d
+    best = 0
+    witness = None
+    for edge in h.edges:
+        total = int(sum(d[v] for v in edge))
+        if total > best:
+            best, witness = total, edge
+    return best, witness
+
+
+def test_edge_degree_sum_matches_loops(g_overlap_heavy):
+    rng = random.Random(19)
+    cases = [g_overlap_heavy, hl.Hypergraph.from_edges([], n=3)]
+    for seed in range(160):
+        n = rng.randint(2, 24)
+        m = rng.randint(1, min(60, math.comb(n, 2)))
+        k_max = rng.randint(2, min(n, 7))
+        cases.append(hl.random_hypergraph(n=n, m=m, k_min=2, k_max=k_max, seed=seed))
+    for h in cases:
+        chk = hl.check_edge_degree_sum(h)
+        best, witness = _edge_degree_sum_loops(h)
+        assert (chk.edge_max, chk.witness_edge) == (best, witness)
+        assert type(chk.edge_max) is int
+        lam = hl.analyze(h).lambda_n
+        assert chk.exceeded == bool(lam > best + 1e-8 * max(1.0, lam))

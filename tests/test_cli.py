@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+from math import comb
 
 import pytest
 
 import hyperlap as hl
-from hyperlap import cli, verify
+from hyperlap import cli, generators, verify
 
 
 @pytest.fixture
@@ -173,6 +174,15 @@ class TestGen:
         code, _, _ = _run(capsys, "gen", "grid", "--n", "4")
         assert code == 1
 
+    def test_oversized_family_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_MEMBERS", comb(6, 3) * 3 - 1)
+        code, stdout, err = _run(capsys, "gen", "complete", "--n", "6", "--k", "3")
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [
+            "error: complete n=6 k=3 has 60 edge members in total,"
+            " above the limit of 59"
+        ]
+
 
 class TestVerify:
     def test_file_report(self, capsys, mixed_file):
@@ -204,6 +214,12 @@ class TestVerify:
                             "5", "3", "2", "3", "2", "0")
         assert code == 1
         assert "not both" in err
+
+    def test_random_battery_rejects_negative_count(self, capsys):
+        code, stdout, err = _run(capsys, "verify", "--random",
+                                 "5", "3", "2", "3", "-1", "1")
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["error: instance count must be >= 0, got -1"]
 
     def test_needs_some_input(self, capsys):
         code, _, err = _run(capsys, "verify")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -291,3 +293,77 @@ class TestConnectivitySummary:
     def test_needs_edges(self):
         with pytest.raises(hl.NoEdgesError):
             hl.connectivity_summary(hl.Hypergraph.from_edges([], n=3))
+
+
+# The per-edge loops that the edge-index passes replaced, kept as oracles.
+
+
+def _edge_boundary_loops(h, s):
+    s = set(s)
+    crossing = [e for e in h.edges if 0 < sum(1 for v in e if v in s) < len(e)]
+    return len(crossing), crossing
+
+
+def _boundary_quadratic_loops(h, s):
+    per_edge = sum(hl.edge_contribution(e, s) for e in h.edges)
+    chi = np.zeros(h.n, dtype=np.int64)
+    chi[list(s)] = 1
+    quad = int(chi @ hl.laplacian(h).astype(np.int64) @ chi)
+    return per_edge, quad
+
+
+def _fiedler_sweep_loops(h):
+    an = hl.analyze(h)
+    order = np.argsort(-hl.fiedler_vector(an.spectrum), kind="stable")
+    best = None
+    best_subset = None
+    for t in range(1, h.n):
+        if 2 * t > h.n:
+            break
+        subset = tuple(sorted(int(v) for v in order[:t]))
+        count, _ = _edge_boundary_loops(h, subset)
+        ratio = Fraction(count, t)
+        if best is None or ratio < best:
+            best, best_subset = ratio, subset
+    return best_subset, best
+
+
+def _random_cases(count, seed):
+    rng = random.Random(seed)
+    cases = [hl.Hypergraph.from_edges([], n=1), hl.Hypergraph.from_edges([], n=5)]
+    for i in range(count):
+        n = rng.randint(2, 24)
+        k_max = rng.randint(2, min(n, 7))
+        m = rng.randint(min(n, comb(n, 2)), min(80, comb(n, 2)))
+        cases.append(hl.random_hypergraph(n=n, m=m, k_min=2, k_max=k_max, seed=i))
+    return rng, cases
+
+
+def test_edge_index_passes_match_loops():
+    rng, cases = _random_cases(160, 41)
+    for h in cases:
+        subsets = [(), tuple(range(h.n))]
+        for _ in range(4):
+            subsets.append(tuple(sorted(rng.sample(range(h.n), rng.randint(0, h.n)))))
+        for s in subsets:
+            count, edges = hl.edge_boundary(h, s)
+            assert (count, edges) == _edge_boundary_loops(h, s)
+            assert all(type(e) is tuple for e in edges)
+            assert hl.boundary_quadratic(h, s) == _boundary_quadratic_loops(h, s)
+
+
+def test_one_pass_sweep_matches_prefix_loop():
+    _, cases = _random_cases(240, 43)
+    compared = 0
+    for h in cases:
+        an = hl.analyze(h)
+        if h.n < 2 or not an.connected:
+            continue
+        subset, report = hl.fiedler_sweep(an)
+        want_subset, want_ratio = _fiedler_sweep_loops(an)
+        assert subset == want_subset
+        assert all(type(v) is int for v in subset)
+        assert Fraction(report.boundary_size, len(subset)) == want_ratio
+        assert report == hl.boundary_sandwich(an, want_subset)
+        compared += 1
+    assert compared >= 150

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hyperlap as hl
+from hyperlap import generators
 
 
 class TestSplitMix64:
@@ -213,3 +214,23 @@ def test_analytic_expand_refuses_residual():
     spec = hl.complete_kpartite_spectrum((2, 2))
     with pytest.raises(ValueError, match="residual"):
         spec.expand()
+
+
+@pytest.mark.parametrize(
+    "build, members, exact",
+    [
+        (lambda: hl.complete_kgraph(6, 3), comb(6, 3) * 3, True),
+        (lambda: hl.complete_kpartite((2, 3, 4)), 2 * 3 * 4 * 3, True),
+        (lambda: hl.star_kgraph(3, 5), 5 * 3, True),
+        # m * k_min: the fewest members six edges of size >= 2 can have
+        (lambda: hl.random_hypergraph(n=8, m=6, k_min=2, k_max=4, seed=3), 6 * 2, False),
+    ],
+)
+def test_member_cap_refuses_before_building(monkeypatch, build, members, exact):
+    monkeypatch.setattr(generators, "MAX_MEMBERS", members)
+    total = sum(len(e) for e in build().edges)
+    assert total == members if exact else total >= members
+    monkeypatch.setattr(generators, "MAX_MEMBERS", members - 1)
+    monkeypatch.setattr(hl.Hypergraph, "from_edges", None)  # nothing is built
+    with pytest.raises(hl.BadParametersError, match="edge members"):
+        build()

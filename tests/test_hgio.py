@@ -136,3 +136,103 @@ def test_load_rejects_non_utf8_with_line(tmp_path, data, line):
     with pytest.raises(hl.HgParseError, match="UTF-8") as exc:
         hl.load(str(path))
     assert exc.value.line == line
+
+
+def _loads_loops(text):
+    """The two-pass parser that `loads` replaced, kept as the oracle."""
+    order: list = []
+    index: dict = {}
+    pinned = False
+    edge_rows = []
+
+    def intern(label: str) -> int:
+        if label not in index:
+            index[label] = len(order)
+            order.append(label)
+        return index[label]
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("!"):
+            tokens = line.split()
+            if tokens[0] != "!vertices":
+                raise hl.HgParseError(f"unknown directive {tokens[0]!r}", lineno)
+            if pinned:
+                raise hl.HgParseError("repeated !vertices directive", lineno)
+            if edge_rows:
+                raise hl.HgParseError(
+                    "!vertices must precede all edge lines", lineno
+                )
+            if len(tokens) < 2:
+                raise hl.HgParseError("!vertices needs at least one label", lineno)
+            for label in tokens[1:]:
+                if label in index:
+                    raise hl.HgParseError(
+                        f"duplicate label {label!r} in !vertices", lineno
+                    )
+                intern(label)
+            pinned = True
+            continue
+        edge_rows.append((lineno, line.split()))
+
+    edges = []
+    seen: dict = {}
+    for lineno, tokens in edge_rows:
+        if len(set(tokens)) != len(tokens):
+            raise hl.HgParseError("edge repeats a vertex label", lineno)
+        if len(tokens) < 2:
+            raise hl.HgParseError(
+                f"edge {tokens} has fewer than two vertices", lineno
+            )
+        if pinned:
+            for label in tokens:
+                if label not in index:
+                    raise hl.HgParseError(
+                        f"label {label!r} not in pinned universe", lineno
+                    )
+        edge = tuple(sorted(intern(label) for label in tokens))
+        if edge in seen:
+            raise hl.HgParseError(
+                f"edge duplicates the set on line {seen[edge]}", lineno
+            )
+        seen[edge] = lineno
+        edges.append(edge)
+
+    if not order:
+        raise hl.HgParseError("no vertices defined", 1)
+    return hl.Hypergraph.from_edges(edges, n=len(order), labels=order)
+
+
+_PIECES = ["a", "b", "c", "d", "#", "!vertices", "!other", "\n", "\n\n",
+           "\t", "\x0b", "\x1c", " "]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except hl.HgParseError as exc:
+        return (str(exc), exc.line)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_PIECES), max_size=40))
+def test_loads_matches_two_pass_parser(pieces):
+    # The same Hypergraph (labels included), or the same error and line.
+    text = "".join(pieces)
+    assert _outcome(hl.loads, text) == _outcome(_loads_loops, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lines=st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4),
+                   max_size=12),
+    pin=st.booleans(),
+)
+def test_loads_matches_two_pass_parser_on_edge_lines(lines, pin):
+    # Edge-heavy texts: duplicates, repeats and unpinned labels in any order.
+    text = ("!vertices a b c d e\n" if pin else "") + "".join(
+        " ".join(tokens) + "\n" for tokens in lines
+    )
+    assert _outcome(hl.loads, text) == _outcome(_loads_loops, text)
