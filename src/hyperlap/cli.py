@@ -60,20 +60,22 @@ def _parse_subset(h: Hypergraph, text: str) -> list:
     return subset
 
 
-def _cmd_spectrum(args) -> int:
+# Each command returns (JSON payload or None, exit code).  `run` writes the
+# payload after the command has returned, so the input's Analysis (edge
+# index, matrices, spectrum) is freed before the report is serialised.
+
+
+def _cmd_spectrum(args) -> tuple:
     h, source = _read(args.path)
-    payload = report.spectrum_payload(h, h.spectrum, source)
-    sys.stdout.write(report.dumps(payload))
-    return 0
+    return report.spectrum_payload(h, h.spectrum, source), 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple:
     h, _ = _read(args.path)
-    sys.stdout.write(report.dumps(report.bounds_payload(h, h.lambda_n)))
-    return 0
+    return report.bounds_payload(h, h.lambda_n), 0
 
 
-def _cmd_cuts(args) -> int:
+def _cmd_cuts(args) -> tuple:
     h, source = _read(args.path)
     if args.subset is not None:
         subset = _parse_subset(h, args.subset)
@@ -85,11 +87,10 @@ def _cmd_cuts(args) -> int:
     else:
         subset, rep = fiedler_sweep(h)
         payload = report.sweep_payload(h, subset, rep, source)
-    sys.stdout.write(report.dumps(payload))
-    return 0
+    return payload, 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple:
     if args.family == "complete":
         _require(args, "n", "k")
         h = complete_kgraph(args.n, args.k)
@@ -119,7 +120,7 @@ def _cmd_gen(args) -> int:
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return 0
+    return None, 0
 
 
 def _require(args, *names) -> None:
@@ -129,7 +130,7 @@ def _require(args, *names) -> None:
         raise BadParametersError(f"gen {args.family} needs {flags}")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     if args.random is not None:
         n, m, k_min, k_max, count, seed = args.random
         if args.path is not None:
@@ -145,13 +146,11 @@ def _cmd_verify(args) -> int:
         if h.m > 0 and h.enumerable:
             summary = connectivity_summary(h)
         payload = report.analysis_payload(h, source, h.spectrum, rep, summary)
-        sys.stdout.write(report.dumps(payload))
-        return 0 if rep.passed else 2
+        return payload, 0 if rep.passed else 2
     else:
         raise BadParametersError("verify needs a file or --random")
     rep = verify_instances(instances, source)
-    sys.stdout.write(report.dumps(report.verify_payload(rep)))
-    return 0 if rep.passed else 2
+    return report.verify_payload(rep), 0 if rep.passed else 2
 
 
 def _build_parser() -> _Parser:
@@ -223,10 +222,13 @@ def run(argv: Optional[list] = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
     except (HyperlapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if payload is not None:
+        sys.stdout.write(report.dumps(payload))
+    return code
 
 
 def main() -> None:
