@@ -3,10 +3,10 @@
 An :class:`Analysis` is a Hypergraph that computes each derived quantity
 once, on first use.  Bounds, cuts and reports call :func:`analyze` on the
 hypergraph they are given, so passing one Analysis to all of them computes
-each quantity once per input, the per-size edge index
-(``Hypergraph.edge_index``) that every per-edge pass reads included.  It
-keeps the subset scan once computed, so build one per input and drop it
-with that input; it is not attached to the Hypergraph it came from.
+each quantity once per input, including the per-size edge index
+(``Hypergraph.edge_index``) that every per-edge pass reads.  It keeps the
+subset scan once computed, so build one per input and drop it with that
+input; it is not attached to the Hypergraph it came from.
 
 Exact max cut and the isoperimetric number enumerate vertex subsets, so
 they are capped at ENUMERATION_CAP vertices.  Since a cut and its
