@@ -28,7 +28,6 @@ from .core import (
     adjacency_matrix,
     connected_components,
     degree_profile,
-    laplacian,
 )
 from .cuts import (
     ConnectivitySummary,
@@ -79,13 +78,9 @@ from .spectral import (
     Spectrum,
     eigendecompose,
     fiedler_vector,
-    hypergraph_spectrum,
-    is_connected,
     lambda2,
     lambda_n,
     spectral_component_count,
-    spectral_is_connected,
-    zero_threshold,
 )
 from .verify import (
     CheckResult,

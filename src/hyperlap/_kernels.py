@@ -4,8 +4,8 @@ These two loops do nearly all of the package's numeric work: the Jacobi
 sweeps behind every spectrum, and the scan over all vertex subsets behind
 exact max cut and the isoperimetric number.  Each has one numpy build.
 Jacobi applies the n/2 disjoint rotations of each round-robin step at
-once, as fancy-indexed row updates; the scan vectorizes over the whole
-mask range, one pass per edge, counting bits with ``np.bitwise_count``.
+once, as fancy-indexed row updates; the scan counts boundary edges only,
+over the whole mask range, one pass per edge, with ``np.bitwise_count``.
 """
 
 import numpy as np
@@ -100,22 +100,19 @@ def jacobi_sweeps(a, v, max_sweeps, off_tol):
 # ---------------------------------------------------------------------------
 # Subset-boundary scan
 #
-# For every vertex-subset bitmask in [0, 2**p) and precomputed edge bitmasks,
-# count boundary edges (0 < |e & S| < |e|) and accumulate the quadratic
-# contribution sum(t * (|e| - t)), t = |e & S|, which equals chi^T L chi.
-# All quantities are small integers, so int64 arithmetic is exact.
+# For every vertex-subset bitmask in [0, 2**p) and precomputed edge bitmasks
+# and sizes, count the boundary edges, those with 0 < |e & S| < |e|.  Returns
+# the int64 counts, indexed by subset bitmask.
 # ---------------------------------------------------------------------------
 
 
 def subset_scan(edge_masks, edge_sizes, p):
     masks = np.arange(1 << p, dtype=np.int64)
     boundary = np.zeros(masks.size, dtype=np.int64)
-    quad = np.zeros(masks.size, dtype=np.int64)
     for em, sz in zip(edge_masks, edge_sizes):
-        t = np.bitwise_count(masks & em).astype(np.int64)
-        quad += t * (sz - t)
+        t = np.bitwise_count(masks & em)
         boundary += (t > 0) & (t < sz)
-    return boundary, quad
+    return boundary
 
 
 def warm_up():

@@ -64,7 +64,7 @@ class Analysis(Hypergraph):
 
     @property
     def zero_threshold(self) -> float:
-        """``spectral.zero_threshold`` of the Laplacian, from the cached norm."""
+        """An eigenvalue counts as zero (for connectivity) at or below this."""
         return ZERO_EIGENVALUE_TOL * max(1.0, self.frobenius)
 
     @cached_property
@@ -87,6 +87,8 @@ class Analysis(Hypergraph):
 
     @property
     def connected(self) -> bool:
+        """Union-find connectivity, the authority that the spectral answer
+        is checked against."""
         return len(self.components) == 1
 
     @property
@@ -100,25 +102,30 @@ class Analysis(Hypergraph):
             )
 
     @cached_property
+    def edge_masks(self) -> np.ndarray:
+        """Each edge as an int64 bitmask of its vertices, in edge order; an
+        edge's size is its mask's bit count."""
+        masks = np.zeros(self.m, dtype=np.int64)
+        for rows, positions in self.edge_index.values():
+            masks[positions] = np.left_shift(1, rows).sum(axis=1)
+        return masks
+
+    @cached_property
     def scan(self) -> tuple:
-        """Kernel scan over all subsets of {0..n-2}: (boundary, quad, sizes),
-        indexed by subset bitmask.  Raises TooLargeError above
-        ENUMERATION_CAP vertices."""
+        """Kernel scan over all subsets of {0..n-2}: (boundary, sizes), the
+        boundary edge count and size of each subset, indexed by subset
+        bitmask.  Raises TooLargeError above ENUMERATION_CAP vertices."""
         self.require_enumerable()
         p = self.n - 1
-        masks = np.zeros(self.m, dtype=np.int64)
-        sizes = np.zeros(self.m, dtype=np.int64)
-        for k, (rows, positions) in self.edge_index.items():
-            masks[positions] = np.left_shift(1, rows).sum(axis=1)
-            sizes[positions] = k
-        boundary, quad = subset_scan(masks, sizes, p)
+        masks = self.edge_masks
+        boundary = subset_scan(masks, np.bitwise_count(masks), p)
         subset_sizes = np.bitwise_count(np.arange(1 << p, dtype=np.int64))
-        return boundary, quad, subset_sizes.astype(np.int64)
+        return boundary, subset_sizes.astype(np.int64)
 
     @cached_property
     def max_cut(self) -> tuple:
         """(value, witness) of :func:`hyperlap.cuts.max_cut`."""
-        boundary, _, _ = self.scan
+        boundary, _ = self.scan
         value = int(boundary.max())
         if value == 0:
             return 0, ()
@@ -138,7 +145,7 @@ class Analysis(Hypergraph):
         n = self.n
         if n < 2:
             raise TooSmallError("isoperimetric number needs at least two vertices")
-        boundary, _, sizes = self.scan
+        boundary, sizes = self.scan
         b = boundary.astype(np.float64)
         s = sizes.astype(np.float64)
         comp = float(n) - s

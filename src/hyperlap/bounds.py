@@ -5,8 +5,8 @@ lambda_n, the slack, and a witness for where the maximum was attained, so
 callers can both rank bounds and audit them.  ``holds`` uses a relative
 tolerance of 1e-8 scaled by max(1, lambda_n).
 
-Bounds read lambda_n, degrees and adjacency from ``analyze(h)``; the ones
-``all_bounds`` reports also take an explicit ``lambda_n`` to report against.
+Bounds read lambda_n, degrees and adjacency from ``analyze(h)`` and report
+against that lambda_n.
 """
 
 from dataclasses import dataclass
@@ -95,19 +95,19 @@ def _max_over_pairs(pairs, score) -> tuple:
     return best, best_pair
 
 
-def bound_twice_max_delta(h: Hypergraph, lambda_n: Optional[float] = None) -> BoundReport:
+def bound_twice_max_delta(h: Hypergraph) -> BoundReport:
     """lambda_n <= 2 * max_i delta_i."""
     h = analyze(h)
-    lam = h.lambda_n if lambda_n is None else float(lambda_n)
+    lam = h.lambda_n
     delta = h.degrees.delta
     i = int(np.argmax(delta))
     return _report("twice_max_laplacian_degree", 2.0 * float(delta[i]), lam, (i,))
 
 
-def bound_delta_pair_sum(h: Hypergraph, lambda_n: Optional[float] = None) -> BoundReport:
+def bound_delta_pair_sum(h: Hypergraph) -> BoundReport:
     """lambda_n <= max over adjacent pairs of delta_i + delta_j."""
     h = analyze(h)
-    lam = h.lambda_n if lambda_n is None else float(lambda_n)
+    lam = h.lambda_n
     delta = h.degrees.delta
     iu, ju = _adjacent_pairs(h)
     value, pair = _argmax_pair(delta[iu] + delta[ju], iu, ju)
@@ -153,7 +153,7 @@ def zhu_generic_bound(
     return _report(name, value, lam, pair)
 
 
-def bound_zhu_uniform(h: Hypergraph, lambda_n: Optional[float] = None) -> BoundReport:
+def bound_zhu_uniform(h: Hypergraph) -> BoundReport:
     """Degree/mean-degree bound for uniform hypergraphs:
     lambda_n <= max over adjacent i~j of
     [d_i(d_i + m_i) + d_j(d_j + m_j) - 2 * sum_{l in N(i) & N(j)} d_l] / (d_i + d_j).
@@ -161,7 +161,7 @@ def bound_zhu_uniform(h: Hypergraph, lambda_n: Optional[float] = None) -> BoundR
     Sharp for 2-graphs; k >= 3 can break it (the battery records offenders).
     """
     h = analyze(h)
-    lam = h.lambda_n if lambda_n is None else float(lambda_n)
+    lam = h.lambda_n
     dp = h.degrees
     if h.m == 0:
         raise NoEdgesError("uniform degree bound needs at least one edge")
@@ -173,18 +173,14 @@ def bound_zhu_uniform(h: Hypergraph, lambda_n: Optional[float] = None) -> BoundR
     return _report("zhu_uniform", value, lam, pair)
 
 
-def bound_zhu_nonuniform(
-    h: Hypergraph,
-    weighted: bool = False,
-    lambda_n: Optional[float] = None,
-) -> BoundReport:
+def bound_zhu_nonuniform(h: Hypergraph, weighted: bool = False) -> BoundReport:
     """Uniform bracket scaled by (k_max - 1)/(k_min - 1) for mixed edge
     sizes.  ``weighted`` swaps in multiplicity-weighted neighbor sums (and a
     min-multiplicity common term); both readings are recorded by the battery
     because neither survives every instance.
     """
     h = analyze(h)
-    lam = h.lambda_n if lambda_n is None else float(lambda_n)
+    lam = h.lambda_n
     dp = h.degrees
     if h.m == 0:
         raise NoEdgesError("degree bound needs at least one edge")
@@ -253,16 +249,15 @@ def check_edge_degree_sum(h: Hypergraph) -> EdgeDegreeSumCheck:
     )
 
 
-def all_bounds(h: Hypergraph, lambda_n: Optional[float] = None) -> list:
+def all_bounds(h: Hypergraph) -> list:
     """Every applicable bound, in a fixed order (for reports)."""
     h = analyze(h)
-    lam = h.lambda_n if lambda_n is None else float(lambda_n)
-    out = [bound_twice_max_delta(h, lam)]
+    out = [bound_twice_max_delta(h)]
     if h.m > 0:
-        out.append(bound_delta_pair_sum(h, lam))
+        out.append(bound_delta_pair_sum(h))
         dp = h.degrees
         if dp.k_min == dp.k_max:
-            out.append(bound_zhu_uniform(h, lam))
-        out.append(bound_zhu_nonuniform(h, weighted=False, lambda_n=lam))
-        out.append(bound_zhu_nonuniform(h, weighted=True, lambda_n=lam))
+            out.append(bound_zhu_uniform(h))
+        out.append(bound_zhu_nonuniform(h, weighted=False))
+        out.append(bound_zhu_nonuniform(h, weighted=True))
     return out

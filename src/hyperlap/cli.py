@@ -49,15 +49,17 @@ def _read(path: str) -> tuple:
 
 def _parse_subset(h: Hypergraph, text: str) -> list:
     index = h.label_index()
-    subset = []
+    subset = {}
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise BadParametersError("empty vertex label in subset")
         if token not in index:
             raise BadParametersError(f"unknown vertex label {token!r}")
-        subset.append(index[token])
-    return subset
+        if token in subset:
+            raise BadParametersError(f"subset repeats vertex label {token!r}")
+        subset[token] = index[token]
+    return list(subset.values())
 
 
 # Each command returns (JSON payload or None, exit code).  `run` writes the
@@ -67,12 +69,12 @@ def _parse_subset(h: Hypergraph, text: str) -> list:
 
 def _cmd_spectrum(args) -> tuple:
     h, source = _read(args.path)
-    return report.spectrum_payload(h, h.spectrum, source), 0
+    return report.spectrum_payload(h, source), 0
 
 
 def _cmd_bounds(args) -> tuple:
     h, _ = _read(args.path)
-    return report.bounds_payload(h, h.lambda_n), 0
+    return report.bounds_payload(h), 0
 
 
 def _cmd_cuts(args) -> tuple:
@@ -145,7 +147,7 @@ def _cmd_verify(args) -> tuple:
         summary = None
         if h.m > 0 and h.enumerable:
             summary = connectivity_summary(h)
-        payload = report.analysis_payload(h, source, h.spectrum, rep, summary)
+        payload = report.analysis_payload(h, source, rep, summary)
         return payload, 0 if rep.passed else 2
     else:
         raise BadParametersError("verify needs a file or --random")

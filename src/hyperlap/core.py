@@ -173,13 +173,9 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     return DegreeProfile(d=d, delta=delta, k_min=k_min, k_max=k_max)
 
 
-def laplacian(h: Hypergraph) -> np.ndarray:
-    """L = diag(delta) - A; symmetric with exactly zero row sums."""
-    return laplacian_from_adjacency(adjacency_matrix(h))
-
-
 def laplacian_from_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """diag(row sums) - A, in exact integer arithmetic."""
+    """L = diag(row sums) - A, in exact integer arithmetic: symmetric with
+    exactly zero row sums."""
     a = adjacency.astype(np.int64)
     lap = -a
     np.fill_diagonal(lap, a.sum(axis=1))

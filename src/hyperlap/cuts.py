@@ -2,15 +2,17 @@
 
 Spectra, degrees, the subset scan and the exact max cut and isoperimetric
 number are read from ``analyze(h)``; the exact searches are capped at
-``ENUMERATION_CAP`` (20) vertices.  Boundaries, the quadratic identity and
-the Fiedler sweep read the shared per-size edge index
+``ENUMERATION_CAP`` (20) vertices.  Each spectral cut bound is stated once:
+the sandwich in :func:`sandwich_bounds`, the max-cut and isoperimetric
+bounds in :func:`connectivity_summary`.  Boundaries, the quadratic identity
+and the Fiedler sweep read the shared per-size edge index
 (``Hypergraph.edge_index``), so each is O(sum |e|) numpy work; the sweep
 gets the boundary of every prefix from one difference array.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,16 +26,15 @@ from .errors import (
     TooSmallError,
     VertexOutOfRangeError,
 )
-from .spectral import Spectrum, fiedler_vector, lambda2, lambda_n
+from .spectral import fiedler_vector
 
 
 @dataclass(frozen=True)
 class CutReport:
     """One subset against the spectral sandwich.
 
-    lower and upper are 4*lambda_2*s*(n-s)/(n*k_max^2) and
-    lambda_n*s*(n-s)/(n*(k_min-1)); density is |bd S| / (s*(n-s)), NaN for
-    degenerate subsets.
+    lower and upper are the :func:`sandwich_bounds` of the subset's size;
+    density is |bd S| / (s*(n-s)), NaN for degenerate subsets.
     """
 
     subset: tuple
@@ -47,10 +48,9 @@ class CutReport:
 class ConnectivitySummary:
     """Exact max cut and isoperimetric number next to their spectral bounds.
 
-    ``max_cut_bound_kmin`` (n*lambda_n/(4*(k_min-1))) follows from the
-    sandwich and is asserted; ``max_cut_bound_kmax`` replaces k_min with
-    k_max and is recorded only -- overlapping edges can push the true max
-    cut past it.
+    ``max_cut_bound_kmin`` follows from the sandwich and is asserted;
+    ``max_cut_bound_kmax`` replaces k_min with k_max and is recorded only --
+    overlapping edges can push the true max cut past it.
     """
 
     max_cut: int
@@ -116,26 +116,31 @@ def boundary_quadratic(h: Hypergraph, subset: Iterable[int]) -> tuple:
     return per_edge, quad
 
 
-def boundary_sandwich(
-    h: Hypergraph,
-    subset: Iterable[int],
-    spectrum: Optional[Spectrum] = None,
-) -> CutReport:
-    """Boundary size of one subset between its two spectral bounds;
-    ``spectrum`` defaults to the hypergraph's own."""
+def sandwich_bounds(h: Hypergraph, size):
+    """(lower, upper) on the boundary of any subset of ``size`` vertices:
+    4*lambda_2*s*(n-s)/(n*k_max^2) and lambda_n*s*(n-s)/(n*(k_min-1)).
+
+    ``size`` is an int or an int64 array of sizes; s*(n-s) stays exact in
+    either, so both give the same floats.  Needs at least one edge.
+    """
     h = analyze(h)
     dp = h.degrees
+    pairs = size * (h.n - size)
+    lower = 4.0 * h.lambda2 * pairs / (h.n * dp.k_max**2)
+    upper = h.lambda_n * pairs / (h.n * (dp.k_min - 1))
+    return lower, upper
+
+
+def boundary_sandwich(h: Hypergraph, subset: Iterable[int]) -> CutReport:
+    """Boundary size of one subset between its two spectral bounds."""
+    h = analyze(h)
     if h.m == 0:
         raise NoEdgesError("spectral cut bounds need at least one edge")
-    if spectrum is None:
-        spectrum = h.spectrum
-    lam2, lam_n = lambda2(spectrum), lambda_n(spectrum)
     s = _clean_subset(h, subset)
     size = len(s)
     pairs = size * (h.n - size)
     count, _ = edge_boundary(h, s)
-    lower = 4.0 * lam2 * pairs / (h.n * dp.k_max**2)
-    upper = lam_n * pairs / (h.n * (dp.k_min - 1))
+    lower, upper = sandwich_bounds(h, size)
     density = count / pairs if pairs > 0 else float("nan")
     return CutReport(
         subset=s,
@@ -222,11 +227,12 @@ def connectivity_summary(h: Hypergraph) -> ConnectivitySummary:
     lam2, lam_n = h.lambda2, h.lambda_n
     mc, mc_witness = max_cut(h)
     iso, iso_witness = isoperimetric(h)
+    kmin_bound, kmax_bound = (h.n * lam_n / (4.0 * (k - 1)) for k in (dp.k_min, dp.k_max))
     return ConnectivitySummary(
         max_cut=mc,
         max_cut_witness=mc_witness,
-        max_cut_bound_kmin=h.n * lam_n / (4.0 * (dp.k_min - 1)),
-        max_cut_bound_kmax=h.n * lam_n / (4.0 * (dp.k_max - 1)),
+        max_cut_bound_kmin=kmin_bound,
+        max_cut_bound_kmax=kmax_bound,
         isoperimetric=iso,
         iso_witness=iso_witness,
         iso_lower_bound=2.0 * lam2 / dp.k_max**2,

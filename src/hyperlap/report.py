@@ -3,8 +3,8 @@
 Identical input and flags must produce byte-identical output: key order is
 fixed by construction, floats are rounded to 10 decimal places, non-finite
 floats become null, and exact rationals are emitted as numerator/denominator
-pairs next to a rounded decimal.  Degrees and connectivity are read from
-``analyze(h)``.
+pairs next to a rounded decimal.  Degrees, spectrum, connectivity and
+bounds are read from ``analyze(h)``.
 """
 
 import json
@@ -18,7 +18,6 @@ from .analysis import analyze
 from .bounds import all_bounds
 from .core import Hypergraph
 from .cuts import ConnectivitySummary, CutReport
-from .spectral import Spectrum
 from .verify import VerifyReport
 
 _PLACES = 10
@@ -82,9 +81,9 @@ def _shape(h: Hypergraph, source: str) -> dict:
     }
 
 
-def spectrum_payload(h: Hypergraph, spectrum: Spectrum, source: str) -> dict:
+def spectrum_payload(h: Hypergraph, source: str) -> dict:
     h = analyze(h)
-    lam = spectrum.eigenvalues
+    lam = h.spectrum.eigenvalues
     payload = _shape(h, source)
     payload.update(
         {
@@ -97,7 +96,7 @@ def spectrum_payload(h: Hypergraph, spectrum: Spectrum, source: str) -> dict:
     return payload
 
 
-def bounds_payload(h: Hypergraph, lambda_n: float) -> list:
+def bounds_payload(h: Hypergraph) -> list:
     """JSON array: one entry per applicable bound."""
     return [
         {
@@ -108,7 +107,7 @@ def bounds_payload(h: Hypergraph, lambda_n: float) -> list:
             "holds": rep.holds,
             "witness": _labels(h, rep.witness),
         }
-        for rep in all_bounds(h, lambda_n)
+        for rep in all_bounds(h)
     ]
 
 
@@ -190,20 +189,18 @@ def verify_payload(report: VerifyReport) -> dict:
 def analysis_payload(
     h: Hypergraph,
     source: str,
-    spectrum: Spectrum,
     report: VerifyReport,
     summary: Optional[ConnectivitySummary],
 ) -> dict:
     """Single-input verification: shape, spectrum, bounds, optional exact
     cuts, recorded violations, and the hard-check outcomes."""
     h = analyze(h)
-    lam = spectrum.eigenvalues
     payload = _shape(h, source)
     payload.update(
         {
-            "spectrum": list(lam),
+            "spectrum": list(h.spectrum.eigenvalues),
             "connected": h.connected,
-            "bounds": bounds_payload(h, float(lam[-1])) if h.n >= 2 else [],
+            "bounds": bounds_payload(h) if h.n >= 2 else [],
             "cuts": _summary_fields(h, summary) if summary is not None else None,
             "violations": [
                 {"name": r.name, "count": r.violations, "witnesses": list(r.witnesses)}

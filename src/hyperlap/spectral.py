@@ -1,8 +1,10 @@
-"""Symmetric eigensolver and spectral connectivity tests.
+"""Symmetric eigensolver and readings of its spectrum.
 
 The solver is a self-contained round-robin parallel Jacobi iteration (hot
 loop in :mod:`hyperlap._kernels`); it never calls into LAPACK, so test oracles can
-cross-check it against an independent routine.
+cross-check it against an independent routine.  The spectrum, connectivity
+and zero threshold of a hypergraph's Laplacian are cached on its
+:class:`hyperlap.analysis.Analysis`.
 """
 
 from dataclasses import dataclass
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import jacobi_sweeps
-from .core import Hypergraph, connected_components, laplacian
 from .errors import ConvergenceFailureError, TooSmallError
 
 # Convergence: off-diagonal Frobenius mass must drop below this times the
@@ -95,30 +96,7 @@ def fiedler_vector(spectrum: Spectrum) -> np.ndarray:
     return spectrum.eigenvectors[:, 1].copy()
 
 
-def zero_threshold(lap: np.ndarray) -> float:
-    return ZERO_EIGENVALUE_TOL * max(1.0, float(np.linalg.norm(lap, "fro")))
-
-
 def spectral_component_count(spectrum: Spectrum, threshold: float) -> int:
     """Multiplicity of the zero eigenvalue at the given threshold."""
     return int(np.count_nonzero(np.abs(spectrum.eigenvalues) <= threshold))
 
-
-def is_connected(h: Hypergraph) -> bool:
-    """Union-find connectivity; the authority when the spectral answer is
-    checked against it."""
-    return len(connected_components(h)) == 1
-
-
-def spectral_is_connected(h: Hypergraph, spectrum: Spectrum = None) -> bool:
-    if h.n == 1:
-        return True
-    lap = laplacian(h)
-    if spectrum is None:
-        spectrum = eigendecompose(lap)
-    return float(spectrum.eigenvalues[1]) > zero_threshold(lap)
-
-
-def hypergraph_spectrum(h: Hypergraph) -> Spectrum:
-    """Spectrum of the hypergraph Laplacian."""
-    return eigendecompose(laplacian(h))

@@ -22,7 +22,7 @@ from .bounds import (
     check_edge_degree_sum,
 )
 from .core import connected_components, degree_profile
-from .cuts import fiedler_sweep, isoperimetric, max_cut
+from .cuts import connectivity_summary, fiedler_sweep, isoperimetric, sandwich_bounds
 from .errors import BadParametersError
 from .generators import SplitMix64, random_hypergraph
 from .spectral import spectral_component_count
@@ -175,12 +175,8 @@ def _check_zhu_two_graph(an: Analysis, index: int) -> Optional[str]:
 def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
     if not an.enumerable or an.m == 0 or an.n < 2:
         return None
-    boundary, _, sizes = an.scan
-    n, dp = an.n, an.degrees
-    lam2 = an.lambda2
-    pairs = sizes.astype(np.float64) * (n - sizes.astype(np.float64))
-    lower = 4.0 * lam2 * pairs / (n * dp.k_max**2)
-    upper = an.lambda_n * pairs / (n * (dp.k_min - 1))
+    boundary, sizes = an.scan
+    lower, upper = sandwich_bounds(an, sizes)
     b = boundary.astype(np.float64)
     bad_low = np.flatnonzero(b < lower - 1e-8)
     if bad_low.size:
@@ -196,7 +192,6 @@ def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
 def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
     if not an.enumerable:
         return None
-    _, quad, _ = an.scan
     n = an.n
     p = n - 1
     lap_int = an.laplacian.astype(np.int64)
@@ -208,10 +203,15 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
             sorted({rng.randrange(1 << p) for _ in range(_QUAD_SAMPLES)}),
             dtype=np.int64,
         )
+    quad = np.zeros(masks.size, dtype=np.int64)
+    edges = an.edge_masks
+    for em, sz in zip(edges, np.bitwise_count(edges)):
+        t = np.bitwise_count(masks & em).astype(np.int64)
+        quad += t * (sz - t)
     chi = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.int64)
     expected = np.einsum("si,ij,sj->s", chi, lap_int, chi)
-    if not np.array_equal(quad[masks], expected):
-        bad = int(masks[np.flatnonzero(quad[masks] != expected)[0]])
+    if not np.array_equal(quad, expected):
+        bad = int(masks[np.flatnonzero(quad != expected)[0]])
         return f"edge-contribution sum differs from chi^T L chi (mask {bad})"
     return None
 
@@ -219,14 +219,12 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
 def _check_maxcut_iso_bounds(an: Analysis, index: int) -> Optional[str]:
     if not an.enumerable or an.m == 0 or an.n < 2:
         return None
-    n, dp = an.n, an.degrees
-    mc, _ = max_cut(an)
-    bound = n * an.lambda_n / (4.0 * (dp.k_min - 1))
+    summary = connectivity_summary(an)
+    mc, bound = summary.max_cut, summary.max_cut_bound_kmin
     if mc > bound + 1e-8:
         return f"max cut {mc} above n lambda_n / (4 (k_min - 1)) = {bound:.6f}"
     if an.connected:
-        iso, _ = isoperimetric(an)
-        low = 2.0 * an.lambda2 / dp.k_max**2
+        iso, low = summary.isoperimetric, summary.iso_lower_bound
         if float(iso) < low - 1e-8:
             return f"isoperimetric {iso} below 2 lambda_2 / k_max^2 = {low:.6f}"
     return None
@@ -278,14 +276,14 @@ def _record_zhu_uniform_k3(an: Analysis) -> Optional[dict]:
 def _record_maxcut_printed(an: Analysis) -> Optional[dict]:
     if not an.enumerable or an.m == 0 or an.n < 2:
         return None
-    mc, witness = max_cut(an)
-    bound = an.n * an.lambda_n / (4.0 * (an.degrees.k_max - 1))
+    summary = connectivity_summary(an)
+    mc, bound = summary.max_cut, summary.max_cut_bound_kmax
     if mc <= bound + 1e-8:
         return None
     return {
         "max_cut": mc,
         "bound": bound,
-        "witness": list(witness),
+        "witness": list(summary.max_cut_witness),
     }
 
 

@@ -79,7 +79,7 @@ def test_criterion_01_complete_kgraph_spectra(capsys):
         for n in range(2, 9):
             for k in range(2, n + 1):
                 want = hl.complete_kgraph_spectrum(n, k).expand()
-                got = hl.hypergraph_spectrum(hl.complete_kgraph(n, k))
+                got = hl.analyze(hl.complete_kgraph(n, k)).spectrum
                 assert np.abs(got.eigenvalues - want).max() <= 1e-8, (n, k)
 
 
@@ -90,9 +90,9 @@ def test_criterion_02_star_kgraph_spectra(capsys):
             for r in range(1, 5):
                 h = hl.star_kgraph(k, r)
                 want = hl.star_kgraph_spectrum(k, r).expand()
-                got = hl.hypergraph_spectrum(h)
+                got = hl.analyze(h).spectrum
                 assert np.abs(got.eigenvalues - want).max() <= 1e-8, (k, r)
-                lap = hl.laplacian(h).astype(np.int64)
+                lap = hl.analyze(h).laplacian.astype(np.int64)
                 basis = hl.star_eigenvector_basis(k, r)
                 assert len(basis) == h.n
                 for lam, vec in basis:
@@ -121,7 +121,7 @@ def test_criterion_03_kpartite_spectra(capsys):
         for n in range(2, 10):
             for sizes in _partitions(n):
                 spec = hl.complete_kpartite_spectrum(sizes)
-                got = hl.hypergraph_spectrum(hl.complete_kpartite(sizes))
+                got = hl.analyze(hl.complete_kpartite(sizes)).spectrum
                 lam = got.eigenvalues
                 k = len(sizes)
                 prod = math.prod(sizes)
@@ -140,7 +140,7 @@ def test_criterion_03_kpartite_spectra(capsys):
                 bound = 1e-6 * max(1.0, float(np.abs(coeffs).max()))
                 for x in remaining:
                     assert abs(np.polyval(coeffs, x)) <= bound, (sizes, x)
-        got = hl.hypergraph_spectrum(hl.complete_kpartite((2, 2)))
+        got = hl.analyze(hl.complete_kpartite((2, 2))).spectrum
         assert np.abs(got.eigenvalues - np.array([0.0, 2.0, 2.0, 4.0])).max() <= 1e-8
 
 
@@ -164,8 +164,8 @@ def test_criterion_05_worked_example_regression(capsys):
         mixed = hl.Hypergraph.from_edges(
             [(0, 1, 2), (3, 4, 5), (2, 3), (0, 1, 4, 5)], n=6
         )
-        su = hl.hypergraph_spectrum(uniform)
-        sm = hl.hypergraph_spectrum(mixed)
+        uniform, mixed = hl.analyze(uniform), hl.analyze(mixed)
+        su, sm = uniform.spectrum, mixed.spectrum
         assert np.abs(su.eigenvalues - np.array([0, 2, 4, 6, 6, 6.0])).max() <= 1e-8
         assert np.abs(sm.eigenvalues - np.array([0, 3, 3, 6, 7, 7.0])).max() <= 1e-8
 
@@ -175,14 +175,14 @@ def test_criterion_05_worked_example_regression(capsys):
         assert hl.edge_boundary(mixed, [2])[0] == 2
 
         # uniform graph: upper bound tight on {0,3}, lower tight on {0,1,2}
-        up = hl.boundary_sandwich(uniform, [0, 3], su)
+        up = hl.boundary_sandwich(uniform, [0, 3])
         assert math.floor(up.upper + 1e-9) == up.boundary_size
-        low = hl.boundary_sandwich(uniform, [0, 1, 2], su)
+        low = hl.boundary_sandwich(uniform, [0, 1, 2])
         assert math.ceil(low.lower - 1e-9) == low.boundary_size
 
         # non-uniform graph: neither bound attained on the worked subsets
         for subset in ([0, 1, 3], [2]):
-            rep = hl.boundary_sandwich(mixed, subset, sm)
+            rep = hl.boundary_sandwich(mixed, subset)
             assert math.floor(rep.upper + 1e-9) > rep.boundary_size, subset
             assert math.ceil(rep.lower - 1e-9) < rep.boundary_size, subset
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hyperlap as hl
-from hyperlap import _kernels, cli, core
+from hyperlap import _kernels, cli, core, spectral
 
 
 def _counting(monkeypatch, **targets) -> Counter:
@@ -109,9 +109,11 @@ def test_analyze_passes_an_analysis_through(g_mixed_sizes):
 
 def test_quantities_match_the_module_functions(g_overlap_heavy):
     an = hl.analyze(g_overlap_heavy)
-    assert np.array_equal(an.laplacian, hl.laplacian(g_overlap_heavy))
-    assert an.lambda_n == hl.lambda_n(hl.hypergraph_spectrum(g_overlap_heavy))
-    assert an.zero_threshold == hl.zero_threshold(an.laplacian)
+    lap = core.laplacian_from_adjacency(hl.adjacency_matrix(g_overlap_heavy))
+    assert np.array_equal(an.laplacian, lap)
+    assert an.lambda_n == hl.lambda_n(hl.eigendecompose(lap))
+    norm = float(np.linalg.norm(lap, "fro"))
+    assert an.zero_threshold == spectral.ZERO_EIGENVALUE_TOL * max(1.0, norm)
     assert an.components == hl.connected_components(g_overlap_heavy)
 
 
@@ -129,31 +131,27 @@ def test_scan_is_capped():
 
 
 def _recount(h, mask):
-    """(boundary, quad, size) of one subset bitmask, counted edge by edge."""
+    """(boundary, size) of one subset bitmask, counted edge by edge."""
     bits = [v for v in range(h.n) if (mask >> v) & 1]
-    return (
-        hl.edge_boundary(h, bits)[0],
-        sum(hl.edge_contribution(e, bits) for e in h.edges),
-        len(bits),
-    )
+    return hl.edge_boundary(h, bits)[0], len(bits)
 
 
 def test_scan_matches_per_mask_recount():
     h = hl.random_hypergraph(12, 30, 2, 5, 11)
-    boundary, quad, sizes = hl.analyze(h).scan
-    assert boundary.dtype == quad.dtype == sizes.dtype == np.int64
+    boundary, sizes = hl.analyze(h).scan
+    assert boundary.dtype == sizes.dtype == np.int64
     assert boundary.size == 1 << 11
     for mask in range(boundary.size):
-        got = (int(boundary[mask]), int(quad[mask]), int(sizes[mask]))
+        got = (int(boundary[mask]), int(sizes[mask]))
         assert got == _recount(h, mask), mask
 
 
 def test_scan_top_bit_masks_match_recount():
     h = hl.random_hypergraph(20, 40, 2, 6, 5)
-    boundary, quad, sizes = hl.analyze(h).scan
+    boundary, sizes = hl.analyze(h).scan
     top = 1 << 18
     masks = [top, top | 1, top | 0x2AAAA, (1 << 19) - 2, (1 << 19) - 1]
     assert boundary.size == 1 << 19
     for mask in masks:
-        got = (int(boundary[mask]), int(quad[mask]), int(sizes[mask]))
+        got = (int(boundary[mask]), int(sizes[mask]))
         assert got == _recount(h, mask), mask

@@ -245,9 +245,9 @@ def test_proved_bounds_hold_on_battery():
                                  k_max=min(4, n), seed=seed)
         if h.m == 0:
             continue
-        lam = hl.lambda_n(hl.hypergraph_spectrum(h))
-        twice = hl.bound_twice_max_delta(h, lam)
-        pair = hl.bound_delta_pair_sum(h, lam)
+        an = hl.analyze(h)
+        twice = hl.bound_twice_max_delta(an)
+        pair = hl.bound_delta_pair_sum(an)
         assert twice.holds and pair.holds
         assert pair.value <= twice.value
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperlap as hl
 from hyperlap import cli, generators, verify
@@ -105,6 +108,15 @@ class TestCuts:
         code, _, err = _run(capsys, "cuts", uniform_file, "--subset", "1,9")
         assert code == 1
         assert "unknown vertex label" in err
+
+    def test_subset_repeated_label_is_named(self, capsys, tmp_path):
+        # Labels are interned in first-appearance order, so "b" is vertex 0.
+        path = tmp_path / "ba.hg"
+        path.write_text("b a\n")
+        code, stdout, err = _run(capsys, "cuts", str(path), "--subset", "a, b,a")
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == ["error: subset repeats vertex label 'a'"]
 
     def test_exact(self, capsys, uniform_file):
         code, stdout, _ = _run(capsys, "cuts", uniform_file, "--exact")
@@ -293,3 +305,39 @@ class TestInputEdgeCases:
         assert payload["cuts"] is None
         assert payload["passed"] is True
         assert all(c["failed"] == 0 for c in payload["hard_checks"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=40),
+        st.lists(st.sampled_from([b"a", b"b", b"c", b"d", b" ", b"\n", b"#",
+                                  b"!vertices", b"\xff", b"\xc3", b"\t"]),
+                 max_size=20).map(b"".join),
+    ),
+    argv=st.sampled_from([["spectrum"], ["cuts", "--sweep"]]),
+    stdin=st.booleans(),
+)
+def test_arbitrary_bytes_give_a_report_or_one_error_line(fuzz_dir, data, argv, stdin):
+    path = fuzz_dir / "input.hg"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        mp.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = cli.run([argv[0], "-" if stdin else str(path), *argv[1:]])
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -115,19 +115,19 @@ class TestDegreeProfile:
 
 class TestLaplacian:
     def test_values(self, g_overlap_heavy):
-        lap = hl.laplacian(g_overlap_heavy)
+        lap = hl.analyze(g_overlap_heavy).laplacian
         a = hl.adjacency_matrix(g_overlap_heavy)
         assert np.array_equal(np.diag(lap), [4.0, 6.0, 6.0, 4.0, 4.0])
         assert np.array_equal(lap - np.diag(np.diag(lap)), -a)
 
     def test_row_sums_exactly_zero(self, g_mixed_sizes):
-        lap = hl.laplacian(g_mixed_sizes)
+        lap = hl.analyze(g_mixed_sizes).laplacian
         # integer-valued construction: no float tolerance needed
         assert np.array_equal(lap.sum(axis=1), np.zeros(6))
 
     def test_complete_triples(self):
         h = hl.complete_kgraph(4, 3)
-        lap = hl.laplacian(h)
+        lap = hl.analyze(h).laplacian
         assert np.array_equal(lap, 6.0 * np.eye(4) - 2.0 * (np.ones((4, 4)) - np.eye(4)))
 
 
@@ -135,7 +135,7 @@ class TestComponents:
     def test_disjoint_edges(self):
         h = hl.Hypergraph.from_edges([(0, 1), (2, 3)], n=4)
         assert hl.connected_components(h) == [[0, 1], [2, 3]]
-        assert not hl.is_connected(h)
+        assert not hl.analyze(h).connected
 
     def test_isolated_vertex(self):
         h = hl.Hypergraph.from_edges([(0, 2)], n=3)
@@ -143,7 +143,7 @@ class TestComponents:
 
     def test_connected(self, g_mixed_sizes):
         assert hl.connected_components(g_mixed_sizes) == [[0, 1, 2, 3, 4, 5]]
-        assert hl.is_connected(g_mixed_sizes)
+        assert hl.analyze(g_mixed_sizes).connected
 
     def test_no_edges(self):
         h = hl.Hypergraph.from_edges([], n=2)

@@ -119,13 +119,13 @@ class TestBoundarySandwich:
             h = hl.random_hypergraph(n=4 + seed % 4, m=4 + seed % 3,
                                      k_min=2, k_max=4, seed=seed)
             seed += 1
-            if not hl.is_connected(h):
+            an = hl.analyze(h)
+            if not an.connected:
                 continue
             count += 1
-            spectrum = hl.hypergraph_spectrum(h)
             for size in range(h.n + 1):
                 for s in combinations(range(h.n), size):
-                    rep = hl.boundary_sandwich(h, s, spectrum)
+                    rep = hl.boundary_sandwich(an, s)
                     assert rep.boundary_size == _bf_boundary(h, s)
                     assert rep.lower - 1e-8 <= rep.boundary_size
                     assert rep.boundary_size <= rep.upper + 1e-8
@@ -262,7 +262,7 @@ class TestFiedlerSweep:
             h = hl.random_hypergraph(n=4 + seed % 5, m=4 + seed % 3,
                                      k_min=2, k_max=4, seed=seed)
             seed += 1
-            if not hl.is_connected(h):
+            if not hl.analyze(h).connected:
                 continue
             count += 1
             subset, rep = hl.fiedler_sweep(h)
@@ -308,7 +308,7 @@ def _boundary_quadratic_loops(h, s):
     per_edge = sum(hl.edge_contribution(e, s) for e in h.edges)
     chi = np.zeros(h.n, dtype=np.int64)
     chi[list(s)] = 1
-    quad = int(chi @ hl.laplacian(h).astype(np.int64) @ chi)
+    quad = int(chi @ hl.analyze(h).laplacian.astype(np.int64) @ chi)
     return per_edge, quad
 
 

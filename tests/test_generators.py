@@ -60,7 +60,7 @@ class TestCompleteKGraph:
         for n in range(2, 7):
             for k in range(2, n + 1):
                 want = hl.complete_kgraph_spectrum(n, k).expand()
-                got = hl.hypergraph_spectrum(hl.complete_kgraph(n, k))
+                got = hl.analyze(hl.complete_kgraph(n, k)).spectrum
                 np.testing.assert_allclose(got.eigenvalues, want, atol=1e-8)
 
     def test_bad_parameters(self):
@@ -79,20 +79,20 @@ class TestStarKGraph:
     def test_two_uniform_star(self):
         spec = hl.star_kgraph_spectrum(2, 3)
         assert spec.pairs == ((0, 1), (1, 2), (4, 1))
-        got = hl.hypergraph_spectrum(hl.star_kgraph(2, 3))
+        got = hl.analyze(hl.star_kgraph(2, 3)).spectrum
         np.testing.assert_allclose(got.eigenvalues, [0, 1, 1, 4], atol=1e-8)
 
     def test_analytic_matches_solver(self):
         for k in range(2, 6):
             for r in range(1, 5):
                 want = hl.star_kgraph_spectrum(k, r).expand()
-                got = hl.hypergraph_spectrum(hl.star_kgraph(k, r))
+                got = hl.analyze(hl.star_kgraph(k, r)).spectrum
                 np.testing.assert_allclose(got.eigenvalues, want, atol=1e-8)
 
     def test_eigenvector_basis_exact(self):
         for k, r in [(2, 1), (3, 2), (4, 3), (5, 4)]:
             h = hl.star_kgraph(k, r)
-            lap = hl.laplacian(h).astype(np.int64)
+            lap = hl.analyze(h).laplacian.astype(np.int64)
             basis = hl.star_eigenvector_basis(k, r)
             assert len(basis) == h.n
             for lam, vec in basis:
@@ -117,7 +117,7 @@ class TestCompleteKPartite:
         spec = hl.complete_kpartite_spectrum((2, 2))
         assert spec.pairs == ((0, 1), (2, 1), (2, 1))
         assert spec.residual_poly == (1, -4)
-        got = hl.hypergraph_spectrum(hl.complete_kpartite((2, 2)))
+        got = hl.analyze(hl.complete_kpartite((2, 2))).spectrum
         np.testing.assert_allclose(got.eigenvalues, [0, 2, 2, 4], atol=1e-8)
 
     def test_single_edge_case(self):
@@ -130,7 +130,7 @@ class TestCompleteKPartite:
         spec = hl.complete_kpartite_spectrum((2, 1, 2))
         assert spec.pairs == ((0, 1), (4, 1), (4, 1))
         assert spec.residual_poly == (1, -16, 60)
-        got = hl.hypergraph_spectrum(hl.complete_kpartite((2, 1, 2)))
+        got = hl.analyze(hl.complete_kpartite((2, 1, 2))).spectrum
         np.testing.assert_allclose(got.eigenvalues, [0, 4, 4, 6, 10], atol=1e-8)
 
     def test_parts_of_size_one_collapse_to_single_edge(self):
@@ -138,7 +138,7 @@ class TestCompleteKPartite:
         h = hl.complete_kpartite((1, 1, 1, 1))
         assert h.edges == ((0, 1, 2, 3),)
         spec = hl.complete_kpartite_spectrum((1, 1, 1, 1))
-        got = hl.hypergraph_spectrum(h)
+        got = hl.analyze(h).spectrum
         # every plateau multiplicity is zero; the cubic carries the rest
         assert spec.pairs == ((0, 1),)
         coeffs = np.array(spec.residual_poly, dtype=float)
@@ -148,7 +148,7 @@ class TestCompleteKPartite:
     def test_residual_evaluates_to_zero_on_leftover_eigenvalues(self):
         for sizes in [(2, 3), (3, 3), (2, 2, 2), (1, 2, 3), (2, 1, 1, 2)]:
             spec = hl.complete_kpartite_spectrum(sizes)
-            got = hl.hypergraph_spectrum(hl.complete_kpartite(sizes))
+            got = hl.analyze(hl.complete_kpartite(sizes)).spectrum
             plateau = []
             for lam, mult in spec.pairs:
                 plateau.extend([lam] * mult)

@@ -236,3 +236,45 @@ def test_loads_matches_two_pass_parser_on_edge_lines(lines, pin):
         " ".join(tokens) + "\n" for tokens in lines
     )
     assert _outcome(hl.loads, text) == _outcome(_loads_loops, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet="ab!#\n\r\t \x0b\x1c\x85\u2028", max_size=60),
+))
+def test_loads_on_arbitrary_text_parses_or_raises_parse_error(text):
+    try:
+        h = hl.loads(text)
+    except hl.HgParseError as exc:
+        assert exc.line >= 1
+    else:
+        assert isinstance(h, hl.Hypergraph)
+
+
+def _one_token(label: str) -> bool:
+    # A label is one token on one line, and not a comment or a directive.
+    one_line = len(("x" + label + "x").splitlines()) == 1
+    return label.split() == [label] and one_line and label[0] not in "#!"
+
+
+@st.composite
+def _hypergraphs(draw):
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=2), unique=True, max_size=10
+    )) if n >= 2 else []
+    labels = draw(st.one_of(
+        st.none(),
+        st.lists(st.text(min_size=1, max_size=4).filter(_one_token),
+                 min_size=n, max_size=n, unique=True),
+    ))
+    return hl.Hypergraph.from_edges(edges, n=n, labels=labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_hypergraphs())
+def test_dumps_then_loads_round_trips(h):
+    back = hl.loads(hl.dumps(h))
+    labels = h.labels if h.labels is not None else tuple(map(str, range(h.n)))
+    assert back == hl.Hypergraph(n=h.n, edges=h.edges, labels=labels)

@@ -49,7 +49,7 @@ class TestJsonable:
 
 
 def test_spectrum_payload_golden(k2):
-    payload = report.spectrum_payload(k2, hl.hypergraph_spectrum(k2), "unit")
+    payload = report.spectrum_payload(k2, "unit")
     assert report.dumps(payload) == (
         "{\n"
         '  "input": "unit",\n'
@@ -70,13 +70,13 @@ def test_spectrum_payload_golden(k2):
 
 def test_spectrum_payload_single_vertex():
     h = hl.Hypergraph.from_edges([], n=1)
-    payload = report.spectrum_payload(h, hl.hypergraph_spectrum(h), "unit")
+    payload = report.spectrum_payload(h, "unit")
     assert payload["lambda_2"] is None and payload["lambda_n"] is None
     assert payload["connected"] is True
 
 
 def test_bounds_payload_is_bare_list(triangle):
-    payload = report.bounds_payload(triangle, 3.0)
+    payload = report.bounds_payload(triangle)
     assert isinstance(payload, list)
     assert [entry["name"] for entry in payload] == [
         "twice_max_laplacian_degree",
@@ -92,7 +92,7 @@ def test_bounds_payload_is_bare_list(triangle):
 
 def test_witnesses_use_label_space():
     h = hl.Hypergraph.from_edges([(0, 1), (1, 2)], n=3, labels=("p", "q", "r"))
-    payload = report.bounds_payload(h, 3.0)
+    payload = report.bounds_payload(h)
     pair = next(e for e in payload if e["name"] == "adjacent_laplacian_degree_sum")
     assert pair["witness"] == ["p", "q"]
 
@@ -140,9 +140,7 @@ def test_verify_payload_shape():
 def test_analysis_payload_contents(g_overlap_heavy):
     rep = hl.verify_instances([("f", g_overlap_heavy)], source="f")
     summary = hl.connectivity_summary(g_overlap_heavy)
-    payload = report.analysis_payload(
-        g_overlap_heavy, "f", hl.hypergraph_spectrum(g_overlap_heavy), rep, summary
-    )
+    payload = report.analysis_payload(g_overlap_heavy, "f", rep, summary)
     assert payload["passed"] is True
     assert payload["cuts"]["max_cut"] == summary.max_cut
     names = [v["name"] for v in payload["violations"]]
@@ -153,6 +151,6 @@ def test_analysis_payload_contents(g_overlap_heavy):
 def test_analysis_payload_edgeless():
     h = hl.Hypergraph.from_edges([], n=2)
     rep = hl.verify_instances([("e", h)], source="e")
-    payload = report.analysis_payload(h, "e", hl.hypergraph_spectrum(h), rep, None)
+    payload = report.analysis_payload(h, "e", rep, None)
     assert payload["cuts"] is None
     assert payload["violations"] == []

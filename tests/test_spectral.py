@@ -24,14 +24,14 @@ def _connected_instances(count, start_seed=0, n_lo=4, n_hi=10):
         n = n_lo + seed % (n_hi - n_lo + 1)
         h = hl.random_hypergraph(n=n, m=n, k_min=2, k_max=4, seed=seed)
         seed += 1
-        if hl.is_connected(h):
+        if hl.analyze(h).connected:
             out.append(h)
     return out
 
 
 class TestKnownSpectra:
     def test_single_edge(self, k2):
-        s = hl.hypergraph_spectrum(k2)
+        s = hl.analyze(k2).spectrum
         np.testing.assert_allclose(s.eigenvalues, [0.0, 2.0], atol=1e-12)
         r = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(
@@ -39,28 +39,28 @@ class TestKnownSpectra:
         )
 
     def test_complete_triples(self):
-        s = hl.hypergraph_spectrum(hl.complete_kgraph(4, 3))
+        s = hl.analyze(hl.complete_kgraph(4, 3)).spectrum
         np.testing.assert_allclose(s.eigenvalues, [0.0, 8.0, 8.0, 8.0], atol=1e-8)
 
     def test_uniform_cycle(self, g_uniform_cycle):
-        s = hl.hypergraph_spectrum(g_uniform_cycle)
+        s = hl.analyze(g_uniform_cycle).spectrum
         np.testing.assert_allclose(
             s.eigenvalues, [0.0, 2.0, 4.0, 6.0, 6.0, 6.0], atol=1e-8
         )
 
     def test_mixed_sizes(self, g_mixed_sizes):
-        s = hl.hypergraph_spectrum(g_mixed_sizes)
+        s = hl.analyze(g_mixed_sizes).spectrum
         np.testing.assert_allclose(
             s.eigenvalues, [0.0, 3.0, 3.0, 6.0, 7.0, 7.0], atol=1e-8
         )
 
     def test_overlap_heavy_top_eigenvalue(self, g_overlap_heavy):
         # frozen: agrees with an independent dense solver to 12 digits
-        s = hl.hypergraph_spectrum(g_overlap_heavy)
+        s = hl.analyze(g_overlap_heavy).spectrum
         assert hl.lambda_n(s) == pytest.approx(8.236067977499792, abs=1e-8)
 
     def test_path_lambda2(self, path4):
-        s = hl.hypergraph_spectrum(path4)
+        s = hl.analyze(path4).spectrum
         assert hl.lambda2(s) == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)
 
 
@@ -83,7 +83,7 @@ class TestEigendecompose:
         np.testing.assert_array_equal(s.eigenvalues, [1.0, 2.0, 3.0])
 
     def test_deterministic(self, g_mixed_sizes):
-        lap = hl.laplacian(g_mixed_sizes)
+        lap = hl.analyze(g_mixed_sizes).laplacian
         s1 = hl.eigendecompose(lap)
         s2 = hl.eigendecompose(lap)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
@@ -145,7 +145,7 @@ def test_fiedler_variational_bound():
     rng = np.random.default_rng(31)
     for h in _connected_instances(100, start_seed=1000):
         a = hl.adjacency_matrix(h)
-        s = hl.hypergraph_spectrum(h)
+        s = hl.analyze(h).spectrum
         lo, hi = hl.lambda2(s), hl.lambda_n(s)
         tol = 1e-8 * max(1.0, hi)
         w = rng.normal(size=(50, h.n))
@@ -160,7 +160,7 @@ def test_fiedler_variational_bound():
 
 def test_fiedler_vector_shape_and_sign():
     h = hl.Hypergraph.from_edges([(0, 1), (0, 2)], n=3)
-    s = hl.hypergraph_spectrum(h)
+    s = hl.analyze(h).spectrum
     f = hl.fiedler_vector(s)
     assert f.shape == (3,)
     assert f[0] == pytest.approx(0.0, abs=1e-10)
@@ -178,17 +178,16 @@ def test_zero_multiplicity_counts_components():
     for seed in range(120):
         n = 4 + seed % 6
         h = hl.random_hypergraph(n=n, m=2 + seed % 4, k_min=2, k_max=4, seed=seed)
-        lap = hl.laplacian(h)
-        s = hl.eigendecompose(lap)
-        k = hl.spectral_component_count(s, hl.zero_threshold(lap))
+        an = hl.analyze(h)
+        k = hl.spectral_component_count(an.spectrum, an.zero_threshold)
         assert k == len(hl.connected_components(h))
-        assert hl.spectral_is_connected(h, s) == hl.is_connected(h)
+        assert (an.lambda2 > an.zero_threshold) == an.connected
 
 
 def test_single_vertex_connected():
-    h = hl.Hypergraph.from_edges([], n=1)
-    assert hl.is_connected(h)
-    assert hl.spectral_is_connected(h)
+    an = hl.analyze(hl.Hypergraph.from_edges([], n=1))
+    assert an.connected
+    assert hl.spectral_component_count(an.spectrum, an.zero_threshold) == 1
 
 
 class TestRoundRobinJacobi:
@@ -205,10 +204,10 @@ class TestRoundRobinJacobi:
     @staticmethod
     def _laplacian(n, seed):
         if n == 1:
-            return hl.laplacian(hl.Hypergraph.from_edges([], n=1))
+            return hl.analyze(hl.Hypergraph.from_edges([], n=1)).laplacian
         m = 2 * n if n > 3 else n - 1
         h = hl.random_hypergraph(n=n, m=m, k_min=2, k_max=min(4, n), seed=seed)
-        return hl.laplacian(h)
+        return hl.analyze(h).laplacian
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
     def test_matches_eigh_with_small_residual(self, n):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import hyperlap as hl
+from hyperlap import verify
 
 HARD_CHECK_NAMES = [
     "laplacian_structure",
@@ -99,6 +102,23 @@ class TestVerifyInstances:
         report = hl.verify_instances([("big", h)], source="unit")
         assert report.passed
 
+    # n=10 checks every mask; n=16 checks the 256 sampled ones.
+    @pytest.mark.parametrize("n", [10, 16])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "pair"])
+    def test_quadratic_identity_catches_a_wrong_laplacian(self, n, entry):
+        an = hl.analyze(hl.random_hypergraph(n=n, m=2 * n, k_min=2, k_max=4, seed=n))
+        assert verify._check_quadratic_identity(an, 0) is None
+        lap = an.laplacian.copy()
+        i, j = entry
+        lap[i, j] += 1.0
+        lap[j, i] = lap[i, j]
+        vars(an)["laplacian"] = lap  # replace the cached Laplacian
+        message = verify._check_quadratic_identity(an, 0)
+        assert message is not None
+        mask = int(re.fullmatch(r".*\(mask (\d+)\)", message).group(1))
+        # The first mask reported is one that the perturbed entry changes.
+        assert (mask >> i) & 1 and (mask >> j) & 1
+
 
 class TestBatteries:
     def test_random_battery_shapes_and_names(self):
@@ -123,7 +143,7 @@ class TestBatteries:
 
     def test_varied_battery_connected_filter(self):
         for _, h in hl.varied_battery(25, base_seed=3, require="connected"):
-            assert hl.is_connected(h)
+            assert hl.analyze(h).connected
 
     def test_varied_battery_nonuniform_filter(self):
         for _, h in hl.varied_battery(25, base_seed=3, require="nonuniform"):
