@@ -11,14 +11,15 @@ input; it is not attached to the Hypergraph it came from.
 Exact max cut and the isoperimetric number enumerate vertex subsets, so
 they are capped at ENUMERATION_CAP vertices.  Since a cut and its
 complement have the same boundary, only subsets avoiding vertex n-1 are
-scanned (half the masks).  Ratios are compared as exact rationals; floats
-only preselect candidates, with a cushion far below the coarsest possible
-ratio gap.
+scanned (half the masks).  Values and witnesses are chosen in integer
+arithmetic: the isoperimetric number is the least of at most n/2 exact
+Fractions (the smallest boundary per subset size), its minimisers are the
+masks with ``boundary * den == num * size``, and both witnesses come from
+one rule, :func:`_lex_least`.  No float takes part in either choice.
 """
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -35,11 +36,22 @@ from .errors import TooLargeError, TooSmallError
 from .spectral import ZERO_EIGENVALUE_TOL, Spectrum, eigendecompose, lambda2, lambda_n
 
 ENUMERATION_CAP = 20
-_PRESELECT_CUSHION = 1e-9
 
 
-def _bits(mask: int, n: int) -> tuple:
-    return tuple(v for v in range(n) if (mask >> v) & 1)
+def _lex_least(sides: np.ndarray) -> tuple:
+    """The lexicographically least sorted vertex tuple among ``sides``, an
+    int64 array of distinct nonzero vertex bitmasks.  Each step keeps the
+    sides whose lowest remaining vertex is least and clears that vertex; a
+    side left with no vertex is a prefix of every other kept side, so it is
+    the least."""
+    witness = []
+    while True:
+        low = sides & -sides
+        least = int(low.min())
+        witness.append(least.bit_length() - 1)
+        sides = sides[low == least] ^ least
+        if not sides.all():
+            return tuple(witness)
 
 
 class Analysis(Hypergraph):
@@ -104,7 +116,9 @@ class Analysis(Hypergraph):
     @cached_property
     def edge_masks(self) -> np.ndarray:
         """Each edge as an int64 bitmask of its vertices, in edge order; an
-        edge's size is its mask's bit count."""
+        edge's size is its mask's bit count.  Raises TooLargeError above
+        ENUMERATION_CAP vertices, as :attr:`scan` does."""
+        self.require_enumerable()
         masks = np.zeros(self.m, dtype=np.int64)
         for rows, positions in self.edge_index.values():
             masks[positions] = np.left_shift(1, rows).sum(axis=1)
@@ -129,15 +143,9 @@ class Analysis(Hypergraph):
         value = int(boundary.max())
         if value == 0:
             return 0, ()
-        best = None
-        for mask in np.flatnonzero(boundary == value):
-            side = _bits(int(mask), self.n)
-            inside = set(side)
-            other = tuple(v for v in range(self.n) if v not in inside)
-            cand = min(side, other)
-            if best is None or cand < best:
-                best = cand
-        return value, best
+        best = np.flatnonzero(boundary == value)
+        full = (1 << self.n) - 1
+        return value, _lex_least(np.concatenate([best, full ^ best]))
 
     @cached_property
     def isoperimetric(self) -> tuple:
@@ -146,40 +154,18 @@ class Analysis(Hypergraph):
         if n < 2:
             raise TooSmallError("isoperimetric number needs at least two vertices")
         boundary, sizes = self.scan
-        b = boundary.astype(np.float64)
-        s = sizes.astype(np.float64)
-        comp = float(n) - s
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = np.where((sizes >= 1) & (2 * sizes <= n), b / s, np.inf)
-            flipped = np.where(
-                (n - sizes >= 1) & (2 * (n - sizes) <= n), b / comp, np.inf
-            )
-        approx = min(direct.min(), flipped.min())
-        cutoff = approx + _PRESELECT_CUSHION
-
-        best: Optional[Fraction] = None
-        best_witness = None
-        for mask in np.flatnonzero(np.minimum(direct, flipped) <= cutoff):
-            mask = int(mask)
-            count = int(boundary[mask])
-            size = int(sizes[mask])
-            candidates = []
-            if 1 <= size and 2 * size <= n and direct[mask] <= cutoff:
-                candidates.append((Fraction(count, size), _bits(mask, n)))
-            flip_size = n - size
-            if 1 <= flip_size and 2 * flip_size <= n and flipped[mask] <= cutoff:
-                inside = set(_bits(mask, n))
-                other = tuple(v for v in range(n) if v not in inside)
-                candidates.append((Fraction(count, flip_size), other))
-            for ratio, witness in candidates:
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and witness < best_witness)
-                ):
-                    best, best_witness = ratio, witness
-        return best, best_witness
+        # A scanned mask of size s stands for itself (size s) and for its
+        # complement (size n - s), which holds vertex n-1.
+        value = min(
+            Fraction(int(boundary[(sizes == t) | (sizes == n - t)].min()), t)
+            for t in range(1, n // 2 + 1)
+        )
+        num, den = value.numerator, value.denominator
+        direct = (sizes >= 1) & (2 * sizes <= n) & (boundary * den == num * sizes)
+        flipped = (2 * sizes >= n) & (boundary * den == num * (n - sizes))
+        full = (1 << n) - 1
+        sides = np.concatenate([np.flatnonzero(direct), full ^ np.flatnonzero(flipped)])
+        return value, _lex_least(sides)
 
 
 def analyze(h: Hypergraph) -> Analysis:

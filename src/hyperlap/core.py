@@ -15,6 +15,7 @@ int64 array with one row per edge of that size plus each row's position in
 so both cost O(sum |e|) numpy work and no incidence matrix is built.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -29,6 +30,18 @@ from .errors import (
     SingletonEdgeError,
     VertexOutOfRangeError,
 )
+
+
+def vertex_index(v, n: int) -> int:
+    """``v`` as a Python int in [0, n).  Accepts int and numpy integers;
+    anything else, or an index out of range, raises VertexOutOfRangeError."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise VertexOutOfRangeError(f"vertex {v!r} is not an integer") from None
+    if not 0 <= i < n:
+        raise VertexOutOfRangeError(f"vertex {i} outside [0, {n})")
+    return i
 
 
 @dataclass(frozen=True)
@@ -65,10 +78,7 @@ class Hypergraph:
                 raise DuplicateVertexError(f"edge {edge} repeats a vertex")
             if len(edge) < 2:
                 raise SingletonEdgeError(f"edge {edge} has fewer than two vertices")
-            for v in edge:
-                if not (0 <= v < n):
-                    raise VertexOutOfRangeError(f"vertex {v} outside [0, {n})")
-            canonical.append(tuple(sorted(edge)))
+            canonical.append(tuple(sorted(vertex_index(v, n) for v in edge)))
         canonical.sort()
         for prev, cur in zip(canonical, canonical[1:]):
             if prev == cur:

@@ -17,14 +17,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import analyze
-from .core import Hypergraph
+from .core import Hypergraph, vertex_index
 from .errors import (
     DegenerateSubsetError,
     DisconnectedError,
     DuplicateVertexError,
     NoEdgesError,
     TooSmallError,
-    VertexOutOfRangeError,
 )
 from .spectral import fiedler_vector
 
@@ -66,9 +65,7 @@ def _clean_subset(h: Hypergraph, subset: Iterable[int]) -> tuple:
     out = []
     seen = set()
     for v in subset:
-        v = int(v)
-        if not (0 <= v < h.n):
-            raise VertexOutOfRangeError(f"vertex {v} outside [0, {h.n})")
+        v = vertex_index(v, h.n)
         if v in seen:
             raise DuplicateVertexError(f"subset repeats vertex {v}")
         seen.add(v)
@@ -175,8 +172,8 @@ def isoperimetric(h: Hypergraph) -> tuple:
     Computed once per Analysis.
 
     Witness rule: among minimizers, the lexicographically least sorted
-    tuple.  Floats preselect near-minimal candidates; exact rationals pick
-    the winner, so float rounding can never flip the result.
+    tuple.  The value is the least of one exact Fraction per size and the
+    minimizers pass an integer test, so no float rounding enters either.
     """
     return analyze(h).isoperimetric
 

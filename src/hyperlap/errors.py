@@ -22,7 +22,7 @@ class DuplicateEdgeError(InvalidHypergraphError):
 
 
 class VertexOutOfRangeError(InvalidHypergraphError):
-    """A vertex index falls outside [0, n)."""
+    """A vertex is not an integer index, or falls outside [0, n)."""
 
 
 class DuplicateVertexError(InvalidHypergraphError):

@@ -124,10 +124,12 @@ def test_single_vertex_has_no_lambda_n():
 
 
 def test_scan_is_capped():
-    an = hl.analyze(hl.Hypergraph.from_edges([], n=hl.ENUMERATION_CAP + 1))
+    an = hl.analyze(hl.Hypergraph.from_edges([(0, 1)], n=hl.ENUMERATION_CAP + 1))
     assert not an.enumerable
     with pytest.raises(hl.TooLargeError):
         an.scan
+    with pytest.raises(hl.TooLargeError):
+        an.edge_masks
 
 
 def _recount(h, mask):

@@ -52,6 +52,13 @@ class TestFromEdges:
         with pytest.raises(hl.VertexOutOfRangeError):
             hl.Hypergraph.from_edges([(-1, 0)], n=3)
 
+    def test_rejects_non_integer_vertex(self):
+        with pytest.raises(hl.VertexOutOfRangeError, match="1.5"):
+            hl.Hypergraph.from_edges([(0, 1.5), (1, 2)], n=3)
+        h = hl.Hypergraph.from_edges([(np.int64(2), np.int64(0))], n=3)
+        assert h.edges == ((0, 2),)
+        assert all(type(v) is int for v in h.edges[0])
+
     def test_rejects_duplicate_edge(self):
         with pytest.raises(hl.DuplicateEdgeError):
             hl.Hypergraph.from_edges([(0, 1, 2), (2, 1, 0)], n=3)

@@ -9,6 +9,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperlap as hl
 
@@ -20,21 +22,32 @@ def _bf_boundary(h, subset):
 
 
 def _bf_max_cut(h):
-    best = 0
-    for size in range(1, h.n):
-        for s in combinations(range(h.n), size):
-            best = max(best, _bf_boundary(h, s))
-    return best
+    """(value, lexicographically least maximiser) over all proper subsets;
+    the empty one counts too, so an edgeless hypergraph gets the witness ()."""
+    best, witness = min(
+        (-_bf_boundary(h, s), s)
+        for size in range(h.n)
+        for s in combinations(range(h.n), size)
+    )
+    return -best, witness
 
 
 def _bf_isoperimetric(h):
-    best = None
-    for size in range(1, h.n // 2 + 1):
-        for s in combinations(range(h.n), size):
-            r = Fraction(_bf_boundary(h, s), size)
-            if best is None or r < best:
-                best = r
-    return best
+    """(value, lexicographically least minimiser) over 1 <= |S| <= n/2."""
+    return min(
+        (Fraction(_bf_boundary(h, s), size), s)
+        for size in range(1, h.n // 2 + 1)
+        for s in combinations(range(h.n), size)
+    )
+
+
+@st.composite
+def _small_hypergraphs(draw):
+    """Any hypergraph on 2..8 vertices, edgeless and disconnected included."""
+    n = draw(st.integers(2, 8))
+    edge = st.sets(st.integers(0, n - 1), min_size=2, max_size=n)
+    edges = draw(st.lists(edge.map(sorted).map(tuple), unique=True, max_size=12))
+    return hl.Hypergraph.from_edges(edges, n=n)
 
 
 class TestEdgeBoundary:
@@ -56,6 +69,15 @@ class TestEdgeBoundary:
             hl.edge_boundary(g_uniform_cycle, [7])
         with pytest.raises(hl.DuplicateVertexError):
             hl.edge_boundary(g_uniform_cycle, [1, 1])
+
+    def test_non_integer_vertices_rejected(self, g_uniform_cycle):
+        with pytest.raises(hl.VertexOutOfRangeError, match="1.9"):
+            hl.edge_boundary(g_uniform_cycle, [1.9])
+        with pytest.raises(hl.VertexOutOfRangeError, match="2.5"):
+            hl.boundary_sandwich(g_uniform_cycle, [2.5])
+        assert hl.edge_boundary(g_uniform_cycle, [np.int64(1)]) == hl.edge_boundary(
+            g_uniform_cycle, [1]
+        )
 
 
 class TestEdgeContribution:
@@ -177,7 +199,7 @@ class TestMaxCut:
         for seed in range(40):
             h = hl.random_hypergraph(n=7, m=5, k_min=2, k_max=4, seed=seed)
             value, witness = hl.max_cut(h)
-            assert value == _bf_max_cut(h)
+            assert (value, witness) == _bf_max_cut(h)
             assert _bf_boundary(h, witness) == value
 
     def test_enumeration_cap(self):
@@ -214,7 +236,7 @@ class TestIsoperimetric:
         for seed in range(40):
             h = hl.random_hypergraph(n=7, m=5, k_min=2, k_max=4, seed=seed)
             value, witness = hl.isoperimetric(h)
-            assert value == _bf_isoperimetric(h)
+            assert (value, witness) == _bf_isoperimetric(h)
             assert Fraction(_bf_boundary(h, witness), len(witness)) == value
             assert 2 * len(witness) <= h.n
 
@@ -223,6 +245,19 @@ class TestIsoperimetric:
         value, witness = hl.isoperimetric(g_all_triples)
         assert value == Fraction(4, 2)
         assert witness == (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_small_hypergraphs())
+def test_witnesses_are_lexicographically_least(h):
+    assert hl.max_cut(h) == _bf_max_cut(h)
+    assert hl.isoperimetric(h) == _bf_isoperimetric(h)
+
+
+def test_complete_graph_at_the_cap():
+    h = hl.complete_kgraph(hl.ENUMERATION_CAP, 2)
+    assert hl.max_cut(h) == (100, tuple(range(10)))
+    assert hl.isoperimetric(h) == (Fraction(10), tuple(range(10)))
 
 
 class TestFiedlerSweep:
@@ -288,7 +323,7 @@ class TestConnectivitySummary:
         assert summary.max_cut_bound_kmin == pytest.approx(10.5, abs=1e-8)
         assert summary.max_cut_bound_kmax == pytest.approx(3.5, abs=1e-8)
         assert summary.max_cut <= summary.max_cut_bound_kmin + 1e-8
-        assert summary.max_cut == _bf_max_cut(g_mixed_sizes)
+        assert summary.max_cut == _bf_max_cut(g_mixed_sizes)[0]
 
     def test_needs_edges(self):
         with pytest.raises(hl.NoEdgesError):
