@@ -85,16 +85,6 @@ def _argmax_pair(scores: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> tuple:
     return scores[k], (int(iu[k]), int(ju[k]))
 
 
-def _max_over_pairs(pairs, score) -> tuple:
-    best = None
-    best_pair = None
-    for i, j in pairs:
-        s = score(i, j)
-        if best is None or s > best:
-            best, best_pair = s, (i, j)
-    return best, best_pair
-
-
 def bound_twice_max_delta(h: Hypergraph) -> BoundReport:
     """lambda_n <= 2 * max_i delta_i."""
     h = analyze(h)
@@ -131,7 +121,6 @@ def zhu_generic_bound(
     profile = neighborhood_profile(h)
     sets = profile.neighbor_sets
     iu, ju = _adjacent_pairs(h)
-    pairs = zip(iu.tolist(), ju.tolist())
 
     def score(i: int, j: int) -> float:
         fij = float(f(i, j))
@@ -148,7 +137,8 @@ def zhu_generic_bound(
         total += sum(float(f(j, l)) for l in only_j)
         return len(sets[i] & sets[j]) + total / fij
 
-    value, pair = _max_over_pairs(pairs, score)
+    scores = np.array([score(i, j) for i, j in zip(iu.tolist(), ju.tolist())])
+    value, pair = _argmax_pair(scores, iu, ju)
     name = "generic_weight" + ("_strict" if strict_exclusion else "")
     return _report(name, value, lam, pair)
 

@@ -13,12 +13,7 @@ from typing import Optional
 from . import hgio, report
 from .analysis import analyze
 from .core import Hypergraph
-from .cuts import (
-    boundary_sandwich,
-    connectivity_summary,
-    edge_boundary,
-    fiedler_sweep,
-)
+from .cuts import boundary_sandwich, connectivity_summary, fiedler_sweep
 from .errors import BadParametersError, HyperlapError
 from .generators import (
     complete_kgraph,
@@ -80,10 +75,8 @@ def _cmd_bounds(args) -> tuple:
 def _cmd_cuts(args) -> tuple:
     h, source = _read(args.path)
     if args.subset is not None:
-        subset = _parse_subset(h, args.subset)
-        rep = boundary_sandwich(h, subset)
-        _, edges = edge_boundary(h, subset)
-        payload = report.cut_payload(h, rep, source, edges)
+        rep = boundary_sandwich(h, _parse_subset(h, args.subset))
+        payload = report.cut_payload(h, rep, source)
     elif args.exact:
         payload = report.summary_payload(h, connectivity_summary(h), source)
     else:

@@ -4,9 +4,9 @@ A hypergraph is a vertex universe [0, n) plus a set of hyperedges, each a
 vertex subset of size >= 2. The weighted clique expansion assigns every
 vertex pair the number of hyperedges containing both, which defines the
 adjacency matrix A, the per-vertex Laplacian degree (row sums of A), and
-the Laplacian L = diag(delta) - A. Matrices are returned as float64 arrays
-but are built from exact integer counts, so structural identities (zero row
-sums, symmetry, degree bounds) hold exactly, not approximately.
+the Laplacian L = diag(delta) - A. Both are int64 arrays of exact counts,
+so structural identities (zero row sums, symmetry, degree bounds) hold
+exactly, not approximately.
 
 Every pass over the edge list reads one per-size edge index,
 ``Hypergraph.edge_index``, built once per object: for each edge size k, an
@@ -66,9 +66,17 @@ class Hypergraph:
     ) -> "Hypergraph":
         """Validate and canonicalize raw edge lists.
 
-        Raises SingletonEdgeError, DuplicateVertexError,
-        VertexOutOfRangeError, or DuplicateEdgeError on bad input.
+        ``n`` must be an integer and each label a nonempty str without
+        whitespace, as ``.hg`` tokens are.  Raises InvalidHypergraphError,
+        SingletonEdgeError, DuplicateVertexError, VertexOutOfRangeError, or
+        DuplicateEdgeError on bad input.
         """
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise InvalidHypergraphError(
+                f"vertex count {n!r} is not an integer"
+            ) from None
         if n < 1:
             raise InvalidHypergraphError(f"vertex count must be positive, got {n}")
         canonical = []
@@ -89,6 +97,12 @@ class Hypergraph:
                 raise InvalidHypergraphError(
                     f"{len(labels)} labels for {n} vertices"
                 )
+            for label in labels:
+                if not (isinstance(label, str) and label.split() == [label]):
+                    raise InvalidHypergraphError(
+                        f"vertex label {label!r} is not a nonempty string"
+                        " without whitespace"
+                    )
             if len(set(labels)) != n:
                 raise InvalidHypergraphError("vertex labels must be distinct")
         return cls(n=n, edges=tuple(canonical), labels=labels)
@@ -167,7 +181,7 @@ def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     upper = np.bincount(
         np.concatenate([np.zeros(0, dtype=np.int64), *flat]), minlength=n * n
     ).reshape(n, n)
-    return (upper + upper.T).astype(np.float64)
+    return upper + upper.T
 
 
 def degree_profile(h: Hypergraph) -> DegreeProfile:
@@ -184,12 +198,11 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
 
 
 def laplacian_from_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """L = diag(row sums) - A, in exact integer arithmetic: symmetric with
-    exactly zero row sums."""
-    a = adjacency.astype(np.int64)
-    lap = -a
-    np.fill_diagonal(lap, a.sum(axis=1))
-    return lap.astype(np.float64)
+    """L = diag(row sums) - A, in the integer type of the adjacency:
+    symmetric with exactly zero row sums."""
+    lap = -adjacency
+    np.fill_diagonal(lap, adjacency.sum(axis=1))
+    return lap
 
 
 def connected_components(h: Hypergraph) -> list:

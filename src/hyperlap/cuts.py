@@ -33,7 +33,8 @@ class CutReport:
     """One subset against the spectral sandwich.
 
     lower and upper are the :func:`sandwich_bounds` of the subset's size;
-    density is |bd S| / (s*(n-s)), NaN for degenerate subsets.
+    density is |bd S| / (s*(n-s)), NaN for degenerate subsets; edges are
+    the crossing hyperedges in canonical order.
     """
 
     subset: tuple
@@ -41,6 +42,7 @@ class CutReport:
     lower: float
     upper: float
     density: float
+    edges: list
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,7 @@ def boundary_quadratic(h: Hypergraph, subset: Iterable[int]) -> tuple:
     per_edge = sum(int((t * (k - t)).sum()) for k, _, t in _members_inside(h, s))
     chi = np.zeros(h.n, dtype=np.int64)
     chi[list(s)] = 1
-    lap_int = h.laplacian.astype(np.int64)
-    quad = int(chi @ lap_int @ chi)
+    quad = int(chi @ h.laplacian @ chi)
     return per_edge, quad
 
 
@@ -136,7 +137,7 @@ def boundary_sandwich(h: Hypergraph, subset: Iterable[int]) -> CutReport:
     s = _clean_subset(h, subset)
     size = len(s)
     pairs = size * (h.n - size)
-    count, _ = edge_boundary(h, s)
+    count, edges = edge_boundary(h, s)
     lower, upper = sandwich_bounds(h, size)
     density = count / pairs if pairs > 0 else float("nan")
     return CutReport(
@@ -145,6 +146,7 @@ def boundary_sandwich(h: Hypergraph, subset: Iterable[int]) -> CutReport:
         lower=lower,
         upper=upper,
         density=density,
+        edges=edges,
     )
 
 

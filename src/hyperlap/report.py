@@ -111,7 +111,7 @@ def bounds_payload(h: Hypergraph) -> list:
     ]
 
 
-def cut_payload(h: Hypergraph, report: CutReport, source: str, edges) -> dict:
+def cut_payload(h: Hypergraph, report: CutReport, source: str) -> dict:
     payload = _shape(h, source)
     payload.update(
         {
@@ -120,7 +120,7 @@ def cut_payload(h: Hypergraph, report: CutReport, source: str, edges) -> dict:
             "lower": report.lower,
             "upper": report.upper,
             "density": report.density,
-            "boundary_edges": [_labels(h, e) for e in edges],
+            "boundary_edges": [_labels(h, e) for e in report.edges],
         }
     )
     return payload

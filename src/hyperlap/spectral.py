@@ -1,10 +1,10 @@
 """Symmetric eigensolver and readings of its spectrum.
 
 The solver is a self-contained round-robin parallel Jacobi iteration (hot
-loop in :mod:`hyperlap._kernels`); it never calls into LAPACK, so test oracles can
-cross-check it against an independent routine.  The spectrum, connectivity
-and zero threshold of a hypergraph's Laplacian are cached on its
-:class:`hyperlap.analysis.Analysis`.
+loop in :mod:`hyperlap._kernels`) on one float64 copy of its input, so the
+int64 Laplacian stays exact; it never calls LAPACK, so test oracles can
+cross-check it.  The spectrum, connectivity and zero threshold of a
+hypergraph's Laplacian are cached on its :class:`hyperlap.analysis.Analysis`.
 """
 
 from dataclasses import dataclass
@@ -41,21 +41,21 @@ class Spectrum:
 
 
 def eigendecompose(matrix: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> Spectrum:
-    """Full eigendecomposition of a real symmetric matrix.
+    """Full eigendecomposition of a real symmetric matrix, which may be of
+    any real dtype and is left unmodified.
 
     Raises ConvergenceFailureError if the sweep budget runs out before the
     off-diagonal norm reaches the tolerance.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
+    a = np.array(matrix, dtype=np.float64)  # the kernel's working copy
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    n = m.shape[0]
+    n = a.shape[0]
 
-    a = m.copy()
     v = np.eye(n)
-    off_tol = OFF_DIAGONAL_TOL * float(np.linalg.norm(m, "fro"))
+    off_tol = OFF_DIAGONAL_TOL * float(np.linalg.norm(a, "fro"))
     sweeps = jacobi_sweeps(a, v, max_sweeps, off_tol)
     if sweeps < 0:
         raise ConvergenceFailureError(

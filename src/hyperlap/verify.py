@@ -98,7 +98,7 @@ def _check_laplacian_structure(an: Analysis, index: int) -> Optional[str]:
     np.fill_diagonal(cap, 0)
     if np.any(a > cap):
         return "pair multiplicity exceeds min(d_i, d_j)"
-    if not np.array_equal(a.sum(axis=1), dp.delta.astype(np.float64)):
+    if not np.array_equal(a.sum(axis=1), dp.delta):
         return "delta differs from adjacency row sums"
     if np.any(an.laplacian.sum(axis=1) != 0):
         return "Laplacian row sums not exactly zero"
@@ -177,12 +177,11 @@ def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
         return None
     boundary, sizes = an.scan
     lower, upper = sandwich_bounds(an, sizes)
-    b = boundary.astype(np.float64)
-    bad_low = np.flatnonzero(b < lower - 1e-8)
+    bad_low = np.flatnonzero(boundary < lower - 1e-8)
     if bad_low.size:
         s = int(bad_low[0])
         return f"boundary {boundary[s]} below lower bound {lower[s]:.6f} (mask {s})"
-    bad_high = np.flatnonzero(b > upper + 1e-8)
+    bad_high = np.flatnonzero(boundary > upper + 1e-8)
     if bad_high.size:
         s = int(bad_high[0])
         return f"boundary {boundary[s]} above upper bound {upper[s]:.6f} (mask {s})"
@@ -194,7 +193,6 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
         return None
     n = an.n
     p = n - 1
-    lap_int = an.laplacian.astype(np.int64)
     if n <= _FULL_QUAD_N:
         masks = np.arange(1 << p, dtype=np.int64)
     else:
@@ -208,8 +206,8 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
     for em, sz in zip(edges, np.bitwise_count(edges)):
         t = np.bitwise_count(masks & em).astype(np.int64)
         quad += t * (sz - t)
-    chi = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.int64)
-    expected = np.einsum("si,ij,sj->s", chi, lap_int, chi)
+    chi = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    expected = np.einsum("si,ij,sj->s", chi, an.laplacian, chi)
     if not np.array_equal(quad, expected):
         bad = int(masks[np.flatnonzero(quad != expected)[0]])
         return f"edge-contribution sum differs from chi^T L chi (mask {bad})"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hyperlap as hl
-from hyperlap import _kernels, cli, core, spectral
+from hyperlap import _kernels, cli, core, cuts, spectral
 
 
 def _counting(monkeypatch, **targets) -> Counter:
@@ -96,6 +96,28 @@ def test_verify_above_enumeration_cap_scans_nothing(counts, tmp_path, capsys):
 def test_bounds_builds_adjacency_once(counts, small_file, capsys):
     assert cli.run(["bounds", small_file]) == 0
     assert counts["adjacency"] == 1
+
+
+def test_cuts_subset_counts_its_boundary_once(monkeypatch, small_file, capsys):
+    counts = _counting(monkeypatch, boundary=cuts.edge_boundary)
+    assert cli.run(["cuts", small_file, "--subset", "0,3,5"]) == 0
+    assert counts == {"boundary": 1}
+
+
+def test_adjacency_and_laplacian_are_exact_int64(g_overlap_heavy):
+    an = hl.analyze(g_overlap_heavy)
+    assert an.adjacency.dtype == an.laplacian.dtype == np.int64
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_eigendecompose_leaves_its_argument_unchanged(g_overlap_heavy, dtype):
+    lap = hl.analyze(g_overlap_heavy).laplacian.astype(dtype)
+    before = lap.copy()
+    spec = hl.eigendecompose(lap)
+    assert lap.dtype == dtype and np.array_equal(lap, before)
+    exact = hl.eigendecompose(before.astype(np.float64))
+    assert np.array_equal(spec.eigenvalues, exact.eigenvalues)
+    assert np.array_equal(spec.eigenvectors, exact.eigenvectors)
 
 
 def test_analyze_passes_an_analysis_through(g_mixed_sizes):

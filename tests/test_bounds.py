@@ -286,6 +286,24 @@ def _zhu_bracket_loops(h, weighted):
     return _pair_max_loops(h, score)
 
 
+def _generic_weight(i, j):
+    # Symmetric, positive and integer-valued, so every sum is exact in any order.
+    return float(1 + (i * j + i + j) % 4)
+
+
+def _zhu_generic_loops(h, strict_exclusion):
+    def score(a, i, j):
+        ni, nj = set(np.flatnonzero(a[i]).tolist()), set(np.flatnonzero(a[j]).tolist())
+        only_i, only_j = ni - nj, nj - ni
+        if strict_exclusion:
+            only_i, only_j = only_i - {i, j}, only_j - {i, j}
+        total = sum(_generic_weight(i, l) for l in only_i)
+        total += sum(_generic_weight(j, l) for l in only_j)
+        return len(ni & nj) + total / _generic_weight(i, j)
+
+    return _pair_max_loops(h, score)
+
+
 def test_vectorised_pair_bounds_match_loops():
     for seed in range(120):
         n = 3 + seed % 18
@@ -303,6 +321,11 @@ def test_vectorised_pair_bounds_match_loops():
         rep = hl.bound_delta_pair_sum(h)
         assert rep.value == value and rep.witness == pair
         assert all(type(v) is int for v in rep.witness)
+        for strict in (False, True):
+            value, pair = _zhu_generic_loops(h, strict)
+            rep = hl.zhu_generic_bound(h, _generic_weight, strict_exclusion=strict)
+            assert rep.value == value and rep.witness == pair
+            assert all(type(v) is int for v in rep.witness)
 
 
 def _edge_degree_sum_loops(h):

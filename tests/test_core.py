@@ -67,6 +67,22 @@ class TestFromEdges:
         with pytest.raises(hl.InvalidHypergraphError, match="must be positive"):
             hl.Hypergraph.from_edges([], n=0)
 
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(hl.InvalidHypergraphError, match="is not an integer"):
+            hl.Hypergraph.from_edges([(0, 1)], n=n)
+
+    def test_numpy_integer_n_is_stored_as_int(self):
+        h = hl.Hypergraph.from_edges([(0, 1)], n=np.int64(3))
+        assert h.n == 3 and type(h.n) is int
+
+    @pytest.mark.parametrize(
+        "labels", [[1, 2, 3], ["a b", "c", "d"], ["a", "", "c"], ["a", "b\tc", "d"]]
+    )
+    def test_rejects_labels_that_are_not_hg_tokens(self, labels):
+        with pytest.raises(hl.InvalidHypergraphError, match="vertex label"):
+            hl.Hypergraph.from_edges([(0, 1)], n=3, labels=labels)
+
     def test_rejects_bad_labels(self):
         with pytest.raises(hl.InvalidHypergraphError):
             hl.Hypergraph.from_edges([(0, 1)], n=2, labels=("a",))
@@ -203,7 +219,7 @@ def _adjacency_loops(h):
             for j in edge[x + 1 :]:
                 a[i, j] += 1
                 a[j, i] += 1
-    return a.astype(np.float64)
+    return a
 
 
 def _degrees_loops(h):
@@ -226,7 +242,7 @@ def test_vectorised_construction_matches_loops():
         cases.append(hl.random_hypergraph(n=n, m=m, k_min=2, k_max=k_max, seed=seed))
     for h in cases:
         a = hl.adjacency_matrix(h)
-        assert a.dtype == np.float64
+        assert a.dtype == np.int64
         assert np.array_equal(a, _adjacency_loops(h))
         dp = hl.degree_profile(h)
         d, delta = _degrees_loops(h)

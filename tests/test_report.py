@@ -104,8 +104,7 @@ def test_witnesses_use_label_space():
 
 def test_cut_payload_fields(g_uniform_cycle):
     rep = hl.boundary_sandwich(g_uniform_cycle, [0, 3])
-    _, edges = hl.edge_boundary(g_uniform_cycle, [0, 3])
-    payload = report.cut_payload(g_uniform_cycle, rep, "unit", edges)
+    payload = report.cut_payload(g_uniform_cycle, rep, "unit")
     assert payload["subset"] == ["0", "3"]
     assert payload["boundary_size"] == 4
     assert len(payload["boundary_edges"]) == 4

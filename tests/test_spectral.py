@@ -203,11 +203,13 @@ class TestRoundRobinJacobi:
 
     @staticmethod
     def _laplacian(n, seed):
+        # The kernel rotates a float64 matrix in place; the Laplacian is int64.
         if n == 1:
-            return hl.analyze(hl.Hypergraph.from_edges([], n=1)).laplacian
-        m = 2 * n if n > 3 else n - 1
-        h = hl.random_hypergraph(n=n, m=m, k_min=2, k_max=min(4, n), seed=seed)
-        return hl.analyze(h).laplacian
+            h = hl.Hypergraph.from_edges([], n=1)
+        else:
+            m = 2 * n if n > 3 else n - 1
+            h = hl.random_hypergraph(n=n, m=m, k_min=2, k_max=min(4, n), seed=seed)
+        return hl.analyze(h).laplacian.astype(np.float64)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
     def test_matches_eigh_with_small_residual(self, n):
