@@ -4,7 +4,8 @@ An :class:`Analysis` is a Hypergraph that computes each derived quantity
 once, on first use.  Bounds, cuts and reports call :func:`analyze` on the
 hypergraph they are given, so passing one Analysis to all of them computes
 each quantity once per input, including the per-size edge index
-(``Hypergraph.edge_index``) that every per-edge pass reads.  It keeps the
+(``Hypergraph.edge_index``) that every per-edge pass reads and the lambda_n
+bounds (``Analysis.bounds``) that every bound reader reads.  It keeps the
 subset scan once computed, so build one per input and drop it with that
 input; it is not attached to the Hypergraph it came from.
 
@@ -92,6 +93,14 @@ class Analysis(Hypergraph):
     def lambda_n(self) -> float:
         """Raises TooSmallError below two vertices."""
         return lambda_n(self.spectrum)
+
+    @cached_property
+    def bounds(self) -> dict:
+        """Every applicable lambda_n bound, name -> BoundReport in report
+        order.  Raises TooSmallError below two vertices."""
+        from .bounds import _evaluate  # bounds imports this module
+
+        return _evaluate(self)
 
     @cached_property
     def components(self) -> list:

@@ -5,8 +5,9 @@ lambda_n, the slack, and a witness for where the maximum was attained, so
 callers can both rank bounds and audit them.  ``holds`` uses a relative
 tolerance of 1e-8 scaled by max(1, lambda_n).
 
-Bounds read lambda_n, degrees and adjacency from ``analyze(h)`` and report
-against that lambda_n.
+The lambda_n bounds are evaluated once per input by :func:`_evaluate` and
+cached as ``Analysis.bounds``; the bound functions, the battery and the
+reports all read that cache, where a bound that does not apply is absent.
 """
 
 from dataclasses import dataclass
@@ -35,16 +36,23 @@ class NeighborhoodProfile:
     weighted: bool
 
 
+def _neighbor_sums(h: Analysis, weighted: bool) -> tuple:
+    """(w, d, w @ d): weights w_ij (a_ij, or 1 per distinct neighbour), the
+    degrees as float64, and sum_j w_ij d_j, exact since every term is an
+    integer far below 2**53."""
+    a = h.adjacency
+    w = a if weighted else (a > 0).astype(np.float64)
+    d = h.degrees.d.astype(np.float64)
+    return w, d, w @ d
+
+
 def neighborhood_profile(h: Hypergraph, weighted: bool = False) -> NeighborhoodProfile:
     h = analyze(h)
     a = h.adjacency
-    d = h.degrees.d.astype(np.float64)
     sets = tuple(frozenset(np.flatnonzero(a[i]).tolist()) for i in range(h.n))
+    _, d, sums = _neighbor_sums(h, weighted)
     with np.errstate(invalid="ignore", divide="ignore"):
-        if weighted:
-            mean = (a @ d) / d
-        else:
-            mean = ((a > 0).astype(np.float64) @ d) / d
+        mean = sums / d
     mean[d == 0] = np.nan
     return NeighborhoodProfile(sets, mean, weighted)
 
@@ -87,21 +95,21 @@ def _argmax_pair(scores: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> tuple:
 
 def bound_twice_max_delta(h: Hypergraph) -> BoundReport:
     """lambda_n <= 2 * max_i delta_i."""
-    h = analyze(h)
-    lam = h.lambda_n
-    delta = h.degrees.delta
-    i = int(np.argmax(delta))
-    return _report("twice_max_laplacian_degree", 2.0 * float(delta[i]), lam, (i,))
+    return analyze(h).bounds["twice_max_laplacian_degree"]
 
 
 def bound_delta_pair_sum(h: Hypergraph) -> BoundReport:
     """lambda_n <= max over adjacent pairs of delta_i + delta_j."""
-    h = analyze(h)
-    lam = h.lambda_n
-    delta = h.degrees.delta
-    iu, ju = _adjacent_pairs(h)
-    value, pair = _argmax_pair(delta[iu] + delta[ju], iu, ju)
-    return _report("adjacent_laplacian_degree_sum", float(value), lam, pair)
+    return _read(h, "adjacent_laplacian_degree_sum", "bound over adjacent pairs")
+
+
+def _read(h: Hypergraph, name: str, needs_edges: str) -> Optional[BoundReport]:
+    """Bound ``name`` from the cache, or None.  Raises TooSmallError below
+    two vertices and NoEdgesError without edges."""
+    bounds = analyze(h).bounds
+    if h.m == 0:
+        raise NoEdgesError(f"{needs_edges} needs at least one edge")
+    return bounds.get(name)
 
 
 def zhu_generic_bound(
@@ -150,17 +158,13 @@ def bound_zhu_uniform(h: Hypergraph) -> BoundReport:
 
     Sharp for 2-graphs; k >= 3 can break it (the battery records offenders).
     """
-    h = analyze(h)
-    lam = h.lambda_n
-    dp = h.degrees
-    if h.m == 0:
-        raise NoEdgesError("uniform degree bound needs at least one edge")
-    if dp.k_min != dp.k_max:
+    rep = _read(h, "zhu_uniform", "uniform degree bound")
+    if rep is None:
+        dp = analyze(h).degrees
         raise NotUniformError(
             f"edge sizes range over [{dp.k_min}, {dp.k_max}]; bound needs a uniform hypergraph"
         )
-    value, pair = _zhu_bracket_max(h, weighted=False)
-    return _report("zhu_uniform", value, lam, pair)
+    return rep
 
 
 def bound_zhu_nonuniform(h: Hypergraph, weighted: bool = False) -> BoundReport:
@@ -169,38 +173,47 @@ def bound_zhu_nonuniform(h: Hypergraph, weighted: bool = False) -> BoundReport:
     min-multiplicity common term); both readings are recorded by the battery
     because neither survives every instance.
     """
-    h = analyze(h)
-    lam = h.lambda_n
-    dp = h.degrees
-    if h.m == 0:
-        raise NoEdgesError("degree bound needs at least one edge")
-    factor = (dp.k_max - 1) / (dp.k_min - 1)
-    value, pair = _zhu_bracket_max(h, weighted=weighted)
     name = "zhu_nonuniform" + ("_weighted" if weighted else "")
-    return _report(name, factor * value, lam, pair)
+    return _read(h, name, "degree bound")
 
 
-def _zhu_bracket_max(h: Analysis, weighted: bool) -> tuple:
-    a = h.adjacency
-    d = h.degrees.d.astype(np.float64)
-    iu, ju = _adjacent_pairs(h)
-    # Every term is a sum of integers far below 2**53, so these sums are
-    # exact in any order.
+def _zhu_bracket_max(h: Analysis, iu: np.ndarray, ju: np.ndarray, weighted: bool) -> tuple:
+    w, d, sums = _neighbor_sums(h, weighted)
     if weighted:
-        sums = a @ d
         # min(a_il, a_jl) summed against d_l, one row i at a time.
         cut = np.searchsorted(iu, np.arange(h.n + 1))
         common = np.concatenate(
-            [np.minimum(a[i], a[ju[cut[i] : cut[i + 1]]]) @ d for i in range(h.n)]
+            [np.minimum(w[i], w[ju[cut[i] : cut[i + 1]]]) @ d for i in range(h.n)]
         )
     else:
-        support = (a > 0).astype(np.float64)
-        sums = support @ d
-        common = ((support * d) @ support.T)[iu, ju]
+        common = ((w * d) @ w.T)[iu, ju]
     di = d[iu]
     dj = d[ju]
     num = di * di + sums[iu] + dj * dj + sums[ju] - 2.0 * common
     return _argmax_pair(num / (di + dj), iu, ju)
+
+
+def _evaluate(h: Analysis) -> dict:
+    """Every applicable bound, name -> BoundReport in report order, with
+    one pair build and one pass per bracket reading (on uniform input the
+    factor is exactly 1.0, so ``zhu_uniform`` is ``zhu_nonuniform``)."""
+    lam = h.lambda_n
+    dp = h.degrees
+    delta = dp.delta
+    i = int(np.argmax(delta))
+    reports = [_report("twice_max_laplacian_degree", 2.0 * float(delta[i]), lam, (i,))]
+    if h.m > 0:
+        iu, ju = _adjacent_pairs(h)
+        value, pair = _argmax_pair(delta[iu] + delta[ju], iu, ju)
+        reports.append(_report("adjacent_laplacian_degree_sum", float(value), lam, pair))
+        factor = (dp.k_max - 1) / (dp.k_min - 1)
+        value, pair = _zhu_bracket_max(h, iu, ju, weighted=False)
+        if dp.k_min == dp.k_max:
+            reports.append(_report("zhu_uniform", value, lam, pair))
+        reports.append(_report("zhu_nonuniform", factor * value, lam, pair))
+        value, pair = _zhu_bracket_max(h, iu, ju, weighted=True)
+        reports.append(_report("zhu_nonuniform_weighted", factor * value, lam, pair))
+    return {rep.name: rep for rep in reports}
 
 
 @dataclass(frozen=True)
@@ -241,13 +254,4 @@ def check_edge_degree_sum(h: Hypergraph) -> EdgeDegreeSumCheck:
 
 def all_bounds(h: Hypergraph) -> list:
     """Every applicable bound, in a fixed order (for reports)."""
-    h = analyze(h)
-    out = [bound_twice_max_delta(h)]
-    if h.m > 0:
-        out.append(bound_delta_pair_sum(h))
-        dp = h.degrees
-        if dp.k_min == dp.k_max:
-            out.append(bound_zhu_uniform(h))
-        out.append(bound_zhu_nonuniform(h, weighted=False))
-        out.append(bound_zhu_nonuniform(h, weighted=True))
-    return out
+    return list(analyze(h).bounds.values())

@@ -32,6 +32,15 @@ from .errors import (
 )
 
 
+LABEL_RULE = "a nonempty string without whitespace, not starting with '#' or '!'"
+
+
+def is_label(label) -> bool:
+    """Whether ``label`` is LABEL_RULE: one ``.hg`` token that cannot start
+    a comment ('#') or a directive ('!') line."""
+    return isinstance(label, str) and label.split() == [label] and label[0] not in "#!"
+
+
 def vertex_index(v, n: int) -> int:
     """``v`` as a Python int in [0, n).  Accepts int and numpy integers;
     anything else, or an index out of range, raises VertexOutOfRangeError."""
@@ -66,10 +75,10 @@ class Hypergraph:
     ) -> "Hypergraph":
         """Validate and canonicalize raw edge lists.
 
-        ``n`` must be an integer and each label a nonempty str without
-        whitespace, as ``.hg`` tokens are.  Raises InvalidHypergraphError,
-        SingletonEdgeError, DuplicateVertexError, VertexOutOfRangeError, or
-        DuplicateEdgeError on bad input.
+        ``n`` must be an integer and each label satisfy :func:`is_label`,
+        so that every Hypergraph round-trips through ``.hg`` text.  Raises
+        InvalidHypergraphError, SingletonEdgeError, DuplicateVertexError,
+        VertexOutOfRangeError, or DuplicateEdgeError on bad input.
         """
         try:
             n = operator.index(n)
@@ -98,10 +107,9 @@ class Hypergraph:
                     f"{len(labels)} labels for {n} vertices"
                 )
             for label in labels:
-                if not (isinstance(label, str) and label.split() == [label]):
+                if not is_label(label):
                     raise InvalidHypergraphError(
-                        f"vertex label {label!r} is not a nonempty string"
-                        " without whitespace"
+                        f"vertex label {label!r} is not {LABEL_RULE}"
                     )
             if len(set(labels)) != n:
                 raise InvalidHypergraphError("vertex labels must be distinct")

@@ -18,8 +18,9 @@ from .errors import BadParametersError, UnsatisfiableError
 
 _MASK64 = (1 << 64) - 1
 
-# Largest total member count sum |e| a generator builds.  Larger families
-# cannot be held in memory as edge tuples, so they are refused up front.
+# Largest total member count sum |e| a generator builds, and largest n of a
+# random hypergraph (its !vertices line holds n labels).  Larger families
+# cannot be held in memory, so they are refused up front.
 MAX_MEMBERS = 10**7
 
 
@@ -58,14 +59,17 @@ class SplitMix64:
                 return x % bound
 
     def sample(self, n: int, k: int) -> list:
-        """Sorted k-subset of range(n) via partial Fisher-Yates."""
+        """Sorted k-subset of range(n) via partial Fisher-Yates on a virtual
+        pool whose position p holds ``moved.get(p, p)``: O(k) for any n."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        pool = list(range(n))
+        moved: dict = {}
+        out = []
         for i in range(k):
             j = i + self.randrange(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,8 @@ def random_hypergraph(n: int, m: int, k_min: int, k_max: int, seed: int) -> Hype
     k-subsets; duplicates are redrawn."""
     if n < 1:
         raise BadParametersError(f"vertex count must be positive, got {n}")
+    if n > MAX_MEMBERS:
+        raise BadParametersError(f"vertex count {n} is above the limit of {MAX_MEMBERS}")
     if not 2 <= k_min <= k_max <= n:
         raise BadParametersError(
             f"need 2 <= k_min <= k_max <= n, got k_min={k_min}, k_max={k_max}, n={n}"

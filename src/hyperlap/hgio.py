@@ -6,21 +6,32 @@ Line-oriented UTF-8 format:
 * an optional directive ``!vertices <label> ...`` pins the vertex universe
   and its order, and must be the first content line;
 * every other non-empty line is one hyperedge given as whitespace-separated
-  vertex labels (arbitrary non-whitespace tokens).
+  vertex labels.
 
-Without the directive the universe is the union of all labels in
-first-appearance order. ``loads`` reads the text in one pass and builds the
-canonical Hypergraph itself, without re-checking it through
-``Hypergraph.from_edges``. Labels that start with ``#`` or ``!`` cannot appear
-as the first token of a line; generated files only use safe labels.
+A label is any token that does not start with ``#`` or ``!``
+(:func:`hyperlap.core.is_label`), so every Hypergraph round-trips.  Without
+the directive the universe is the union of all labels in first-appearance
+order. ``loads`` reads the text in one pass and builds the canonical
+Hypergraph itself, without re-checking it through ``Hypergraph.from_edges``.
 """
 
-from collections import defaultdict
-from itertools import count
 from typing import Optional
 
-from .core import Hypergraph
+from .core import LABEL_RULE, Hypergraph, is_label
 from .errors import HgParseError
+
+
+class _Universe(dict):
+    """Label -> vertex index.  A new label gets the next index until the
+    universe is pinned; then, and for a token that is not a label, KeyError."""
+
+    pinned = False
+
+    def __missing__(self, label: str) -> int:
+        if self.pinned or not is_label(label):
+            raise KeyError(label)
+        self[label] = index = len(self)
+        return index
 
 
 def loads(text: str) -> Hypergraph:
@@ -33,8 +44,7 @@ def loads(text: str) -> Hypergraph:
     canonical.  Directive errors take precedence over edge errors, which
     come in line order.
     """
-    index: dict = defaultdict(count().__next__)  # a new label gets the next index
-    pinned = False
+    index = _Universe()
     had_edges = False
     edge_error = None
     seen: dict = {}  # edge -> line of its first appearance
@@ -47,7 +57,7 @@ def loads(text: str) -> Hypergraph:
         if tokens[0][0] == "!":
             if tokens[0] != "!vertices":
                 raise HgParseError(f"unknown directive {tokens[0]!r}", lineno)
-            if pinned:
+            if index.pinned:
                 raise HgParseError("repeated !vertices directive", lineno)
             if had_edges:
                 raise HgParseError(
@@ -60,9 +70,12 @@ def loads(text: str) -> Hypergraph:
                     raise HgParseError(
                         f"duplicate label {label!r} in !vertices", lineno
                     )
+                if not is_label(label):
+                    raise HgParseError(
+                        f"vertex label {label!r} is not {LABEL_RULE}", lineno
+                    )
                 lookup(label)
-            index.default_factory = None  # unknown labels now raise KeyError
-            pinned = True
+            index.pinned = True
             continue
         had_edges = True
         if edge_error is not None:
@@ -89,12 +102,15 @@ def loads(text: str) -> Hypergraph:
 
 def _edge_error(tokens: list, index: dict, lineno: int) -> HgParseError:
     """The error for an edge line that is not a valid edge, by the rules'
-    priority: a repeated label, then too few labels, then an unpinned label."""
+    priority: a repeated label, then too few labels, then the first token
+    outside the universe, which either is not a label or is not pinned."""
     if len(set(tokens)) != len(tokens):
         return HgParseError("edge repeats a vertex label", lineno)
     if len(tokens) < 2:
         return HgParseError(f"edge {tokens} has fewer than two vertices", lineno)
     missing = next(label for label in tokens if label not in index)
+    if not is_label(missing):
+        return HgParseError(f"vertex label {missing!r} is not {LABEL_RULE}", lineno)
     return HgParseError(f"label {missing!r} not in pinned universe", lineno)
 
 

@@ -14,13 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .analysis import Analysis, analyze
-from .bounds import (
-    bound_delta_pair_sum,
-    bound_twice_max_delta,
-    bound_zhu_nonuniform,
-    bound_zhu_uniform,
-    check_edge_degree_sum,
-)
+from .bounds import check_edge_degree_sum
 from .core import connected_components, degree_profile
 from .cuts import connectivity_summary, fiedler_sweep, isoperimetric, sandwich_bounds
 from .errors import BadParametersError
@@ -150,12 +144,12 @@ def _check_connectivity_agreement(an: Analysis, index: int) -> Optional[str]:
 def _check_degree_bounds(an: Analysis, index: int) -> Optional[str]:
     if an.n < 2:
         return None  # lambda_n is undefined; 2 max delta = 0 bounds nothing
-    twice = bound_twice_max_delta(an)
+    twice = an.bounds["twice_max_laplacian_degree"]
     if not twice.holds:
         return f"2 max delta = {twice.value} < lambda_n = {twice.lambda_n}"
     if an.m == 0:
         return None
-    pair = bound_delta_pair_sum(an)
+    pair = an.bounds["adjacent_laplacian_degree_sum"]
     if not pair.holds:
         return f"max delta_i+delta_j = {pair.value} < lambda_n = {pair.lambda_n}"
     if pair.value > twice.value:
@@ -166,7 +160,7 @@ def _check_degree_bounds(an: Analysis, index: int) -> Optional[str]:
 def _check_zhu_two_graph(an: Analysis, index: int) -> Optional[str]:
     if an.m == 0 or not (an.degrees.k_min == an.degrees.k_max == 2):
         return None
-    rep = bound_zhu_uniform(an)
+    rep = an.bounds["zhu_uniform"]
     if not rep.holds:
         return f"2-graph bound {rep.value} < lambda_n {rep.lambda_n}"
     return None
@@ -252,23 +246,15 @@ _HARD_CHECKS = (
 )
 
 
-def _bound_violation(rep) -> Optional[dict]:
-    if rep.holds:
+def _record_bound(an: Analysis, name: str, k_min: int = 0) -> Optional[dict]:
+    """A violation of bound ``name`` when it applies and the edges have at
+    least ``k_min`` vertices each."""
+    if an.n < 2 or an.degrees.k_min < k_min:
+        return None
+    rep = an.bounds.get(name)
+    if rep is None or rep.holds:
         return None
     return {"bound": rep.value, "lambda_n": rep.lambda_n, "pair": list(rep.witness)}
-
-
-def _record_zhu(an: Analysis, weighted: bool) -> Optional[dict]:
-    if an.m == 0 or an.n < 2:
-        return None
-    return _bound_violation(bound_zhu_nonuniform(an, weighted=weighted))
-
-
-def _record_zhu_uniform_k3(an: Analysis) -> Optional[dict]:
-    dp = an.degrees
-    if an.m == 0 or an.n < 2 or dp.k_min != dp.k_max or dp.k_min < 3:
-        return None
-    return _bound_violation(bound_zhu_uniform(an))
 
 
 def _record_maxcut_printed(an: Analysis) -> Optional[dict]:
@@ -299,9 +285,9 @@ def _record_edge_degree_sum(an: Analysis) -> Optional[dict]:
 
 
 _RECORDED = (
-    ("zhu_nonuniform_distinct", lambda an: _record_zhu(an, weighted=False)),
-    ("zhu_nonuniform_weighted", lambda an: _record_zhu(an, weighted=True)),
-    ("zhu_uniform_k3plus", _record_zhu_uniform_k3),
+    ("zhu_nonuniform_distinct", lambda an: _record_bound(an, "zhu_nonuniform")),
+    ("zhu_nonuniform_weighted", lambda an: _record_bound(an, "zhu_nonuniform_weighted")),
+    ("zhu_uniform_k3plus", lambda an: _record_bound(an, "zhu_uniform", k_min=3)),
     ("maxcut_kmax_bound", _record_maxcut_printed),
     ("edge_degree_sum_exceeded", _record_edge_degree_sum),
 )

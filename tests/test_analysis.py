@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hyperlap as hl
-from hyperlap import _kernels, cli, core, cuts, spectral
+from hyperlap import _kernels, bounds, cli, core, cuts, spectral
 
 
 def _counting(monkeypatch, **targets) -> Counter:
@@ -96,6 +96,31 @@ def test_verify_above_enumeration_cap_scans_nothing(counts, tmp_path, capsys):
 def test_bounds_builds_adjacency_once(counts, small_file, capsys):
     assert cli.run(["bounds", small_file]) == 0
     assert counts["adjacency"] == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("family", ["mixed", "complete"])
+def test_bounds_are_evaluated_once(
+    monkeypatch, tmp_path, small_file, capsys, command, family
+):
+    # Mixed edge sizes, or a uniform input whose two Zhu readings share the
+    # distinct bracket.
+    path = small_file
+    if family == "complete":
+        path = str(tmp_path / "k8_3.hg")
+        hl.dump(hl.complete_kgraph(8, 3), path)
+    counts = _counting(
+        monkeypatch, evaluate=bounds._evaluate, pairs=bounds._adjacent_pairs
+    )
+    bracket = bounds._zhu_bracket_max
+
+    def counted_bracket(*args, weighted):
+        counts["weighted" if weighted else "distinct"] += 1
+        return bracket(*args, weighted=weighted)
+
+    monkeypatch.setattr(bounds, "_zhu_bracket_max", counted_bracket)
+    assert cli.run([command, path]) == 0
+    assert counts == {"evaluate": 1, "pairs": 1, "distinct": 1, "weighted": 1}
 
 
 def test_cuts_subset_counts_its_boundary_once(monkeypatch, small_file, capsys):

@@ -236,6 +236,37 @@ class TestAllBounds:
         assert len({r.lambda_n for r in reports}) == 1
 
 
+_ONE_VERTEX = hl.Hypergraph.from_edges([], n=1)
+_EDGELESS = hl.Hypergraph.from_edges([], n=3)
+_PUBLIC_BOUNDS = {
+    "twice": hl.bound_twice_max_delta,
+    "pair": hl.bound_delta_pair_sum,
+    "uniform": hl.bound_zhu_uniform,
+    "distinct": hl.bound_zhu_nonuniform,
+    "weighted": lambda h: hl.bound_zhu_nonuniform(h, weighted=True),
+    "all": hl.all_bounds,
+}
+
+
+@pytest.mark.parametrize("h, name, error, message", [
+    *[(_ONE_VERTEX, name, hl.TooSmallError, "lambda_n needs at least two vertices")
+      for name in _PUBLIC_BOUNDS],
+    (_EDGELESS, "pair", hl.NoEdgesError,
+     "bound over adjacent pairs needs at least one edge"),
+    (_EDGELESS, "uniform", hl.NoEdgesError,
+     "uniform degree bound needs at least one edge"),
+    (_EDGELESS, "distinct", hl.NoEdgesError, "degree bound needs at least one edge"),
+    (_EDGELESS, "weighted", hl.NoEdgesError, "degree bound needs at least one edge"),
+    (hl.Hypergraph.from_edges([(0, 1), (1, 2, 3)], n=4), "uniform",
+     hl.NotUniformError,
+     "edge sizes range over [2, 3]; bound needs a uniform hypergraph"),
+])
+def test_bound_errors_are_pinned(h, name, error, message):
+    with pytest.raises(error) as exc:
+        _PUBLIC_BOUNDS[name](h)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_proved_bounds_hold_on_battery():
     # 500 instances: both proved bounds hold, and the pair-sum bound is
     # never worse than the doubled-max bound

@@ -195,6 +195,20 @@ class TestGen:
             " above the limit of 59"
         ]
 
+    @pytest.mark.parametrize("command", [
+        ("gen", "random", "--n", "8", "--m", "1", "--kmin", "2", "--kmax", "2",
+         "--seed", "1"),
+        ("verify", "--random", "8", "1", "2", "2", "3", "1"),
+    ])
+    def test_oversized_vertex_count_is_one_error_line(
+        self, capsys, monkeypatch, command
+    ):
+        # The !vertices line of a random hypergraph holds all n labels.
+        monkeypatch.setattr(generators, "MAX_MEMBERS", 7)
+        code, stdout, err = _run(capsys, *command)
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["error: vertex count 8 is above the limit of 7"]
+
 
 class TestVerify:
     def test_file_report(self, capsys, mixed_file):

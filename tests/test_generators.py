@@ -44,6 +44,23 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             rng.sample(3, 4)
 
+    def test_sample_does_not_build_the_pool(self):
+        # Only the k touched positions are stored, so a huge n costs nothing.
+        s = hl.SplitMix64(1).sample(10**15, 3)
+        assert len(set(s)) == 3 and all(0 <= v < 10**15 for v in s)
+
+    def test_sample_matches_full_pool_fisher_yates(self):
+        for seed in range(300):
+            n = 1 + seed % 23
+            k = seed % (n + 1)
+            rng, ref = hl.SplitMix64(seed), hl.SplitMix64(seed)
+            pool = list(range(n))
+            for i in range(k):
+                j = i + ref.randrange(n - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            assert rng.sample(n, k) == sorted(pool[:k])
+            assert rng.next_u64() == ref.next_u64()
+
 
 class TestCompleteKGraph:
     def test_edges_are_all_subsets(self):

@@ -57,6 +57,14 @@ def test_dumps_comment_lines():
     assert hl.loads(text) == h
 
 
+def test_labels_that_start_a_comment_or_directive_are_refused():
+    # Written out, '!x' would start the edge line "!x y" as a directive.
+    with pytest.raises(hl.InvalidHypergraphError, match="vertex label '!x'"):
+        hl.Hypergraph.from_edges([(0, 1)], n=2, labels=("!x", "y"))
+    h = hl.Hypergraph.from_edges([(0, 1)], n=2, labels=("x!", "y#"))
+    assert hl.loads(hl.dumps(h)) == h
+
+
 def test_dump_load_files(tmp_path, g_triple_overlap):
     path = tmp_path / "g.hg"
     hl.dump(g_triple_overlap, str(path), comment="fixture")
@@ -109,6 +117,28 @@ class TestParseErrors:
             hl.loads("!vertices a b c\na b\nb a\n")
         assert exc.value.line == 3
 
+    def test_directive_label_that_reads_as_comment(self):
+        # Written back, the edge line "#a b" would read as a comment.
+        with pytest.raises(hl.HgParseError, match="'#a' is not") as exc:
+            hl.loads("!vertices #a b\nb #a\n")
+        assert exc.value.line == 1
+
+    def test_edge_label_that_reads_as_comment_or_directive(self):
+        for text in ("a #b\n", "a !b\n", "!vertices a b\na !b\n"):
+            with pytest.raises(hl.HgParseError, match="is not a nonempty") as exc:
+                hl.loads(text)
+            assert exc.value.line == text.count("\n")
+
+    def test_label_rule_comes_after_repeats_and_before_pinning(self):
+        cases = [
+            ("a #b #b\n", "repeats"),
+            ("!vertices a b\na c #d\n", "'c' not in pinned universe"),
+            ("!vertices a b\na #d c\n", "'#d' is not"),
+        ]
+        for text, message in cases:
+            with pytest.raises(hl.HgParseError, match=message):
+                hl.loads(text)
+
     def test_message_carries_line_prefix(self):
         with pytest.raises(hl.HgParseError, match=r"^line 3:"):
             hl.loads("a b\nb c\nc\n")
@@ -136,6 +166,12 @@ def test_load_rejects_non_utf8_with_line(tmp_path, data, line):
     with pytest.raises(hl.HgParseError, match="UTF-8") as exc:
         hl.load(str(path))
     assert exc.value.line == line
+
+
+_NOT_A_LABEL = (
+    "vertex label {!r} is not a nonempty string without whitespace,"
+    " not starting with '#' or '!'"
+)
 
 
 def _loads_loops(text):
@@ -172,6 +208,8 @@ def _loads_loops(text):
                     raise hl.HgParseError(
                         f"duplicate label {label!r} in !vertices", lineno
                     )
+                if label[0] in "#!":
+                    raise hl.HgParseError(_NOT_A_LABEL.format(label), lineno)
                 intern(label)
             pinned = True
             continue
@@ -186,12 +224,13 @@ def _loads_loops(text):
             raise hl.HgParseError(
                 f"edge {tokens} has fewer than two vertices", lineno
             )
-        if pinned:
-            for label in tokens:
-                if label not in index:
-                    raise hl.HgParseError(
-                        f"label {label!r} not in pinned universe", lineno
-                    )
+        for label in tokens:
+            if label[0] in "#!":
+                raise hl.HgParseError(_NOT_A_LABEL.format(label), lineno)
+            if pinned and label not in index:
+                raise hl.HgParseError(
+                    f"label {label!r} not in pinned universe", lineno
+                )
         edge = tuple(sorted(intern(label) for label in tokens))
         if edge in seen:
             raise hl.HgParseError(
@@ -253,13 +292,15 @@ def test_loads_on_arbitrary_text_parses_or_raises_parse_error(text):
 
 
 def _one_token(label: str) -> bool:
-    # A label is one token on one line, and not a comment or a directive.
+    # One token on one line; it may still start with '#' or '!'.
     one_line = len(("x" + label + "x").splitlines()) == 1
-    return label.split() == [label] and one_line and label[0] not in "#!"
+    return label.split() == [label] and one_line
 
 
 @st.composite
 def _hypergraphs(draw):
+    """A Hypergraph, or None when a drawn label starts with '#' or '!' and
+    ``from_edges`` duly refused it."""
     n = draw(st.integers(1, 8))
     edges = draw(st.lists(
         st.frozensets(st.integers(0, n - 1), min_size=2), unique=True, max_size=10
@@ -268,13 +309,21 @@ def _hypergraphs(draw):
         st.none(),
         st.lists(st.text(min_size=1, max_size=4).filter(_one_token),
                  min_size=n, max_size=n, unique=True),
+        st.lists(st.sampled_from(["a", "b", "#", "!", "#a", "!b", "c#", "d!"]),
+                 min_size=n, max_size=n, unique=True),
     ))
+    if labels is not None and any(label[0] in "#!" for label in labels):
+        with pytest.raises(hl.InvalidHypergraphError, match="not starting with"):
+            hl.Hypergraph.from_edges(edges, n=n, labels=labels)
+        return None
     return hl.Hypergraph.from_edges(edges, n=n, labels=labels)
 
 
 @settings(max_examples=200, deadline=None)
 @given(h=_hypergraphs())
 def test_dumps_then_loads_round_trips(h):
+    if h is None:
+        return
     back = hl.loads(hl.dumps(h))
     labels = h.labels if h.labels is not None else tuple(map(str, range(h.n)))
     assert back == hl.Hypergraph(n=h.n, edges=h.edges, labels=labels)
