@@ -170,7 +170,9 @@ def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
     if not an.enumerable or an.m == 0 or an.n < 2:
         return None
     boundary, sizes = an.scan
-    lower, upper = sandwich_bounds(an, sizes)
+    # The bounds depend on the subset size alone: evaluate once per size.
+    lower, upper = sandwich_bounds(an, np.arange(an.n, dtype=np.int64))
+    lower, upper = lower[sizes], upper[sizes]
     bad_low = np.flatnonzero(boundary < lower - 1e-8)
     if bad_low.size:
         s = int(bad_low[0])

@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperlap as hl
 from hyperlap import _kernels, bounds, cli, core, cuts, spectral
@@ -204,3 +206,45 @@ def test_scan_top_bit_masks_match_recount():
     for mask in masks:
         got = (int(boundary[mask]), int(sizes[mask]))
         assert got == _recount(h, mask), mask
+
+
+@st.composite
+def _scan_inputs(draw):
+    """Any hypergraph on 1..10 vertices; edges holding vertex n-1 and the
+    edge V itself are drawn often, and m = 0 is the shrink target."""
+    n = draw(st.integers(1, 10))
+    if n == 1:
+        return hl.Hypergraph.from_edges([], n=1)
+    any_edge = st.sets(st.integers(0, n - 1), min_size=2, max_size=n)
+    top_edge = st.sets(st.integers(0, n - 2), min_size=1).map(lambda s: s | {n - 1})
+    edges = draw(st.sets(st.one_of(any_edge, top_edge).map(frozenset), max_size=15))
+    if draw(st.booleans()):
+        edges.add(frozenset(range(n)))
+    return hl.Hypergraph.from_edges(edges, n=n)
+
+
+def _kernel_scan(h):
+    masks = hl.analyze(h).edge_masks
+    return _kernels.subset_scan(masks, np.bitwise_count(masks), h.n - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_scan_inputs())
+def test_subset_scan_matches_per_mask_recount(h):
+    boundary = _kernel_scan(h)
+    assert boundary.dtype == np.int64 and boundary.shape == (1 << (h.n - 1),)
+    assert [int(b) for b in boundary] == [
+        _recount(h, mask)[0] for mask in range(boundary.size)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, edges, want",
+    [(1, [], [0]), (2, [], [0, 0]), (2, [(0, 1)], [0, 1])],
+    ids=["n1", "n2-edgeless", "n2-edge"],
+)
+def test_subset_scan_of_the_smallest_inputs(n, edges, want):
+    # At n = 1 only the empty subset is scanned, and the reversed complement
+    # slice is the single entry of V.
+    boundary = _kernel_scan(hl.Hypergraph.from_edges(edges, n=n))
+    assert boundary.dtype == np.int64 and boundary.tolist() == want

@@ -240,6 +240,23 @@ class TestIsoperimetric:
             assert Fraction(_bf_boundary(h, witness), len(witness)) == value
             assert 2 * len(witness) <= h.n
 
+    def test_small_minimiser_holding_the_last_vertex(self):
+        # The scan avoids vertex 4, so the only minimiser {3, 4} (size 2 <
+        # n/2) is seen only as its complement {0, 1, 2}, of size n - 2.
+        h = hl.Hypergraph.from_edges(
+            [(0, 1), (1, 2), (0, 2), (0, 1, 2), (3, 4), (2, 3)], n=5
+        )
+        assert hl.isoperimetric(h) == _bf_isoperimetric(h) == (Fraction(1, 2), (3, 4))
+
+    def test_ratio_tied_across_sizes(self):
+        # Ratio 1 is reached at size 1 ({3}) and at size 2; the least
+        # witness is a folded pair holding vertex n-1.
+        h = hl.Hypergraph.from_edges(
+            [(0, 1), (0, 1, 2), (0, 1, 3), (1, 2, 4), (2, 4)], n=5
+        )
+        assert hl.isoperimetric(h) == _bf_isoperimetric(h) == (Fraction(1), (2, 4))
+        assert _bf_boundary(h, (3,)) == 1
+
     def test_exact_ties_resolved_lexicographically(self, g_all_triples):
         # every 2-subset of the complete triple system has the same ratio
         value, witness = hl.isoperimetric(g_all_triples)

@@ -2,16 +2,18 @@
 
 Each case pins the exit code and the SHA-256 of stdout for one command on
 ``gen random --n 40 --m 3000 --kmin 2 --kmax 8 --seed 11`` (``n40``),
-``gen random --n 18 --m 40 --kmin 2 --kmax 4 --seed 7`` (``r18``) or
-``gen complete --n 16 --k 2`` (``k16``), read on stdin so that the reports
-name no path, or for one seeded ``verify --random`` battery.  The n40
+``gen random --n 18 --m 40 --kmin 2 --kmax 4 --seed 7`` (``r18``),
+``gen complete --n 16 --k 2`` (``k16``) or ``gen complete --n 20 --k 3``
+(``k20``), read on stdin so that the reports name no path, or for one
+seeded ``verify --random`` battery.  The n40
 hashes were recorded from the per-edge Python loops that the edge-index
 passes replaced, so a rewrite of any pass over the edge list that changes
 one byte of a report fails here.  n40 is above the enumeration cap, so the
-r18, k16 and battery cases pin the exact path: the subset scan, the sandwich
-and quadratic-identity checks and the cut bounds.  In k16 every subset of a
-given size has the same boundary, so its witnesses rest on the tie-breaking
-rule alone.
+r18, k16, k20 and battery cases pin the exact path: the subset scan, the
+sandwich and quadratic-identity checks and the cut bounds.  In k16 and k20
+every subset of a given size has the same boundary, so their witnesses rest
+on the tie-breaking rule alone; k20 is the largest scan (n at the cap) and
+the largest m (1140) of any pin.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ GEN = {
     "r18": ["gen", "random", "--n", "18", "--m", "40", "--kmin", "2", "--kmax", "4",
             "--seed", "7"],
     "k16": ["gen", "complete", "--n", "16", "--k", "2"],
+    "k20": ["gen", "complete", "--n", "20", "--k", "3"],
 }
 HALF = ",".join(str(v) for v in range(20))
 
@@ -51,6 +54,7 @@ def test_generated_input_is_pinned(texts):
         "n40": "7c4b8c7cc3af6330323a3d117f9c2a246cdafc1a85735ab0a0959589e3d10d67",
         "r18": "7621c1431a8b8a2cb77e24eed269d6f22f1b95c12742dddbc2626f6419c7acd0",
         "k16": "c7afdce350afa95c2ae81e6c117a42c88ee5e369a81016a1d98cb8111306f82a",
+        "k20": "dd4208839637569953c304568417f4c3ef669bdc88485527a56a7ae5cbfe3e5c",
     }
 
 
@@ -81,6 +85,8 @@ def test_generated_input_is_pinned(texts):
          "bbef697bbe8ecc089b5daccae5b982267507a601a3b472a918c3929f0ec38dd7"),
         ("k16", ["verify", "-"],
          "8b8c8793981a448486f4daa428e5ddaa2c4050a859fbb6249429041ec4afe8e8"),
+        ("k20", ["cuts", "-", "--exact"],
+         "95a4fbe4ea616e4ae7aee6289a82076979757ea3a2e07f1cd7fac4d47b856b37"),
         (None, ["verify", "--random", "12", "20", "2", "4", "40", "99"],
          "3e1e0f354e356b8d8024616f9fa594f246df01f08e3df86eb6322d0081915301"),
         (None, ["verify", "--random", "8", "6", "2", "4", "100", "12345"],
@@ -88,7 +94,8 @@ def test_generated_input_is_pinned(texts):
     ],
     ids=["spectrum", "bounds", "cuts-subset", "cuts-sweep", "verify",
          "r18-verify", "r18-cuts-exact", "r18-cuts-sweep", "r18-bounds",
-         "r18-spectrum", "k16-cuts-exact", "k16-verify", "battery-n12", "battery-n8"],
+         "r18-spectrum", "k16-cuts-exact", "k16-verify", "k20-cuts-exact", "battery-n12",
+         "battery-n8"],
 )
 def test_report_bytes_are_pinned(capsys, monkeypatch, texts, stdin, argv, digest):
     if stdin is not None:

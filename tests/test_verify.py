@@ -8,6 +8,7 @@ import pytest
 
 import hyperlap as hl
 from hyperlap import verify
+from hyperlap.cuts import sandwich_bounds
 
 HARD_CHECK_NAMES = [
     "laplacian_structure",
@@ -118,6 +119,20 @@ class TestVerifyInstances:
         mask = int(re.fullmatch(r".*\(mask (\d+)\)", message).group(1))
         # The first mask reported is one that the perturbed entry changes.
         assert (mask >> i) & 1 and (mask >> j) & 1
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_subset_sandwich_reports_the_first_offending_mask(self, side):
+        an = hl.analyze(hl.random_hypergraph(n=10, m=20, k_min=2, k_max=4, seed=4))
+        assert verify._check_subset_sandwich(an, 0) is None
+        boundary, sizes = an.scan
+        boundary = boundary.copy()
+        boundary[[300, 77]] = -1 if side == "below" else 10**6
+        vars(an)["scan"] = (boundary, sizes)  # replace the cached scan
+        lower, upper = sandwich_bounds(an, int(sizes[77]))
+        bound = f"lower bound {lower:.6f}" if side == "below" else f"upper bound {upper:.6f}"
+        assert verify._check_subset_sandwich(an, 0) == (
+            f"boundary {boundary[77]} {side} {bound} (mask 77)"
+        )
 
 
 class TestBatteries:
