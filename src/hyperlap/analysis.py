@@ -3,9 +3,9 @@
 An :class:`Analysis` is a Hypergraph that computes each derived quantity
 once, on first use.  Bounds, cuts and reports call :func:`analyze` on the
 hypergraph they are given, so passing one Analysis to all of them computes
-each quantity once per input, including the per-size edge index
-(``Hypergraph.edge_index``) that every per-edge pass reads and the lambda_n
-bounds (``Analysis.bounds``) that every bound reader reads.  It keeps the
+each quantity once per input, including the incidence table that every
+per-edge pass reads (``Hypergraph.edge_reduce``) and the lambda_n bounds
+(``Analysis.bounds``) that every bound reader reads.  It keeps the
 subset scan once computed, so build one per input and drop it with that
 input; it is not attached to the Hypergraph it came from.
 
@@ -17,9 +17,9 @@ transform of the edge list, in O(n 2**n) whatever the edge count.  Values
 and witnesses are chosen in integer arithmetic: the isoperimetric number is
 the least of at most n/2 exact Fractions (the smallest boundary per subset
 size, taken in one pass over the scan, with size t folded together with
-size n - t), its minimisers are the masks with
-``boundary * den == num * size``, and both witnesses come from one rule,
-:func:`_lex_least`.  No float takes part in either choice.
+size n - t), its minimisers are the masks whose boundary equals the value
+times their size or their complement's, and both witnesses come from one
+rule, :func:`_lex_least`.  No float takes part in either choice.
 """
 
 from fractions import Fraction
@@ -131,10 +131,7 @@ class Analysis(Hypergraph):
         edge's size is its mask's bit count.  Raises TooLargeError above
         ENUMERATION_CAP vertices, as :attr:`scan` does."""
         self.require_enumerable()
-        masks = np.zeros(self.m, dtype=np.int64)
-        for rows, positions in self.edge_index.values():
-            masks[positions] = np.left_shift(1, rows).sum(axis=1)
-        return masks
+        return self.edge_reduce(np.bitwise_or, 1 << np.arange(self.n, dtype=np.int64))
 
     @cached_property
     def scan(self) -> tuple:
@@ -173,9 +170,13 @@ class Analysis(Hypergraph):
         value = min(
             Fraction(int(min(least[t], least[n - t])), t) for t in range(1, n // 2 + 1)
         )
-        num, den = value.numerator, value.denominator
-        direct = (sizes >= 1) & (2 * sizes <= n) & (boundary * den == num * sizes)
-        flipped = (2 * sizes >= n) & (boundary * den == num * (n - sizes))
+        # need[t] is the boundary of a size-t minimiser with 1 <= t <= n/2,
+        # and -1, which no boundary equals, where value * t is no integer.
+        need = np.full(n + 1, -1, dtype=np.int64)
+        t = np.arange(value.denominator, n // 2 + 1, value.denominator)
+        need[t] = t // value.denominator * value.numerator
+        direct = boundary == need[sizes]
+        flipped = boundary == need[n - sizes]
         full = (1 << n) - 1
         sides = np.concatenate([np.flatnonzero(direct), full ^ np.flatnonzero(flipped)])
         return value, _lex_least(sides)

@@ -231,14 +231,11 @@ class EdgeDegreeSumCheck:
 
 
 def check_edge_degree_sum(h: Hypergraph) -> EdgeDegreeSumCheck:
-    """Every edge's degree sum from one gather over the shared edge index;
-    the witness is the first edge in canonical order with the largest sum."""
+    """Every edge's degree sum from one reduction over the edges; the
+    witness is the first edge in canonical order with the largest sum."""
     h = analyze(h)
     lam = h.lambda_n
-    d = h.degrees.d
-    totals = np.zeros(h.m, dtype=np.int64)
-    for rows, positions in h.edge_index.values():
-        totals[positions] = d[rows].sum(axis=1)
+    totals = h.edge_reduce(np.add, h.degrees.d)
     best = 0
     witness = None
     if h.m > 0:

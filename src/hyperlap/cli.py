@@ -58,8 +58,9 @@ def _parse_subset(h: Hypergraph, text: str) -> list:
 
 
 # Each command returns (JSON payload or None, exit code).  `run` writes the
-# payload after the command has returned, so the input's Analysis (edge
-# index, matrices, spectrum) is freed before the report is serialised.
+# payload after the command has returned, so the input's Analysis
+# (incidence table, matrices, spectrum) is freed before the report is
+# serialised.
 
 
 def _cmd_spectrum(args) -> tuple:

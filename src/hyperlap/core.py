@@ -8,11 +8,15 @@ the Laplacian L = diag(delta) - A. Both are int64 arrays of exact counts,
 so structural identities (zero row sums, symmetry, degree bounds) hold
 exactly, not approximately.
 
-Every pass over the edge list reads one per-size edge index,
-``Hypergraph.edge_index``, built once per object: for each edge size k, an
-int64 array with one row per edge of that size plus each row's position in
-``edges``.  The adjacency and the degrees are ``np.bincount`` calls over it,
-so both cost O(sum |e|) numpy work and no incidence matrix is built.
+Every pass over the edge list reads one flat incidence table, built once
+per object: the sorted members of every edge concatenated in edge order,
+where each edge's run starts, and each edge's size.  Outside this module it
+is read through :attr:`Hypergraph.edge_sizes` and
+:meth:`Hypergraph.edge_reduce`, one ``reduceat`` whose results come out in
+edge order.  The adjacency and the degrees are ``np.bincount`` calls over
+the members, so every pass costs O(sum |e|) numpy work and no incidence
+matrix is built; the adjacency refuses, before it allocates, an n that
+would need more than MAX_DENSE_BYTES for its n-by-n matrices.
 """
 
 import operator
@@ -28,9 +32,14 @@ from .errors import (
     DuplicateVertexError,
     InvalidHypergraphError,
     SingletonEdgeError,
+    TooLargeError,
     VertexOutOfRangeError,
 )
 
+
+# Budget for the n-by-n matrices of one input, a constant so that a refusal
+# does not depend on the machine.
+MAX_DENSE_BYTES = 4 * 2**30
 
 LABEL_RULE = "a nonempty string without whitespace, not starting with '#' or '!'"
 
@@ -132,31 +141,27 @@ class Hypergraph:
         return tuple(self.label_of(v) for v in edge)
 
     @cached_property
-    def edge_index(self) -> dict:
-        """Edge size k -> (rows, positions), in ascending order of k.
-
-        ``rows`` is an int64 array with one row per edge of size k (its
-        sorted members) and ``positions`` holds each row's position in
-        ``edges``, ascending.  Every per-edge pass (adjacency, degrees,
-        boundaries, the sweep, the subset scan's edge masks) reads this
-        index, built once per object: the members of all edges, grouped by
-        size, go into one flat array, and each size's rows are a view of it.
-        """
+    def _incidence(self) -> tuple:
+        """(members, starts, sizes): the sorted members of every edge
+        concatenated in edge order, where each edge's run starts in
+        ``members``, and each edge's size; all int64."""
         sizes = np.fromiter(map(len, self.edges), dtype=np.int64, count=self.m)
-        order = np.argsort(sizes, kind="stable")
+        starts = np.cumsum(sizes) - sizes
         members = np.fromiter(
-            chain.from_iterable(map(self.edges.__getitem__, order.tolist())),
-            dtype=np.int64,
-            count=int(sizes.sum()),
+            chain.from_iterable(self.edges), dtype=np.int64, count=int(sizes.sum())
         )
-        index = {}
-        start = first = 0
-        for k, count in zip(*(a.tolist() for a in np.unique(sizes, return_counts=True))):
-            rows = members[start : start + k * count].reshape(count, k)
-            index[k] = (rows, order[first : first + count])
-            start += k * count
-            first += count
-        return index
+        return members, starts, sizes
+
+    @property
+    def edge_sizes(self) -> np.ndarray:
+        """Each edge's size, int64, in edge order."""
+        return self._incidence[2]
+
+    def edge_reduce(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """``ufunc`` over each edge's entries of the per-vertex ``values``,
+        in edge order: with ``np.add`` and the incidence matrix B, B^T x."""
+        members, starts, _ = self._incidence
+        return ufunc.reduceat(values[members], starts)
 
 
 @dataclass(frozen=True)
@@ -175,33 +180,48 @@ class DegreeProfile:
     k_max: int
 
 
+def dense_bytes(n: int) -> int:
+    """Predicted peak bytes of the n-by-n matrices of an n-vertex input: ten
+    arrays of 8-byte entries are alive at once, the adjacency and the
+    Laplacian, the solver's float copy and eigenvectors, its two working
+    copies and its convergence test's temporaries."""
+    return 10 * 8 * n * n
+
+
 def adjacency_matrix(h: Hypergraph) -> np.ndarray:
-    """Weighted clique-expansion adjacency: A[i, j] = #edges containing both."""
+    """Weighted clique-expansion adjacency: A[i, j] = #edges containing both.
+
+    Raises TooLargeError, before allocating, when :func:`dense_bytes` of n
+    exceeds MAX_DENSE_BYTES."""
     n = h.n
-    # Rows are sorted, so column x < y gives vertex i < j: count the upper
-    # triangle as flat indices i*n + j, then mirror it.
-    flat = [
-        rows[:, x] * n + rows[:, y]
-        for k, (rows, _) in h.edge_index.items()
-        for x in range(k)
-        for y in range(x + 1, k)
-    ]
-    upper = np.bincount(
-        np.concatenate([np.zeros(0, dtype=np.int64), *flat]), minlength=n * n
-    ).reshape(n, n)
+    if dense_bytes(n) > MAX_DENSE_BYTES:
+        raise TooLargeError(
+            f"n={n} needs an estimated {dense_bytes(n)} bytes for its n-by-n"
+            f" matrices, above the budget of {MAX_DENSE_BYTES}"
+        )
+    members, starts, sizes = h._incidence
+    # room[j] counts the members from position j to the end of its edge;
+    # ``at`` keeps the positions with a member g places later in that edge.
+    room = np.repeat(starts + sizes, sizes) - np.arange(members.size)
+    at = np.arange(members.size)
+    # Members ascend within an edge, so each such pair is i < j: count the
+    # upper triangle as flat indices i*n + j, one offset g at a time, then
+    # mirror it.
+    upper = np.zeros(n * n, dtype=np.int64)
+    for g in range(1, int(sizes.max(initial=0))):
+        at = at[room[at] > g]
+        upper += np.bincount(members[at] * n + members[at + g], minlength=n * n)
+    upper = upper.reshape(n, n)
     return upper + upper.T
 
 
 def degree_profile(h: Hypergraph) -> DegreeProfile:
-    d = np.zeros(h.n, dtype=np.int64)
+    members, _, sizes = h._incidence
+    d = np.bincount(members, minlength=h.n)
     delta = np.zeros(h.n, dtype=np.int64)
-    groups = h.edge_index
-    for k, (rows, _) in groups.items():
-        counts = np.bincount(rows.ravel(), minlength=h.n)
-        d += counts
-        delta += (k - 1) * counts
-    k_min = min(groups, default=0)
-    k_max = max(groups, default=0)
+    np.add.at(delta, members, np.repeat(sizes - 1, sizes))
+    k_min = int(sizes.min()) if h.m else 0
+    k_max = int(sizes.max(initial=0))
     return DegreeProfile(d=d, delta=delta, k_min=k_min, k_max=k_max)
 
 

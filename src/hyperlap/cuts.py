@@ -5,9 +5,9 @@ number are read from ``analyze(h)``; the exact searches are capped at
 ``ENUMERATION_CAP`` (20) vertices.  Each spectral cut bound is stated once:
 the sandwich in :func:`sandwich_bounds`, the max-cut and isoperimetric
 bounds in :func:`connectivity_summary`.  Boundaries, the quadratic identity
-and the Fiedler sweep read the shared per-size edge index
-(``Hypergraph.edge_index``), so each is O(sum |e|) numpy work; the sweep
-gets the boundary of every prefix from one difference array.
+and the Fiedler sweep are per-edge reductions (``Hypergraph.edge_reduce``),
+so each is O(sum |e|) numpy work; the sweep gets the boundary of every
+prefix from one difference array.
 """
 
 from dataclasses import dataclass
@@ -82,23 +82,18 @@ def edge_contribution(edge: Sequence[int], subset) -> int:
     return t * (len(edge) - t)
 
 
-def _members_inside(h: Hypergraph, subset: tuple) -> list:
-    """(k, positions, t) per edge size k, where t counts each edge's members
-    in the subset; read from the shared edge index."""
+def _members_inside(h: Hypergraph, subset: tuple) -> np.ndarray:
+    """Each edge's member count in the subset, in edge order."""
     inside = np.zeros(h.n, dtype=np.int64)
     inside[list(subset)] = 1
-    return [
-        (k, positions, inside[rows].sum(axis=1))
-        for k, (rows, positions) in h.edge_index.items()
-    ]
+    return h.edge_reduce(np.add, inside)
 
 
 def edge_boundary(h: Hypergraph, subset: Iterable[int]) -> tuple:
     """(count, edges) of hyperedges split by the subset, canonical order."""
-    s = _clean_subset(h, subset)
-    split = [positions[(t > 0) & (t < k)] for k, positions, t in _members_inside(h, s)]
-    positions = np.sort(np.concatenate([np.zeros(0, dtype=np.intp), *split]))
-    crossing = [h.edges[p] for p in positions.tolist()]
+    t = _members_inside(h, _clean_subset(h, subset))
+    split = np.flatnonzero((t > 0) & (t < h.edge_sizes))
+    crossing = [h.edges[p] for p in split.tolist()]
     return len(crossing), crossing
 
 
@@ -107,7 +102,8 @@ def boundary_quadratic(h: Hypergraph, subset: Iterable[int]) -> tuple:
     sum_e t_e(|e| - t_e) == chi_S^T L chi_S, as integers."""
     h = analyze(h)
     s = _clean_subset(h, subset)
-    per_edge = sum(int((t * (k - t)).sum()) for k, _, t in _members_inside(h, s))
+    t = _members_inside(h, s)
+    per_edge = int((t * (h.edge_sizes - t)).sum())
     chi = np.zeros(h.n, dtype=np.int64)
     chi[list(s)] = 1
     quad = int(chi @ h.laplacian @ chi)
@@ -187,7 +183,7 @@ def fiedler_sweep(h: Hypergraph) -> tuple:
     side first; exact ties keep index order); prefixes with 2t <= n compete
     on the exact ratio |bd S_t| / t, earliest prefix winning ties.  The
     ratio always upper bounds the true isoperimetric number.  One pass over
-    the edge index gives every prefix's boundary: prefix t cuts edge e
+    the edges gives every prefix's boundary: prefix t cuts edge e
     exactly when minrank(e) < t <= maxrank(e) in the Fiedler order.
     """
     h = analyze(h)
@@ -200,11 +196,8 @@ def fiedler_sweep(h: Hypergraph) -> tuple:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     # counts[t] = #edges with minrank < t <= maxrank, from a difference array.
-    change = np.zeros(n + 1, dtype=np.int64)
-    for rows, _ in h.edge_index.values():
-        r = rank[rows]
-        change += np.bincount(r.min(axis=1) + 1, minlength=n + 1)
-        change -= np.bincount(r.max(axis=1) + 1, minlength=n + 1)
+    change = np.bincount(h.edge_reduce(np.minimum, rank) + 1, minlength=n + 1)
+    change -= np.bincount(h.edge_reduce(np.maximum, rank) + 1, minlength=n + 1)
     counts = np.cumsum(change).tolist()
     best = None
     best_t = None

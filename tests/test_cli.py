@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperlap as hl
-from hyperlap import cli, generators, verify
+from hyperlap import cli, core, generators, verify
 
 
 @pytest.fixture
@@ -208,6 +208,25 @@ class TestGen:
         code, stdout, err = _run(capsys, *command)
         assert (code, stdout) == (1, "")
         assert err.splitlines() == ["error: vertex count 8 is above the limit of 7"]
+
+    @pytest.mark.parametrize("command", [
+        ("spectrum", "eight.hg"),
+        ("verify", "--random", "8", "1", "2", "2", "1", "1"),
+    ])
+    def test_oversized_dense_stage_is_one_error_line(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # The n-by-n matrices are refused from n alone, before the adjacency
+        # is allocated.
+        monkeypatch.chdir(tmp_path)
+        hl.dump(hl.Hypergraph.from_edges([(0, 1)], n=8), "eight.hg")
+        monkeypatch.setattr(core, "MAX_DENSE_BYTES", core.dense_bytes(8) - 1)
+        code, stdout, err = _run(capsys, *command)
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [
+            "error: n=8 needs an estimated 5120 bytes for its n-by-n matrices,"
+            " above the budget of 5119"
+        ]
 
 
 class TestVerify:

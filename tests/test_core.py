@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -250,3 +252,43 @@ def test_vectorised_construction_matches_loops():
         assert np.array_equal(dp.d, d) and np.array_equal(dp.delta, delta)
         sizes = [len(e) for e in h.edges]
         assert (dp.k_min, dp.k_max) == (min(sizes, default=0), max(sizes, default=0))
+
+
+@st.composite
+def _reduce_inputs(draw):
+    """A hypergraph with mixed edge sizes (n = 1 and m = 0 included, and
+    edges holding vertex n-1) and one int64 value per vertex."""
+    n = draw(st.integers(1, 9))
+    edges = set()
+    if n > 1:
+        any_edge = st.sets(st.integers(0, n - 1), min_size=2, max_size=n)
+        top_edge = st.sets(st.integers(0, n - 2), min_size=1).map(lambda s: s | {n - 1})
+        edges = draw(st.sets(st.one_of(any_edge, top_edge).map(frozenset), max_size=12))
+    values = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n))
+    return hl.Hypergraph.from_edges(edges, n=n), np.array(values, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_reduce_inputs())
+def test_edge_reduce_matches_per_edge_loops(case):
+    h, values = case
+    assert h.edge_sizes.dtype == np.int64
+    assert h.edge_sizes.tolist() == [len(e) for e in h.edges]
+    loops = {
+        np.add: sum,
+        np.minimum: min,
+        np.maximum: max,
+        np.bitwise_or: lambda xs: functools.reduce(operator.or_, xs),
+    }
+    for ufunc, fold in loops.items():
+        got = h.edge_reduce(ufunc, values)
+        assert got.dtype == np.int64 and got.shape == (h.m,)
+        assert got.tolist() == [fold([int(values[v]) for v in e]) for e in h.edges]
+
+
+def test_dense_stages_are_refused_before_allocating():
+    # n = 10**5 would need about 80 GB for the bincount alone.
+    h = hl.Hypergraph.from_edges([(0, 1)], n=10**5)
+    with pytest.raises(hl.TooLargeError, match="an estimated 800000000000 bytes"):
+        hl.adjacency_matrix(h)
+    assert hl.core.dense_bytes(128) <= hl.core.MAX_DENSE_BYTES
