@@ -111,10 +111,10 @@ def jacobi_sweeps(a, v, max_sweeps, off_tol):
 
 
 def subset_scan(edge_masks, edge_sizes, p):
-    """The int64 boundary edge count of each subset bitmask in [0, 2**p),
-    for edges given as distinct vertex bitmasks over n = p + 1 vertices.
-    ``edge_sizes`` is no longer read; it stays because the benchmark's
-    tracer unpacks three arguments."""
+    """The boundary edge count of each subset bitmask in [0, 2**p), for
+    edges given as distinct vertex bitmasks over n = p + 1 vertices, in the
+    table's int32: every count is at most m < 2**n.  ``edge_sizes`` is not
+    read; it stays because the benchmark's tracer unpacks three arguments."""
     half = 1 << p
     inside = np.zeros(2 * half, dtype=np.int32)
     inside[edge_masks] = 1
@@ -122,7 +122,7 @@ def subset_scan(edge_masks, edge_sizes, p):
         v = inside.reshape(-1, 2, 1 << i)
         v[:, 1] += v[:, 0]
     # Entry S of the reversed upper half is g of the complement of S.
-    boundary = np.subtract(len(edge_masks), inside[:half], dtype=np.int64)
+    boundary = len(edge_masks) - inside[:half]
     boundary -= inside[: half - 1 : -1]
     return boundary
 

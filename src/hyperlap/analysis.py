@@ -136,14 +136,12 @@ class Analysis(Hypergraph):
     @cached_property
     def scan(self) -> tuple:
         """Kernel scan over all subsets of {0..n-2}: (boundary, sizes), the
-        boundary edge count and size of each subset, indexed by subset
-        bitmask.  Raises TooLargeError above ENUMERATION_CAP vertices."""
-        self.require_enumerable()
+        int32 boundary edge count and uint8 size of each subset, indexed by
+        subset bitmask.  Raises TooLargeError above ENUMERATION_CAP
+        vertices, through :attr:`edge_masks`."""
         p = self.n - 1
-        masks = self.edge_masks
-        boundary = subset_scan(masks, np.bitwise_count(masks), p)
-        subset_sizes = np.bitwise_count(np.arange(1 << p, dtype=np.int64))
-        return boundary, subset_sizes.astype(np.int64)
+        boundary = subset_scan(self.edge_masks, self.edge_sizes, p)
+        return boundary, np.bitwise_count(np.arange(1 << p, dtype=np.int32))
 
     @cached_property
     def max_cut(self) -> tuple:
@@ -165,14 +163,14 @@ class Analysis(Hypergraph):
         boundary, sizes = self.scan
         # A scanned mask of size s stands for itself (size s) and for its
         # complement (size n - s), which holds vertex n-1.
-        least = np.full(n, boundary.max())
+        least = np.full(n, self.m, dtype=boundary.dtype)
         np.minimum.at(least, sizes, boundary)
         value = min(
             Fraction(int(min(least[t], least[n - t])), t) for t in range(1, n // 2 + 1)
         )
         # need[t] is the boundary of a size-t minimiser with 1 <= t <= n/2,
         # and -1, which no boundary equals, where value * t is no integer.
-        need = np.full(n + 1, -1, dtype=np.int64)
+        need = np.full(n + 1, -1, dtype=boundary.dtype)
         t = np.arange(value.denominator, n // 2 + 1, value.denominator)
         need[t] = t // value.denominator * value.numerator
         direct = boundary == need[sizes]

@@ -179,14 +179,13 @@ def bound_zhu_nonuniform(h: Hypergraph, weighted: bool = False) -> BoundReport:
 
 def _zhu_bracket_max(h: Analysis, iu: np.ndarray, ju: np.ndarray, weighted: bool) -> tuple:
     w, d, sums = _neighbor_sums(h, weighted)
-    if weighted:
-        # min(a_il, a_jl) summed against d_l, one row i at a time.
-        cut = np.searchsorted(iu, np.arange(h.n + 1))
-        common = np.concatenate(
-            [np.minimum(w[i], w[ju[cut[i] : cut[i + 1]]]) @ d for i in range(h.n)]
-        )
-    else:
-        common = ((w * d) @ w.T)[iu, ju]
+    # min(w_il, w_jl) summed against d_l, one row i at a time; on the 0/1
+    # weights of distinct neighbours the minimum is the product.
+    cut = np.searchsorted(iu, np.arange(h.n + 1))
+    common = np.empty(iu.size)
+    for i in range(h.n):
+        row = slice(cut[i], cut[i + 1])
+        common[row] = np.minimum(w[i], w[ju[row]]) @ d
     di = d[iu]
     dj = d[ju]
     num = di * di + sums[iu] + dj * dj + sums[ju] - 2.0 * common

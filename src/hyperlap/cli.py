@@ -11,7 +11,7 @@ import sys
 from typing import Optional
 
 from . import hgio, report
-from .analysis import analyze
+from .analysis import ENUMERATION_CAP, analyze
 from .core import Hypergraph
 from .cuts import boundary_sandwich, connectivity_summary, fiedler_sweep
 from .errors import BadParametersError, HyperlapError
@@ -174,7 +174,7 @@ def _build_parser() -> _Parser:
     group.add_argument(
         "--exact",
         action="store_true",
-        help="exact max cut and isoperimetric number (n <= 20)",
+        help=f"exact max cut and isoperimetric number (n <= {ENUMERATION_CAP})",
     )
     group.add_argument(
         "--sweep", action="store_true", help="best Fiedler-order prefix cut"

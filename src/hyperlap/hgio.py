@@ -6,7 +6,8 @@ Line-oriented UTF-8 format:
 * an optional directive ``!vertices <label> ...`` pins the vertex universe
   and its order, and must be the first content line;
 * every other non-empty line is one hyperedge given as whitespace-separated
-  vertex labels.
+  vertex labels;
+* a byte-order mark (U+FEFF) at the very start of the text is dropped.
 
 A label is any token that does not start with ``#`` or ``!``
 (:func:`hyperlap.core.is_label`), so every Hypergraph round-trips.  Without
@@ -44,6 +45,8 @@ def loads(text: str) -> Hypergraph:
     canonical.  Directive errors take precedence over edge errors, which
     come in line order.
     """
+    # A leading byte-order mark is no part of the first line's first token.
+    text = text.removeprefix("\ufeff")
     index = _Universe()
     had_edges = False
     edge_error = None

@@ -8,6 +8,7 @@ bounds are read from ``analyze(h)``.
 """
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from math import isfinite
 from typing import Optional
@@ -165,24 +166,8 @@ def verify_payload(report: VerifyReport) -> dict:
         "input": report.source,
         "instances": report.instance_count,
         "passed": report.passed,
-        "hard_checks": [
-            {
-                "name": c.name,
-                "checked": c.checked,
-                "failed": c.failed,
-                "failures": list(c.failures),
-            }
-            for c in report.hard_checks
-        ],
-        "recorded": [
-            {
-                "name": r.name,
-                "checked": r.checked,
-                "violations": r.violations,
-                "witnesses": list(r.witnesses),
-            }
-            for r in report.recorded
-        ],
+        "hard_checks": [asdict(c) for c in report.hard_checks],
+        "recorded": [asdict(r) for r in report.recorded],
     }
 
 

@@ -170,17 +170,16 @@ def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
     if not an.enumerable or an.m == 0 or an.n < 2:
         return None
     boundary, sizes = an.scan
-    # The bounds depend on the subset size alone: evaluate once per size.
+    # The bounds depend on the subset size alone: evaluate and shift per size.
     lower, upper = sandwich_bounds(an, np.arange(an.n, dtype=np.int64))
-    lower, upper = lower[sizes], upper[sizes]
-    bad_low = np.flatnonzero(boundary < lower - 1e-8)
+    bad_low = np.flatnonzero(boundary < (lower - 1e-8)[sizes])
     if bad_low.size:
         s = int(bad_low[0])
-        return f"boundary {boundary[s]} below lower bound {lower[s]:.6f} (mask {s})"
-    bad_high = np.flatnonzero(boundary > upper + 1e-8)
+        return f"boundary {boundary[s]} below lower bound {lower[sizes[s]]:.6f} (mask {s})"
+    bad_high = np.flatnonzero(boundary > (upper + 1e-8)[sizes])
     if bad_high.size:
         s = int(bad_high[0])
-        return f"boundary {boundary[s]} above upper bound {upper[s]:.6f} (mask {s})"
+        return f"boundary {boundary[s]} above upper bound {upper[sizes[s]]:.6f} (mask {s})"
     return None
 
 
@@ -198,9 +197,9 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
             dtype=np.int64,
         )
     quad = np.zeros(masks.size, dtype=np.int64)
-    edges = an.edge_masks
-    for em, sz in zip(edges, np.bitwise_count(edges)):
-        t = np.bitwise_count(masks & em).astype(np.int64)
+    # sz is an int64 scalar, so t * (sz - t) is int64 although t is uint8.
+    for em, sz in zip(an.edge_masks, an.edge_sizes):
+        t = np.bitwise_count(masks & em)
         quad += t * (sz - t)
     chi = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
     expected = np.einsum("si,ij,sj->s", chi, an.laplacian, chi)

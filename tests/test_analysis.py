@@ -190,7 +190,7 @@ def _recount(h, mask):
 def test_scan_matches_per_mask_recount():
     h = hl.random_hypergraph(12, 30, 2, 5, 11)
     boundary, sizes = hl.analyze(h).scan
-    assert boundary.dtype == sizes.dtype == np.int64
+    assert boundary.dtype == np.int32 and sizes.dtype == np.uint8
     assert boundary.size == 1 << 11
     for mask in range(boundary.size):
         got = (int(boundary[mask]), int(sizes[mask]))
@@ -224,15 +224,15 @@ def _scan_inputs(draw):
 
 
 def _kernel_scan(h):
-    masks = hl.analyze(h).edge_masks
-    return _kernels.subset_scan(masks, np.bitwise_count(masks), h.n - 1)
+    an = hl.analyze(h)
+    return _kernels.subset_scan(an.edge_masks, an.edge_sizes, h.n - 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(h=_scan_inputs())
 def test_subset_scan_matches_per_mask_recount(h):
     boundary = _kernel_scan(h)
-    assert boundary.dtype == np.int64 and boundary.shape == (1 << (h.n - 1),)
+    assert boundary.dtype == np.int32 and boundary.shape == (1 << (h.n - 1),)
     assert [int(b) for b in boundary] == [
         _recount(h, mask)[0] for mask in range(boundary.size)
     ]
@@ -247,4 +247,4 @@ def test_subset_scan_of_the_smallest_inputs(n, edges, want):
     # At n = 1 only the empty subset is scanned, and the reversed complement
     # slice is the single entry of V.
     boundary = _kernel_scan(hl.Hypergraph.from_edges(edges, n=n))
-    assert boundary.dtype == np.int64 and boundary.tolist() == want
+    assert boundary.dtype == np.int32 and boundary.tolist() == want

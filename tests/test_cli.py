@@ -321,6 +321,25 @@ class TestInputEdgeCases:
         assert err.splitlines() == ["error: line 1: invalid UTF-8 byte 0xff"]
 
     @pytest.mark.parametrize(
+        "text",
+        [b"!vertices a b c\na b\nb c\n", b"# comment\na b\nb c\n"],
+        ids=["directive", "comment"],
+    )
+    @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, monkeypatch,
+                                        text, stdin):
+        # The report of a file with a leading BOM is the report without it.
+        def report(data):
+            path = tmp_path / "input.hg"
+            path.write_bytes(data)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            return _run(capsys, "verify", "-" if stdin else str(path))
+
+        plain = report(text)
+        assert plain[0] == 0 and json.loads(plain[1])["n"] == 3
+        assert report(b"\xef\xbb\xbf" + text) == plain
+
+    @pytest.mark.parametrize(
         "text, bounds",
         [
             # lambda_n is undefined on one vertex, so no bound is reported

@@ -168,6 +168,28 @@ def test_load_rejects_non_utf8_with_line(tmp_path, data, line):
     assert exc.value.line == line
 
 
+_BOM = "\ufeff"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["!vertices a b c\na b\nb c\n", "# comment\na b\nb c\n"],
+    ids=["directive", "comment"],
+)
+def test_loads_drops_a_leading_byte_order_mark(text):
+    # Only the first character is dropped: a second one is a label's.
+    assert hl.loads(_BOM + text) == hl.loads(text)
+    assert hl.loads(_BOM + _BOM + "a b\n").labels == (_BOM + "a", "b")
+
+
+def test_load_of_a_byte_order_mark_file_names_the_bad_byte_line(tmp_path):
+    path = tmp_path / "bom.hg"
+    path.write_bytes(_BOM.encode("utf-8") + b"a b\nb c\nc \xff\n")
+    with pytest.raises(hl.HgParseError, match="0xff") as exc:
+        hl.load(str(path))
+    assert exc.value.line == 3
+
+
 _NOT_A_LABEL = (
     "vertex label {!r} is not a nonempty string without whitespace,"
     " not starting with '#' or '!'"

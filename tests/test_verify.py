@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import pytest
 
@@ -194,3 +195,19 @@ class TestBatteries:
             )
 
         assert run() == run()
+
+
+def test_exact_layer_peak_memory_per_scanned_subset():
+    # The exact checks keep each per-subset array in the scan's own narrow
+    # types (int32 boundaries, uint8 sizes), so at n = 19 they trace at most
+    # 20 bytes per scanned subset, 2**18 of them.
+    an = hl.analyze(hl.random_hypergraph(19, 44, 2, 4, 3))
+    tracemalloc.start()
+    try:
+        report = verify.verify_instances([("r19", an)], "r19")
+        hl.connectivity_summary(an)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 20 << 18, f"{peak / 2**20:.2f} MiB"
