@@ -8,7 +8,7 @@ them on generated families and seeded random instances.
 """
 
 from ._kernels import backend, warm_up
-from .analysis import ENUMERATION_CAP, Analysis, analyze
+from .analysis import Analysis, analyze
 from .bounds import (
     BoundReport,
     EdgeDegreeSumCheck,

@@ -61,20 +61,23 @@ def _rotate_rows(x, p, q, c, s):
 def jacobi_sweeps(a, v, max_sweeps, off_tol):
     steps = _round_robin(a.shape[0])
     # Only whole rows are rotated, since gathering rows is much cheaper than
-    # gathering columns: `w` takes its column update as a row update of its
-    # transpose, and the rows of `vt` are the columns of `v`.
-    w = a.copy()
-    vt = v.T.copy()
+    # gathering columns: `a` takes its column update as a row update of its
+    # transpose (numpy copies the overlapping assignment through a
+    # temporary), and `v` is held transposed, so its rows are its columns.
+    # Both are rotated in place; no working copy is alive beside them.
+    v[...] = v.T
     sweeps = -1
     for sweep in range(max_sweeps + 1):
-        od = w - np.diag(np.diagonal(w))
-        if np.sqrt(np.sum(od * od)) <= off_tol:
+        od = a - np.diag(np.diagonal(a))
+        off = np.sqrt(np.sum(od * od))
+        del od  # freed before the rotations, which hold the solve's peak
+        if off <= off_tol:
             sweeps = sweep
             break
         if sweep == max_sweeps:
             break
         for p, q in steps:
-            apq = w[p, q]
+            apq = a[p, q]
             live = apq != 0.0
             if not live.all():
                 p, q, apq = p[live], q[live], apq[live]
@@ -83,18 +86,17 @@ def jacobi_sweeps(a, v, max_sweeps, off_tol):
             # tau overflows to +-inf only when a_pq is negligible next to the
             # diagonal gap; then t = 0 and the rotation is the identity.
             with np.errstate(over="ignore"):
-                tau = (w[q, q] - w[p, p]) / (2.0 * apq)
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
             t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             c = c[:, None]
             s = s[:, None]
-            _rotate_rows(w, p, q, c, s)
-            w = w.T.copy()
-            _rotate_rows(w, p, q, c, s)
-            _rotate_rows(vt, p, q, c, s)
-    a[...] = w
-    v[...] = vt.T
+            _rotate_rows(a, p, q, c, s)
+            a[...] = a.T
+            _rotate_rows(a, p, q, c, s)
+            _rotate_rows(v, p, q, c, s)
+    v[...] = v.T
     return sweeps
 
 

@@ -10,9 +10,10 @@ subset scan once computed, so build one per input and drop it with that
 input; it is not attached to the Hypergraph it came from.
 
 Exact max cut and the isoperimetric number enumerate vertex subsets, so
-they are capped at ENUMERATION_CAP vertices.  Since a cut and its
-complement have the same boundary, only subsets avoiding vertex n-1 are
-scanned (half the masks).  The scan gets every boundary from one subset-sum
+they are refused when the scan's predicted bytes (``core.scan_bytes``)
+exceed the budget ``core.MAX_DENSE_BYTES``, which admits n <= 28.  Since a
+cut and its complement have the same boundary, only subsets avoiding
+vertex n-1 are scanned (half the masks).  The scan gets every boundary from one subset-sum
 transform of the edge list, in O(n 2**n) whatever the edge count.  Values
 and witnesses are chosen in integer arithmetic: the isoperimetric number is
 the least of at most n/2 exact Fractions (the smallest boundary per subset
@@ -34,12 +35,13 @@ from .core import (
     adjacency_matrix,
     connected_components,
     degree_profile,
+    fits_budget,
     laplacian_from_adjacency,
+    require_budget,
+    scan_bytes,
 )
-from .errors import TooLargeError, TooSmallError
+from .errors import TooSmallError
 from .spectral import ZERO_EIGENVALUE_TOL, Spectrum, eigendecompose, lambda2, lambda_n
-
-ENUMERATION_CAP = 20
 
 
 def _lex_least(sides: np.ndarray) -> tuple:
@@ -117,19 +119,18 @@ class Analysis(Hypergraph):
 
     @property
     def enumerable(self) -> bool:
-        return self.n <= ENUMERATION_CAP
+        """Whether the subset scan's predicted bytes are within budget."""
+        return fits_budget(scan_bytes(self.n))
 
     def require_enumerable(self) -> None:
-        if not self.enumerable:
-            raise TooLargeError(
-                f"exact enumeration capped at {ENUMERATION_CAP} vertices, got {self.n}"
-            )
+        """Raise TooLargeError when the subset scan is over budget."""
+        require_budget(self.n, scan_bytes(self.n), "subset scan")
 
     @cached_property
     def edge_masks(self) -> np.ndarray:
-        """Each edge as an int64 bitmask of its vertices, in edge order; an
-        edge's size is its mask's bit count.  Raises TooLargeError above
-        ENUMERATION_CAP vertices, as :attr:`scan` does."""
+        """Each edge as an int64 bitmask of its vertices, in edge order.
+        Raises TooLargeError, as :attr:`scan` does, when the subset scan is
+        over budget."""
         self.require_enumerable()
         return self.edge_reduce(np.bitwise_or, 1 << np.arange(self.n, dtype=np.int64))
 
@@ -137,8 +138,8 @@ class Analysis(Hypergraph):
     def scan(self) -> tuple:
         """Kernel scan over all subsets of {0..n-2}: (boundary, sizes), the
         int32 boundary edge count and uint8 size of each subset, indexed by
-        subset bitmask.  Raises TooLargeError above ENUMERATION_CAP
-        vertices, through :attr:`edge_masks`."""
+        subset bitmask.  Raises TooLargeError, through :attr:`edge_masks`
+        and before the table is allocated, when the scan is over budget."""
         p = self.n - 1
         boundary = subset_scan(self.edge_masks, self.edge_sizes, p)
         return boundary, np.bitwise_count(np.arange(1 << p, dtype=np.int32))

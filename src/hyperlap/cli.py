@@ -11,7 +11,7 @@ import sys
 from typing import Optional
 
 from . import hgio, report
-from .analysis import ENUMERATION_CAP, analyze
+from .analysis import analyze
 from .core import Hypergraph
 from .cuts import boundary_sandwich, connectivity_summary, fiedler_sweep
 from .errors import BadParametersError, HyperlapError
@@ -174,7 +174,8 @@ def _build_parser() -> _Parser:
     group.add_argument(
         "--exact",
         action="store_true",
-        help=f"exact max cut and isoperimetric number (n <= {ENUMERATION_CAP})",
+        help="exact max cut and isoperimetric number, if the subset scan"
+        " fits the byte budget",
     )
     group.add_argument(
         "--sweep", action="store_true", help="best Fiedler-order prefix cut"

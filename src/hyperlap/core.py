@@ -15,8 +15,13 @@ is read through :attr:`Hypergraph.edge_sizes` and
 :meth:`Hypergraph.edge_reduce`, one ``reduceat`` whose results come out in
 edge order.  The adjacency and the degrees are ``np.bincount`` calls over
 the members, so every pass costs O(sum |e|) numpy work and no incidence
-matrix is built; the adjacency refuses, before it allocates, an n that
-would need more than MAX_DENSE_BYTES for its n-by-n matrices.
+matrix is built.
+
+This module also decides how large an input may be.  Each exponential or
+quadratic stage has a price in bytes predicted from n alone,
+:func:`dense_bytes` for the n-by-n matrices and :func:`scan_bytes` for the
+subset scan, and :func:`require_budget` refuses, before the stage allocates
+anything, a price above MAX_DENSE_BYTES.
 """
 
 import operator
@@ -37,8 +42,9 @@ from .errors import (
 )
 
 
-# Budget for the n-by-n matrices of one input, a constant so that a refusal
-# does not depend on the machine.
+# Budget for each priced stage of one input, a constant so that a refusal
+# does not depend on the machine.  It admits subset scans up to n = 28, so
+# the scan's int32 counts (at most m < 2**n) and int64 masks cannot overflow.
 MAX_DENSE_BYTES = 4 * 2**30
 
 LABEL_RULE = "a nonempty string without whitespace, not starting with '#' or '!'"
@@ -182,10 +188,42 @@ class DegreeProfile:
 
 def dense_bytes(n: int) -> int:
     """Predicted peak bytes of the n-by-n matrices of an n-vertex input: ten
-    arrays of 8-byte entries are alive at once, the adjacency and the
-    Laplacian, the solver's float copy and eigenvectors, its two working
-    copies and its convergence test's temporaries."""
+    arrays of 8-byte entries.  This bounds what the adjacency, the
+    Laplacian, the eigensolve, the bounds and the hard checks hold at once;
+    the eigensolve holds the most, about eight such arrays: the adjacency
+    and the Laplacian, the solver's float copy and eigenvectors, which it
+    rotates in place, its index pairs and its rotations' temporaries."""
     return 10 * 8 * n * n
+
+
+def scan_bytes(n: int) -> int:
+    """Predicted peak bytes of the subset scan of an n-vertex input and the
+    exact checks that read it: 20 bytes for each of the 2**(n-1) scanned
+    subsets, the int32 table of 2**n counts (8), the int32 boundary (4),
+    the uint8 sizes (1) and the checks' per-subset temporaries."""
+    return 20 << (n - 1)
+
+
+def fits_budget(nbytes: int) -> bool:
+    """Whether a stage predicted to need ``nbytes`` is within MAX_DENSE_BYTES."""
+    return nbytes <= MAX_DENSE_BYTES
+
+
+def require_budget(n: int, nbytes: int, what: str) -> None:
+    """Raise TooLargeError when ``what``, predicted to need ``nbytes`` for
+    an n-vertex input, exceeds MAX_DENSE_BYTES.  A price of 2**64 bytes or
+    more is named by its power of two, since no budget comes near it and
+    its decimal form can run to thousands of digits."""
+    if fits_budget(nbytes):
+        return
+    if nbytes < 1 << 64:
+        estimate = f"an estimated {nbytes} bytes"
+    else:
+        estimate = f"at least 2**{nbytes.bit_length() - 1} bytes"
+    raise TooLargeError(
+        f"n={n} needs {estimate} for its {what},"
+        f" above the budget of {MAX_DENSE_BYTES}"
+    )
 
 
 def adjacency_matrix(h: Hypergraph) -> np.ndarray:
@@ -194,11 +232,7 @@ def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     Raises TooLargeError, before allocating, when :func:`dense_bytes` of n
     exceeds MAX_DENSE_BYTES."""
     n = h.n
-    if dense_bytes(n) > MAX_DENSE_BYTES:
-        raise TooLargeError(
-            f"n={n} needs an estimated {dense_bytes(n)} bytes for its n-by-n"
-            f" matrices, above the budget of {MAX_DENSE_BYTES}"
-        )
+    require_budget(n, dense_bytes(n), "n-by-n matrices")
     members, starts, sizes = h._incidence
     # room[j] counts the members from position j to the end of its edge;
     # ``at`` keeps the positions with a member g places later in that edge.

@@ -1,8 +1,9 @@
 """Edge boundaries, spectral cut bounds, and exact connectivity quantities.
 
 Spectra, degrees, the subset scan and the exact max cut and isoperimetric
-number are read from ``analyze(h)``; the exact searches are capped at
-``ENUMERATION_CAP`` (20) vertices.  Each spectral cut bound is stated once:
+number are read from ``analyze(h)``; the exact searches are refused when
+the subset scan's predicted bytes exceed the budget (``core.scan_bytes``
+against ``core.MAX_DENSE_BYTES``).  Each spectral cut bound is stated once:
 the sandwich in :func:`sandwich_bounds`, the max-cut and isoperimetric
 bounds in :func:`connectivity_summary`.  Boundaries, the quadratic identity
 and the Fiedler sweep are per-edge reductions (``Hypergraph.edge_reduce``),

@@ -62,7 +62,8 @@ class DegenerateSubsetError(HyperlapError, ValueError):
 
 
 class TooLargeError(HyperlapError, ValueError):
-    """Vertex count exceeds the exact-enumeration cap."""
+    """An input whose predicted bytes for a stage (its n-by-n matrices or
+    its subset scan) exceed the budget ``core.MAX_DENSE_BYTES``."""
 
 
 class DisconnectedError(HyperlapError, ValueError):

@@ -197,9 +197,10 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
             dtype=np.int64,
         )
     quad = np.zeros(masks.size, dtype=np.int64)
-    # sz is an int64 scalar, so t * (sz - t) is int64 although t is uint8.
+    # The uint8 popcounts are cast once, into one reused int64 row.
+    t = np.empty_like(quad)
     for em, sz in zip(an.edge_masks, an.edge_sizes):
-        t = np.bitwise_count(masks & em)
+        np.bitwise_count(masks & em, out=t)
         quad += t * (sz - t)
     chi = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
     expected = np.einsum("si,ij,sj->s", chi, an.laplacian, chi)

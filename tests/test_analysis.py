@@ -89,8 +89,8 @@ def test_cuts_exact_analyses_once(counts, small_file, capsys):
     assert counts["scan"] == 1 and counts["jacobi"] == 1
 
 
-def test_verify_above_enumeration_cap_scans_nothing(counts, tmp_path, capsys):
-    path = _file(tmp_path, hl.ENUMERATION_CAP + 4, 60, 3)
+def test_verify_over_the_scan_budget_scans_nothing(counts, tmp_path, capsys):
+    path = _file(tmp_path, 29, 60, 3)
     assert cli.run(["verify", path]) == 0
     assert counts["scan"] == 0 and counts["jacobi"] == 1
 
@@ -173,11 +173,15 @@ def test_single_vertex_has_no_lambda_n():
 
 
 def test_scan_is_capped():
-    an = hl.analyze(hl.Hypergraph.from_edges([(0, 1)], n=hl.ENUMERATION_CAP + 1))
+    # The budget admits n <= 28: 20 bytes for each of 2**27 scanned subsets
+    # fit in 4 GiB, and for each of 2**28 do not.
+    assert hl.analyze(hl.Hypergraph.from_edges([(0, 1)], n=28)).enumerable
+    an = hl.analyze(hl.Hypergraph.from_edges([(0, 1)], n=29))
     assert not an.enumerable
-    with pytest.raises(hl.TooLargeError):
+    refusal = "n=29 needs an estimated 5368709120 bytes for its subset scan"
+    with pytest.raises(hl.TooLargeError, match=refusal):
         an.scan
-    with pytest.raises(hl.TooLargeError):
+    with pytest.raises(hl.TooLargeError, match=refusal):
         an.edge_masks
 
 
@@ -197,12 +201,14 @@ def test_scan_matches_per_mask_recount():
         assert got == _recount(h, mask), mask
 
 
-def test_scan_top_bit_masks_match_recount():
-    h = hl.random_hypergraph(20, 40, 2, 6, 5)
+# n = 22 is above the old fixed cap of 20 vertices.
+@pytest.mark.parametrize("n, m", [(20, 40), (22, 44)])
+def test_scan_top_bit_masks_match_recount(n, m):
+    h = hl.random_hypergraph(n, m, 2, 6, 5)
     boundary, sizes = hl.analyze(h).scan
-    top = 1 << 18
-    masks = [top, top | 1, top | 0x2AAAA, (1 << 19) - 2, (1 << 19) - 1]
-    assert boundary.size == 1 << 19
+    top = 1 << (n - 2)
+    masks = [top, top | 1, top | 0x2AAAA, (1 << (n - 1)) - 2, (1 << (n - 1)) - 1]
+    assert boundary.size == 1 << (n - 1)
     for mask in masks:
         got = (int(boundary[mask]), int(sizes[mask]))
         assert got == _recount(h, mask), mask

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -228,8 +229,41 @@ class TestGen:
             " above the budget of 5119"
         ]
 
+    def test_oversized_scan_is_one_error_line_before_allocating(
+        self, capsys, tmp_path
+    ):
+        # n = 29 is the first n whose subset scan, 20 bytes for each of its
+        # 2**28 subsets, is over the 4 GiB budget.  The refusal comes before
+        # the scan's table, or any n-by-n matrix, is allocated.
+        path = str(tmp_path / "r29.hg")
+        hl.dump(hl.random_hypergraph(29, 87, 2, 4, 7), path)
+        tracemalloc.start()
+        try:
+            code, stdout, err = _run(capsys, "cuts", path, "--exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [
+            "error: n=29 needs an estimated 5368709120 bytes for its subset scan,"
+            " above the budget of 4294967296"
+        ]
+        assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
+
 
 class TestVerify:
+    def test_file_above_twenty_vertices_reports_exact_cuts(self, capsys, tmp_path):
+        h = hl.random_hypergraph(21, 63, 2, 4, 7)
+        path = str(tmp_path / "r21.hg")
+        hl.dump(h, path)
+        code, stdout, _ = _run(capsys, "verify", path)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["passed"] is True
+        value, witness = hl.max_cut(h)
+        assert payload["cuts"]["max_cut"] == value > 0
+        assert payload["cuts"]["max_cut_witness"] == [str(v) for v in witness]
+
     def test_file_report(self, capsys, mixed_file):
         code, stdout, _ = _run(capsys, "verify", mixed_file)
         assert code == 0

@@ -292,3 +292,20 @@ def test_dense_stages_are_refused_before_allocating():
     with pytest.raises(hl.TooLargeError, match="an estimated 800000000000 bytes"):
         hl.adjacency_matrix(h)
     assert hl.core.dense_bytes(128) <= hl.core.MAX_DENSE_BYTES
+
+
+def test_scan_budget_admits_n_up_to_28():
+    fits = [n for n in range(1, 64) if hl.core.fits_budget(hl.core.scan_bytes(n))]
+    assert fits == list(range(1, 29))
+
+
+def test_refusal_names_an_astronomical_price_by_its_power_of_two():
+    # 20 * 2**99999 bytes has 30 104 decimal digits, past the 4300 that
+    # Python converts to text.
+    an = hl.analyze(hl.Hypergraph.from_edges([(0, 1)], n=10**5))
+    with pytest.raises(hl.TooLargeError) as info:
+        an.require_enumerable()
+    assert str(info.value) == (
+        "n=100000 needs at least 2**100003 bytes for its subset scan,"
+        " above the budget of 4294967296"
+    )

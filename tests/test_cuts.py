@@ -202,8 +202,9 @@ class TestMaxCut:
             assert (value, witness) == _bf_max_cut(h)
             assert _bf_boundary(h, witness) == value
 
-    def test_enumeration_cap(self):
-        h = hl.Hypergraph.from_edges([(i, i + 1) for i in range(20)], n=21)
+    def test_refused_over_the_scan_budget(self):
+        # n = 29 is the first n whose subset scan exceeds the byte budget.
+        h = hl.Hypergraph.from_edges([(i, i + 1) for i in range(28)], n=29)
         with pytest.raises(hl.TooLargeError):
             hl.max_cut(h)
         with pytest.raises(hl.TooLargeError):
@@ -271,8 +272,8 @@ def test_witnesses_are_lexicographically_least(h):
     assert hl.isoperimetric(h) == _bf_isoperimetric(h)
 
 
-def test_complete_graph_at_the_cap():
-    h = hl.complete_kgraph(hl.ENUMERATION_CAP, 2)
+def test_complete_graph_on_twenty_vertices():
+    h = hl.complete_kgraph(20, 2)
     assert hl.max_cut(h) == (100, tuple(range(10)))
     assert hl.isoperimetric(h) == (Fraction(10), tuple(range(10)))
 

@@ -8,12 +8,13 @@ Each case pins the exit code and the SHA-256 of stdout for one command on
 seeded ``verify --random`` battery.  The n40
 hashes were recorded from the per-edge Python loops that the edge-index
 passes replaced, so a rewrite of any pass over the edge list that changes
-one byte of a report fails here.  n40 is above the enumeration cap, so the
-r18, k16, k20 and battery cases pin the exact path: the subset scan, the
+one byte of a report fails here.  n40 is above the subset scan's byte
+budget, so the r18, k16, k20 and battery cases pin the exact path: the
+subset scan, the
 sandwich and quadratic-identity checks and the cut bounds.  In k16 and k20
 every subset of a given size has the same boundary, so their witnesses rest
-on the tie-breaking rule alone; k20 is the largest scan (n at the cap) and
-the largest m (1140) of any pin.
+on the tie-breaking rule alone; k20 is the largest scan and the largest m
+(1140) of any pin.
 """
 
 from __future__ import annotations

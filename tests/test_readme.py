@@ -16,7 +16,22 @@ def test_python_blocks_run():
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
 
 
-def test_exact_line_names_the_enumeration_cap():
+def _largest_admitted(price) -> int:
+    """The largest n whose stage ``price`` fits the budget; prices grow with n."""
+    n = 1
+    while hl.core.fits_budget(price(n + 1)):
+        n += 1
+    return n
+
+
+def test_exact_line_and_budget_paragraph_name_the_admitted_n():
     text = README.read_text(encoding="utf-8")
+    scan_n = _largest_admitted(hl.core.scan_bytes)
     (line,) = [x for x in text.splitlines() if "--exact" in x and "#" in x]
-    assert f"(n <= ENUMERATION_CAP = {hl.ENUMERATION_CAP})" in line
+    assert f"(n <= {scan_n}, by the byte budget)" in line
+    paragraph = " ".join(text.split())
+    dense_n = _largest_admitted(hl.core.dense_bytes)
+    assert (
+        f"so the exact cuts admit n ≤ {scan_n} and the matrices n ≤ {dense_n}."
+        in paragraph
+    )

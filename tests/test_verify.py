@@ -99,7 +99,7 @@ class TestVerifyInstances:
 
     def test_large_instance_uses_sampled_quadratic(self):
         # n = 13 crosses the full-enumeration threshold for the quadratic
-        # identity but stays within the subset-scan cap
+        # identity but stays within the subset scan's byte budget
         h = hl.random_hypergraph(n=13, m=10, k_min=2, k_max=4, seed=3)
         report = hl.verify_instances([("big", h)], source="unit")
         assert report.passed
@@ -197,17 +197,37 @@ class TestBatteries:
         assert run() == run()
 
 
-def test_exact_layer_peak_memory_per_scanned_subset():
+@pytest.mark.parametrize("n, m", [(19, 44), (22, 66)])
+def test_exact_layer_peak_memory_per_scanned_subset(n, m):
     # The exact checks keep each per-subset array in the scan's own narrow
-    # types (int32 boundaries, uint8 sizes), so at n = 19 they trace at most
-    # 20 bytes per scanned subset, 2**18 of them.
-    an = hl.analyze(hl.random_hypergraph(19, 44, 2, 4, 3))
+    # types (int32 boundaries, uint8 sizes), so they trace at most 20 bytes
+    # per scanned subset, 2**(n-1) of them: the price core.scan_bytes puts
+    # on the scan.
+    an = hl.analyze(hl.random_hypergraph(n, m, 2, 4, 3))
     tracemalloc.start()
     try:
-        report = verify.verify_instances([("r19", an)], "r19")
+        report = verify.verify_instances([(f"r{n}", an)], f"r{n}")
         hl.connectivity_summary(an)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak <= 20 << 18, f"{peak / 2**20:.2f} MiB"
+    assert hl.core.scan_bytes(n) == 20 << (n - 1)
+    assert peak <= 20 << (n - 1), f"{peak / 2**20:.2f} MiB"
+
+
+# Both n are over the scan's budget, so only the n-by-n stages run; the
+# eigensolve holds their peak.
+@pytest.mark.parametrize("n", [128, 200])
+def test_dense_stages_peak_memory_is_within_dense_bytes(n):
+    an = hl.analyze(hl.random_hypergraph(n, 5 * n, 2, 4, 3))
+    tracemalloc.start()
+    try:
+        an.spectrum
+        an.bounds
+        report = verify.verify_instances([(f"r{n}", an)], f"r{n}")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= hl.core.dense_bytes(n), f"{peak / hl.core.dense_bytes(n):.3f}"
