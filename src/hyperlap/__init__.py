@@ -8,7 +8,7 @@ them on generated families and seeded random instances.
 """
 
 from ._kernels import backend, warm_up
-from .analysis import Analysis, analyze
+from .analysis import Analysis, analyze, analyze_stream
 from .bounds import (
     BoundReport,
     EdgeDegreeSumCheck,
@@ -77,6 +77,7 @@ from .hgio import dump, dumps, load, loads
 from .spectral import (
     Spectrum,
     eigendecompose,
+    eigendecompose_stack,
     fiedler_vector,
     lambda2,
     lambda_n,

@@ -21,10 +21,15 @@ size, taken in one pass over the scan, with size t folded together with
 size n - t), its minimisers are the masks whose boundary equals the value
 times their size or their complement's, and both witnesses come from one
 rule, :func:`_lex_least`.  No float takes part in either choice.
+
+:func:`analyze_stream` analyses a stream of inputs, such as a battery, and
+solves the spectra of consecutive same-size inputs as one stack.
 """
 
+from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,13 +40,21 @@ from .core import (
     adjacency_matrix,
     connected_components,
     degree_profile,
+    dense_bytes,
     fits_budget,
     laplacian_from_adjacency,
     require_budget,
     scan_bytes,
 )
 from .errors import TooSmallError
-from .spectral import ZERO_EIGENVALUE_TOL, Spectrum, eigendecompose, lambda2, lambda_n
+from .spectral import (
+    ZERO_EIGENVALUE_TOL,
+    Spectrum,
+    eigendecompose,
+    eigendecompose_stack,
+    lambda2,
+    lambda_n,
+)
 
 
 def _lex_least(sides: np.ndarray) -> tuple:
@@ -186,3 +199,45 @@ def analyze(h: Hypergraph) -> Analysis:
     if isinstance(h, Analysis):
         return h
     return Analysis(n=h.n, edges=h.edges, labels=h.labels)
+
+
+def _chunk_size(n: int) -> int:
+    """How many n-vertex inputs one stacked solve takes: B with
+    B * dense_bytes(n) <= dense_bytes(64), so a stack is priced like one
+    n=64 solve, and at least one."""
+    return max(1, dense_bytes(64) // dense_bytes(max(n, 1)))
+
+
+def analyze_stream(instances: Iterable) -> Iterator:
+    """(name, Analysis) for each (name, hypergraph) of ``instances``, in
+    order.  Consecutive inputs with the same n are taken in chunks of at
+    most :func:`_chunk_size` (n), and the spectra of a chunk of two or more
+    are solved as one stack (:func:`eigendecompose_stack`) and seeded into
+    each Analysis, so no input is solved twice; a chunk of one is solved
+    lazily, as :func:`analyze` does.  The stream keeps no Analysis it has
+    handed out, so a chunk's matrices, never its subset scans, are what is
+    alive at once."""
+    chunk = deque()
+    for name, h in instances:
+        if chunk and (h.n != chunk[0][1].n or len(chunk) == _chunk_size(h.n)):
+            _seed_spectra(chunk)
+            yield from _drain(chunk)
+        chunk.append((name, analyze(h)))
+    _seed_spectra(chunk)
+    yield from _drain(chunk)
+
+
+def _seed_spectra(chunk: deque) -> None:
+    """Solve the spectra of the chunk's analyses that have none yet as one
+    stack, and store each in its Analysis, when there are two or more."""
+    todo = [an for _, an in chunk if "spectrum" not in vars(an)]
+    if len(todo) > 1:
+        spectra = eigendecompose_stack([an.laplacian for an in todo])
+        for an, spectrum in zip(todo, spectra):
+            vars(an)["spectrum"] = spectrum  # the cached_property's slot
+
+
+def _drain(chunk: deque) -> Iterator:
+    """Hand out the chunk's pairs in order, emptying it as they go."""
+    while chunk:
+        yield chunk.popleft()

@@ -192,7 +192,11 @@ def dense_bytes(n: int) -> int:
     Laplacian, the eigensolve, the bounds and the hard checks hold at once;
     the eigensolve holds the most, about eight such arrays: the adjacency
     and the Laplacian, the solver's float copy and eigenvectors, which it
-    rotates in place, its index pairs and its rotations' temporaries."""
+    rotates in place, its index pairs and its rotations' temporaries.  A
+    stacked solve of B same-size inputs holds B times as much, so a battery
+    takes at most dense_bytes(64) // dense_bytes(n) inputs a stack
+    (:func:`hyperlap.analysis.analyze_stream`): no more than one n=64
+    solve."""
     return 10 * 8 * n * n
 
 

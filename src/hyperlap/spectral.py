@@ -3,7 +3,9 @@
 The solver is a self-contained round-robin parallel Jacobi iteration (hot
 loop in :mod:`hyperlap._kernels`) on one float64 copy of its input, so the
 int64 Laplacian stays exact; it never calls LAPACK, so test oracles can
-cross-check it.  The spectrum, connectivity and zero threshold of a
+cross-check it.  :func:`eigendecompose_stack` solves a stack of same-size
+matrices in one kernel call, with the same result, bit for bit, as solving
+each alone.  The spectrum, connectivity and zero threshold of a
 hypergraph's Laplacian are cached on its :class:`hyperlap.analysis.Analysis`.
 """
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_sweeps
+from ._kernels import jacobi_stack, jacobi_sweeps
 from .errors import ConvergenceFailureError, TooSmallError
 
 # Convergence: off-diagonal Frobenius mass must drop below this times the
@@ -30,10 +32,12 @@ _SIGN_TOL = 1e-12
 class Spectrum:
     """Eigenvalues ascending; ``eigenvectors[:, i]`` pairs with
     ``eigenvalues[i]``.  Columns are unit vectors whose first component
-    larger than 1e-12 in magnitude is positive."""
+    larger than 1e-12 in magnitude is positive.  ``sweeps`` is the number
+    of Jacobi sweeps the solve took."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sweeps: int
 
     @property
     def n(self) -> int:
@@ -50,29 +54,51 @@ def eigendecompose(matrix: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> Spectrum
     a = np.array(matrix, dtype=np.float64)  # the kernel's working copy
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
+    return _solve(a[None], max_sweeps)[0]
 
-    v = np.eye(n)
-    off_tol = OFF_DIAGONAL_TOL * float(np.linalg.norm(a, "fro"))
-    sweeps = jacobi_sweeps(a, v, max_sweeps, off_tol)
-    if sweeps < 0:
+
+def eigendecompose_stack(matrices: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> list:
+    """:func:`eigendecompose` of each matrix of a (B, n, n) stack, as a list
+    of B Spectra equal bit for bit to solving each matrix alone, with the
+    same errors; the solve fails as a whole if any matrix fails."""
+    a = np.array(matrices, dtype=np.float64)  # the kernel's working copy
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    return _solve(a, max_sweeps)
+
+
+def _solve(a: np.ndarray, max_sweeps: int) -> list:
+    """Spectra of the float64 stack ``a``, which the kernel overwrites."""
+    if not np.array_equal(a, a.transpose(0, 2, 1)):
+        raise ValueError("matrix is not symmetric")
+    n = a.shape[1]
+
+    v = np.broadcast_to(np.eye(n), a.shape).copy()
+    off_tol = [OFF_DIAGONAL_TOL * float(np.linalg.norm(x, "fro")) for x in a]
+    if a.shape[0] == 1:  # one matrix goes through the kernel's 2-D binding
+        sweeps = np.array([jacobi_sweeps(a[0], v[0], max_sweeps, off_tol[0])])
+    else:
+        sweeps = jacobi_stack(a, v, max_sweeps, off_tol)
+    if np.any(sweeps < 0):
         raise ConvergenceFailureError(
             f"Jacobi iteration did not converge in {max_sweeps} sweeps"
         )
 
-    values = np.diagonal(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
+    values = np.diagonal(a, axis1=1, axis2=2)
+    order = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(v, order[:, None, :], axis=2)
     if n > 0:  # argmax has nothing to reduce over an empty column
         # Flip each column whose first entry above _SIGN_TOL in magnitude is
         # negative; a column with no such entry stays as it is.
         large = np.abs(vectors) > _SIGN_TOL
-        first = vectors[np.argmax(large, axis=0), np.arange(n)]
-        vectors[:, large.any(axis=0) & (first < 0.0)] *= -1.0
-    return Spectrum(values, vectors)
+        lead = np.argmax(large, axis=1)[:, None, :]
+        first = np.take_along_axis(vectors, lead, axis=1)
+        flip = large.any(axis=1, keepdims=True) & (first < 0.0)
+        np.negative(vectors, out=vectors, where=flip)
+    return [
+        Spectrum(values[i], vectors[i], int(sweeps[i])) for i in range(a.shape[0])
+    ]
 
 
 def lambda2(spectrum: Spectrum) -> float:

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .analysis import Analysis, analyze
+from .analysis import Analysis, analyze_stream
 from .bounds import check_edge_degree_sum
 from .core import connected_components, degree_profile
 from .cuts import connectivity_summary, fiedler_sweep, isoperimetric, sandwich_bounds
@@ -203,7 +203,7 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
         np.bitwise_count(masks & em, out=t)
         quad += t * (sz - t)
     chi = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    expected = np.einsum("si,ij,sj->s", chi, an.laplacian, chi)
+    expected = np.einsum("si,si->s", chi @ an.laplacian, chi)
     if not np.array_equal(quad, expected):
         bad = int(masks[np.flatnonzero(quad != expected)[0]])
         return f"edge-contribution sum differs from chi^T L chi (mask {bad})"
@@ -297,12 +297,14 @@ _RECORDED = (
 
 def verify_instances(instances: Iterable, source: str) -> VerifyReport:
     """Run every check over (name, hypergraph) pairs.  Each instance is
-    analysed once, and its analysis dropped before the next is built."""
+    analysed once, through :func:`hyperlap.analysis.analyze_stream`, so the
+    spectra of consecutive same-size instances are solved in stacked
+    chunks; each analysis is dropped after its checks, so at most one
+    subset scan is alive at a time."""
     checks = [CheckResult(name) for name, _ in _HARD_CHECKS]
     recorded = [RecordedClaim(name) for name, _ in _RECORDED]
     count = 0
-    for index, (name, h) in enumerate(instances):
-        an = analyze(h)
+    for index, (name, an) in enumerate(analyze_stream(instances)):
         count += 1
         for result, (_, fn) in zip(checks, _HARD_CHECKS):
             result.record(name, fn(an, index))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import gc
 import importlib
 import pkgutil
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperlap as hl
-from hyperlap import _kernels, bounds, cli, core, cuts, spectral
+from hyperlap import _kernels, analysis, bounds, cli, core, cuts, spectral
 
 
 def _counting(monkeypatch, **targets) -> Counter:
@@ -93,6 +95,81 @@ def test_verify_over_the_scan_budget_scans_nothing(counts, tmp_path, capsys):
     path = _file(tmp_path, 29, 60, 3)
     assert cli.run(["verify", path]) == 0
     assert counts["scan"] == 0 and counts["jacobi"] == 1
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The stack size of every eigensolve, a 2-D solve counted as 1."""
+    sizes = []
+    stack, single = spectral.jacobi_stack, spectral.jacobi_sweeps
+
+    def stacked(a, *args):
+        sizes.append(a.shape[0])
+        return stack(a, *args)
+
+    def alone(*args):
+        sizes.append(1)
+        return single(*args)
+
+    monkeypatch.setattr(spectral, "jacobi_stack", stacked)
+    monkeypatch.setattr(spectral, "jacobi_sweeps", alone)
+    return sizes
+
+
+def test_battery_solves_each_instance_once_in_chunks(solves, capsys):
+    # 57 instances at n=12 are chunks of 28, 28 and 1; the last takes the
+    # lazy 2-D path.
+    assert cli.run(["verify", "--random", "12", "20", "2", "4", "57", "5"]) == 0
+    assert solves == [28, 28, 1]
+
+
+def test_stream_chunks_break_where_n_changes(solves):
+    battery = [(f"i{i}", hl.random_hypergraph(n, 3, 2, 3, i))
+               for i, n in enumerate([5, 5, 5, 6, 5, 5, 7])]
+    names = [name for name, an in hl.analyze_stream(battery) if an.spectrum.n]
+    assert names == [name for name, _ in battery]
+    assert solves == [3, 1, 2, 1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 12, 19, 40, 45, 46, 64, 65, 128])
+def test_a_chunk_is_priced_like_one_n64_solve(n):
+    size = analysis._chunk_size(n)
+    priced = core.dense_bytes(max(n, 1))
+    assert size == 1 or size * priced <= core.dense_bytes(64)
+    assert (size + 1) * priced > core.dense_bytes(64)
+
+
+@pytest.mark.parametrize(
+    "battery",
+    [hl.varied_battery(60, base_seed=5), hl.varied_battery(60, base_seed=6, n_lo=4, n_hi=5),
+     hl.random_battery(5, 2, 2, 4, 60, 3)],
+    ids=["varied", "varied-n4-5", "random-n5"],
+)
+def test_stream_spectra_equal_each_solve(battery):
+    streamed = list(hl.analyze_stream(battery))
+    assert [name for name, _ in streamed] == [name for name, _ in battery]
+    for (_, an), (_, h) in zip(streamed, battery):
+        alone = hl.eigendecompose(hl.analyze(h).laplacian)
+        assert np.array_equal(an.spectrum.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(an.spectrum.eigenvectors, alone.eigenvectors)
+        assert an.spectrum.sweeps == alone.sweeps
+
+
+def test_stream_keeps_a_solved_spectrum_and_no_handed_out_analysis(solves):
+    battery = hl.random_battery(6, 4, 2, 3, 5, 1)
+    first = hl.analyze(battery[0][1])
+    spectrum = first.spectrum
+    assert solves == [1]
+    stream = hl.analyze_stream([("first", first)] + battery[1:])
+    assert next(stream)[1].spectrum is spectrum
+    assert solves == [1, 4]
+    del first
+    _, an = next(stream)
+    ref = weakref.ref(an)
+    del an
+    for _ in stream:
+        gc.collect()
+        assert ref() is None
 
 
 def test_bounds_builds_adjacency_once(counts, small_file, capsys):

@@ -14,7 +14,11 @@ subset scan, the
 sandwich and quadratic-identity checks and the cut bounds.  In k16 and k20
 every subset of a given size has the same boundary, so their witnesses rest
 on the tie-breaking rule alone; k20 is the largest scan and the largest m
-(1140) of any pin.
+(1140) of any pin.  The battery hashes were recorded when each instance's
+spectrum was solved alone; batteries are now solved in stacked chunks of
+same-size instances.  The n12 battery (chunks of 28) crosses a chunk edge,
+and the n5 battery mixes connected, disconnected and edgeless-vertex
+instances in one chunk.
 """
 
 from __future__ import annotations
@@ -92,11 +96,13 @@ def test_generated_input_is_pinned(texts):
          "3e1e0f354e356b8d8024616f9fa594f246df01f08e3df86eb6322d0081915301"),
         (None, ["verify", "--random", "8", "6", "2", "4", "100", "12345"],
          "72aff4cc3b6030298f354e8de92aa9b5e0a1854b46b26ebf574b2250b0b09aa4"),
+        (None, ["verify", "--random", "5", "2", "2", "4", "60", "3"],
+         "954e86a6f0a65e8c65651d7bf10a28f6d11779a677a533f23cf8b56c12eee043"),
     ],
     ids=["spectrum", "bounds", "cuts-subset", "cuts-sweep", "verify",
          "r18-verify", "r18-cuts-exact", "r18-cuts-sweep", "r18-bounds",
          "r18-spectrum", "k16-cuts-exact", "k16-verify", "k20-cuts-exact", "battery-n12",
-         "battery-n8"],
+         "battery-n8", "battery-n5-chunks"],
 )
 def test_report_bytes_are_pinned(capsys, monkeypatch, texts, stdin, argv, digest):
     if stdin is not None:

@@ -7,6 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hyperlap as hl
 from hyperlap import _kernels, spectral
@@ -81,6 +84,7 @@ class TestEigendecompose:
     def test_diagonal_needs_no_sweeps(self):
         s = hl.eigendecompose(np.diag([3.0, 1.0, 2.0]), max_sweeps=0)
         np.testing.assert_array_equal(s.eigenvalues, [1.0, 2.0, 3.0])
+        assert s.sweeps == 0
 
     def test_deterministic(self, g_mixed_sizes):
         lap = hl.analyze(g_mixed_sizes).laplacian
@@ -249,3 +253,81 @@ class TestRoundRobinJacobi:
                 rtol=0.0,
                 atol=1e-10 * np.linalg.norm(m),
             )
+
+
+def _assert_same_spectrum(stacked, alone):
+    """Equal bit for bit, down to the sign of every zero."""
+    for x, y in ((stacked.eigenvalues, alone.eigenvalues),
+                 (stacked.eigenvectors, alone.eigenvectors)):
+        assert np.array_equal(x, y)
+        assert np.array_equal(np.signbit(x), np.signbit(y))
+    assert stacked.sweeps == alone.sweeps
+
+
+class TestStackedSolve:
+    # (n, m, k_min, k_max, count, seed): chunk-spanning, disconnected, m=0
+    # and odd-n batteries.
+    @pytest.mark.parametrize(
+        "shape",
+        [(5, 2, 2, 4, 60, 3), (7, 0, 2, 4, 6, 1), (9, 5, 2, 4, 30, 8),
+         (12, 20, 2, 4, 28, 99), (2, 1, 2, 2, 5, 4)],
+    )
+    def test_stack_equals_each_solve_bit_for_bit(self, shape):
+        laplacians = [hl.analyze(h).laplacian for _, h in hl.random_battery(*shape)]
+        stacked = hl.eigendecompose_stack(laplacians)
+        assert len(stacked) == len(laplacians)
+        for spectrum, lap in zip(stacked, laplacians):
+            _assert_same_spectrum(spectrum, hl.eigendecompose(lap))
+        assert any(spectrum.sweeps > 0 for spectrum in stacked) == (shape[1] > 0)
+
+    def test_stack_of_random_matrices_converging_apart(self):
+        # Matrices of one stack that need different sweep counts: each
+        # stops at its own, as it would alone.
+        rng = np.random.default_rng(9)
+        stack = [np.diag(rng.uniform(-5.0, 5.0, 6)) for _ in range(3)]
+        stack += [_random_symmetric(rng, 6) for _ in range(5)]
+        solved = hl.eigendecompose_stack(stack)
+        assert len({s.sweeps for s in solved}) > 1
+        for spectrum, m in zip(solved, stack):
+            _assert_same_spectrum(spectrum, hl.eigendecompose(m))
+
+    def test_sweep_budget_exhaustion_has_the_same_text(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(hl.ConvergenceFailureError) as alone:
+            hl.eigendecompose(m, max_sweeps=0)
+        with pytest.raises(hl.ConvergenceFailureError) as stacked:
+            hl.eigendecompose_stack([np.eye(2), m], max_sweeps=0)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_rejects_what_the_single_solve_rejects(self):
+        with pytest.raises(ValueError, match="square"):
+            hl.eigendecompose_stack(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            hl.eigendecompose_stack(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="not symmetric"):
+            hl.eigendecompose_stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    def test_two_dimensional_binding_returns_an_int(self):
+        a = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        v = np.eye(2)
+        sweeps = _kernels.jacobi_sweeps(a, v, spectral.MAX_SWEEPS, 1e-12)
+        assert type(sweeps) is int and sweeps > 0
+        np.testing.assert_allclose(np.sort(np.diagonal(a)), [1.0, 3.0], atol=1e-12)
+
+    def test_kernel_refuses_a_stack_it_cannot_rotate_in_place(self):
+        a = np.eye(4)[None, ::2, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernels.jacobi_stack(a, np.eye(2)[None], 5, [0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stack=st.tuples(st.integers(1, 8), st.integers(0, 6)).flatmap(
+        lambda shape: hnp.arrays(np.int64, (shape[0], shape[1], shape[1]),
+                                 elements=st.integers(-6, 6))
+    )
+)
+def test_stacked_solve_matches_each_solve_on_integer_stacks(stack):
+    symmetric = stack + stack.transpose(0, 2, 1)
+    for spectrum, m in zip(hl.eigendecompose_stack(symmetric), symmetric):
+        _assert_same_spectrum(spectrum, hl.eigendecompose(m))

@@ -216,6 +216,23 @@ def test_exact_layer_peak_memory_per_scanned_subset(n, m):
     assert peak <= 20 << (n - 1), f"{peak / 2**20:.2f} MiB"
 
 
+def test_battery_peak_memory_is_one_scan():
+    # The four n=19 instances are one chunk: their matrices are solved and
+    # held together, but each subset scan is built after the previous
+    # instance's analysis is dropped, so the battery's peak is the single
+    # instance's bound.
+    battery = hl.random_battery(19, 44, 2, 4, 4, 3)
+    assert hl.analysis._chunk_size(19) >= len(battery)
+    tracemalloc.start()
+    try:
+        report = verify.verify_instances(battery, "b19")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.instance_count == 4
+    assert peak <= hl.core.scan_bytes(19), f"{peak / 2**20:.2f} MiB"
+
+
 # Both n are over the scan's budget, so only the n-by-n stages run; the
 # eigensolve holds their peak.
 @pytest.mark.parametrize("n", [128, 200])
