@@ -1,15 +1,21 @@
-"""Hot numeric kernels: round-robin Jacobi sweeps and the subset-boundary scan.
+"""Hot numeric kernels: the eigensolver's warm start, round-robin Jacobi
+sweeps and the subset-boundary scan.
 
-These two loops do nearly all of the package's numeric work: the Jacobi
-sweeps behind every spectrum, and the scan over all vertex subsets behind
-exact max cut and the isoperimetric number.  Each has one numpy build.
-Jacobi works on a stack of same-size matrices, (B, n, n), and applies the
-n/2 disjoint rotations of each round-robin step to every matrix of the
-stack at once, as fancy-indexed row updates, so a stack of small matrices
-pays each step's numpy calls once; ``jacobi_sweeps`` is the same kernel on
-one matrix.  The scan counts, for every subset, the edges inside it with
-one subset-sum (zeta) transform, n whole-table passes whose cost
-O(n 2**n) does not depend on the number of edges.
+These loops do nearly all of the package's numeric work: the eigensolve
+behind every spectrum, and the scan over all vertex subsets behind exact
+max cut and the isoperimetric number.  Each has one numpy build, and the
+eigensolver works on a stack of same-size matrices, (B, n, n), giving each
+matrix the arithmetic it would get alone.  :func:`warm_start` reduces each
+matrix to a tridiagonal T by Householder reflections, finds every
+eigenvalue of T by Sturm-count multisection and every eigenvector by
+inverse iteration, and maps them back: a basis in which the matrix is
+diagonal to rounding.  Jacobi then confirms it, rotating only what is not
+yet converged: it applies the n/2 disjoint rotations of each round-robin
+step to every matrix of the stack at once, as fancy-indexed row updates;
+``jacobi_sweeps`` is the same kernel on one matrix.  The scan counts, for
+every subset, the edges inside it with one subset-sum (zeta) transform, n
+whole-table passes whose cost O(n 2**n) does not depend on the number of
+edges.
 """
 
 import numpy as np
@@ -155,6 +161,323 @@ def jacobi_sweeps(a, v, max_sweeps, off_tol):
 
 
 # ---------------------------------------------------------------------------
+# Warm start: Householder tridiagonalisation, Sturm multisection and inverse
+# iteration (Golub & Van Loan 8.3-8.5; Parlett, The Symmetric Eigenvalue
+# Problem, ch. 7; LAPACK dsytrd, dstebz and dstein)
+#
+# Every function works on a stack of same-size matrices with elementwise numpy
+# calls and sums, and never decides anything for the stack as a whole that
+# changes one matrix's arithmetic, so each matrix gets exactly the arithmetic
+# it would get alone.  No function calls a matrix product: its rounding
+# depends on the BLAS build and on the CPU (fused multiply-adds, block
+# sizes), and it would reach the printed eigenvalues.  The tridiagonal T is
+# scaled by a power of two to an infinity norm ||T|| in [1, 2), or is zero,
+# so the tolerances below are constants.
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(np.float64).eps
+# Off-diagonals of T at or below this (times ||T||) are set to 0, so T splits
+# into blocks whose eigenvectors the solves keep apart.
+_SPLIT_TOL = 16 * _EPS
+# Multisection: shifts per interval per pass, and the passes that take an
+# interval from T's Gershgorin width, at most 2 ||T|| (1 + 2n eps), to at most
+# 4 eps ||T||: each pass divides it by _SHIFTS + 1 = 2**3, so 18 passes
+# divide it by 2**54, more than the 2**51 (1 + 2n eps) needed.
+_SHIFTS = 7
+_PASSES = 18
+# Inverse iteration: solves per eigenvalue, the size below which a pivot of
+# the factorisation is replaced (about eps ||T||), and the gap between
+# consecutive eigenvalues (times ||T||) within which vectors are
+# reorthogonalised, as LAPACK dstein does.
+_SOLVES = 2
+_PIVOT_TOL = _EPS
+_CLUSTER_GAP = 1e-3
+
+
+def _tridiagonalize(h):
+    """Reduce each matrix of the C-contiguous float64 stack ``h`` (B, n, n)
+    to a symmetric tridiagonal T = Q^T h Q in place, by n - 2 Householder
+    reflections.  Returns (d, e, tau): T's diagonal (B, n), off-diagonal
+    (B, n - 1) and reflector scales (B, n - 2).  Reflector k is
+    I - tau[:, k] v v^T on coordinates k+1..n-1, with v = (1, h[:, k+2:, k]),
+    and Q is the product of reflectors 0, 1, ..., n-3."""
+    b, n = h.shape[0], h.shape[1]
+    tau = np.zeros((b, max(n - 2, 0)))
+    e = np.zeros((b, max(n - 1, 0)))
+    for k in range(n - 2):
+        x = h[:, k + 1 :, k]
+        alpha = x[:, 0].copy()
+        tail = x[:, 1:]
+        sigma = np.sum(tail * tail, axis=1)
+        norm = np.sqrt(alpha * alpha + sigma)
+        beta = np.where(alpha >= 0.0, -norm, norm)
+        # A column already zero below the subdiagonal needs no reflection.
+        reflect = sigma != 0.0
+        head = np.where(reflect, alpha - beta, 1.0)
+        t = np.where(reflect, (beta - alpha) / np.where(reflect, beta, 1.0), 0.0)
+        v = x / head[:, None]
+        v[:, 0] = 1.0
+        e[:, k] = np.where(reflect, beta, alpha)
+        tau[:, k] = t
+        # Two-sided update of the trailing block: A -= v w^T + w v^T with
+        # p = tau A v and w = p - (tau/2)(p.v) v.
+        block = h[:, k + 1 :, k + 1 :]
+        p = t[:, None] * np.sum(block * v[:, None, :], axis=2)
+        w = p - (0.5 * t * np.sum(p * v, axis=1))[:, None] * v
+        block -= v[:, :, None] * w[:, None, :]
+        block -= w[:, :, None] * v[:, None, :]
+        x[:, 1:] = v[:, 1:]
+    if n > 1:
+        e[:, n - 2] = h[:, n - 1, n - 2]
+    d = np.diagonal(h, axis1=1, axis2=2).copy()
+    return d, e, tau
+
+
+def _back_transform(h, tau, w):
+    """Apply Q of :func:`_tridiagonalize` to each row of ``w`` (B, c, n) in
+    place: a row z of T's eigenvectors becomes Q z, one of h's."""
+    n = h.shape[1]
+    for k in range(n - 3, -1, -1):
+        v = np.concatenate([np.ones((h.shape[0], 1)), h[:, k + 2 :, k]], axis=1)
+        tail = w[:, :, k + 1 :]
+        s = np.sum(tail * v[:, None, :], axis=2) * tau[:, k, None]
+        tail -= s[:, :, None] * v[:, None, :]
+
+
+def _scaled_tridiagonal(d, e):
+    """T scaled by a power of two to an infinity norm in [1, 2), or left
+    zero, with each off-diagonal at or below _SPLIT_TOL set to 0, in place.
+    Returns the scaled infinity norm (B,), 0 for a zero T."""
+    radius = np.abs(d)
+    radius[:, 1:] += np.abs(e)
+    radius[:, :-1] += np.abs(e)
+    norm = radius.max(axis=1, initial=0.0)
+    _, exp = np.frexp(norm)
+    scale = np.ldexp(1.0, 1 - exp)
+    d *= scale[:, None]
+    e *= scale[:, None]
+    norm = norm * scale
+    e[np.abs(e) <= _SPLIT_TOL * norm[:, None]] = 0.0
+    return norm
+
+
+def _blocks(e, n):
+    """Where each of T's blocks starts and stops, (B, n) each: index i lies
+    in [start[:, i], stop[:, i]), and T splits between i - 1 and i where
+    e[:, i - 1] is 0."""
+    b = e.shape[0]
+    idx = np.arange(n)
+    opens = np.ones((b, n), dtype=bool)
+    opens[:, 1:] = e == 0.0
+    start = np.maximum.accumulate(np.where(opens, idx, 0), axis=1)
+    closes = np.ones((b, n), dtype=bool)
+    closes[:, :-1] = opens[:, 1:]
+    stop = np.minimum.accumulate(np.where(closes, idx + 1, n)[:, ::-1], axis=1)[:, ::-1]
+    return start, stop
+
+
+def _multisection(d, e, norm, start, stop):
+    """All eigenvalues of each scaled T, (B, n): index i of a block
+    [start, stop) holds the block's (i - start)-th smallest.  Each
+    eigenvalue has its own interval, starting from T's Gershgorin bounds; a
+    pass counts the block's eigenvalues below _SHIFTS evenly spaced shifts
+    inside every interval and keeps the part that holds the eigenvalue.
+    After _PASSES passes every interval is at most 4 eps ||T|| wide.
+
+    The count below a shift x is the number of negative pivots
+    q_i = d_i - x - e_{i-1}**2 / q_{i-1} of the LDL^T factorisation of
+    T - x.  Where e_{i-1} is 0, T splits and q_i = d_i - x starts afresh.
+    Each eigenvalue's counts see only its own block: outside it the
+    diagonal is +inf, so every pivot there is +inf.  A zero pivot within a
+    block makes the next one infinite; of the two, one is negative, as when
+    the zero is taken as a tiny negative number."""
+    b, n = d.shape
+    radius = np.zeros((b, n))
+    radius[:, 1:] += np.abs(e)
+    radius[:, :-1] += np.abs(e)
+    pad = 2 * n * _EPS * norm
+    ends = np.empty((b, n, _SHIFTS + 2))
+    ends[:, :, 0] = ((d - radius).min(axis=1, initial=0.0) - pad)[:, None]
+    ends[:, :, -1] = ((d + radius).max(axis=1, initial=0.0) + pad)[:, None]
+    flat = ends.reshape(-1)
+    base = np.arange(b * n).reshape(b, n) * (_SHIFTS + 2)
+    rank = (np.arange(n) - start)[:, :, None]
+    frac = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+
+    idx = np.arange(n)[:, None, None]
+    diag = np.where((start <= idx) & (idx < stop), d.T[:, :, None], np.inf)[..., None]
+    e2 = (e * e).T[:, :, None, None]
+    split = e2 == 0.0
+    restart = split.any(axis=(1, 2, 3))
+    negative = np.empty((n, b, n, _SHIFTS), dtype=bool)
+    shifts = np.empty((b, n, _SHIFTS))
+    q = np.empty((b, n, _SHIFTS))
+    t = np.empty((b, n, _SHIFTS))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_PASSES):
+            lo, hi = ends[:, :, :1], ends[:, :, -1:]
+            np.multiply(hi - lo, frac, out=shifts)
+            shifts += lo
+            ends[:, :, 1:-1] = shifts
+            for i in range(n):
+                np.subtract(diag[i], shifts, out=q if i == 0 else t)
+                if i:
+                    np.divide(e2[i - 1], q, out=q)
+                    np.subtract(t, q, out=q)
+                    if restart[i - 1]:
+                        np.copyto(q, t, where=split[i - 1])
+                np.less(q, 0.0, out=negative[i])
+            below = base + (negative.sum(axis=0) <= rank).sum(axis=2)
+            ends[:, :, 0], ends[:, :, -1] = flat[below], flat[below + 1]
+    return 0.5 * (ends[:, :, 0] + ends[:, :, -1])
+
+
+def _start_vectors(rows, n):
+    """Start vectors for inverse iteration, one per entry of ``rows``, as an
+    (n, len(rows)) array of values in [-1, 1) hashed (splitmix64) from each
+    (row, index) pair, so that every matrix of every stack starts alike."""
+    z = (np.asarray(rows, dtype=np.uint64)[None, :] * np.uint64(n)
+         + np.arange(n, dtype=np.uint64)[:, None])
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    values = z.astype(np.float64)
+    values *= 2.0**-52
+    values -= 1.0
+    return values
+
+
+def _inverse_iteration(d, e, lam, rows, start, stop):
+    """Eigenvectors of each scaled T for the eigenvalues ``lam`` (B, c) of
+    its blocks [start, stop) (B, c), as unit rows (B, c, n): _SOLVES solves
+    with T - lam, factored once by Gaussian elimination with partial
+    pivoting, from the :func:`_start_vectors` of ``rows`` cut to each
+    eigenvalue's block.  The factors of T - lam split where T does, so each
+    vector stays in its block.  A pivot smaller than _PIVOT_TOL is replaced
+    by that size, keeping its sign."""
+    b, n = d.shape
+    c = lam.shape[1]
+    # The start vectors first, while their hashing's temporaries are all
+    # that is alive beside them.
+    idx = np.arange(n)[:, None, None]
+    x = np.where((start <= idx) & (idx < stop), _start_vectors(rows, n)[:, None, :], 0.0)
+    u0 = np.empty((n, b, c))  # the pivots
+    u1 = np.empty((n, b, c))  # U's first superdiagonal
+    u2 = np.zeros((n, b, c))  # U's second superdiagonal, nonzero where swapped
+    mult = np.zeros((n, b, c))
+    swap = np.zeros((n, b, c), dtype=bool)
+    ee = np.concatenate([e, np.zeros((b, 1))], axis=1)[:, :, None]
+    top, nxt = d[:, 0, None] - lam, np.broadcast_to(ee[:, 0], (b, c))
+    for i in range(n - 1):
+        # Row i is (top, nxt, 0) and row i+1 is (e_i, d_{i+1} - lam, e_{i+1}).
+        sub = np.broadcast_to(ee[:, i], (b, c))
+        diag = d[:, i + 1, None] - lam
+        s = np.abs(sub) > np.abs(top)
+        p0 = np.where(s, sub, top)
+        u1[i] = np.where(s, diag, nxt)
+        u2[i] = np.where(s, ee[:, i + 1], 0.0)
+        m = np.divide(np.where(s, top, sub), p0, out=np.zeros((b, c)), where=p0 != 0.0)
+        top = np.where(s, nxt, diag) - m * u1[i]
+        nxt = np.where(s, 0.0, ee[:, i + 1]) - m * u2[i]
+        u0[i], mult[i], swap[i] = p0, m, s
+    u0[n - 1] = top
+    small = np.abs(u0) < _PIVOT_TOL
+    u0[small] = np.copysign(_PIVOT_TOL, u0[small])
+
+    for _ in range(_SOLVES):
+        for i in range(n - 1):
+            s = swap[i]
+            top = np.where(s, x[i + 1], x[i])
+            x[i + 1] = np.where(s, x[i], x[i + 1]) - mult[i] * top
+            x[i] = top
+        x[n - 1] /= u0[n - 1]
+        if n > 1:
+            x[n - 2] = (x[n - 2] - u1[n - 2] * x[n - 1]) / u0[n - 2]
+        for i in range(n - 3, -1, -1):
+            x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+        x /= np.sqrt(np.sum(x * x, axis=0))
+    return x.transpose(1, 2, 0)
+
+
+def _orthogonalize_clusters(w, lam, start, gap):
+    """Gram-Schmidt, twice, on the unit rows of ``w`` (B, n, n) within each
+    cluster: a run of consecutive eigenvalues ``lam`` (B, n) of one block
+    (``start``, (B, n)) whose gaps are at most ``gap``.  Each row is
+    orthogonalised against all earlier rows of its cluster, read through one
+    product over every earlier row, so a matrix's arithmetic does not depend
+    on the clusters of the others."""
+    b, n = lam.shape
+    idx = np.arange(n)
+    close = np.zeros((b, n), dtype=bool)
+    close[:, 1:] = (np.diff(lam, axis=1) <= gap) & (start[:, 1:] == start[:, :-1])
+    first = np.maximum.accumulate(np.where(close, 0, idx), axis=1)
+    for j in range(1, n):
+        joined = first[:, j] < j
+        if not joined.any():
+            continue
+        member = idx[:j] >= first[:, j, None]
+        earlier = w[:, :j]
+        row = w[:, j]
+        for _ in range(2):
+            coef = np.where(member, np.sum(earlier * row[:, None, :], axis=2), 0.0)
+            row = row - np.sum(coef[:, :, None] * earlier, axis=1)
+        row = row / np.sqrt(np.sum(row * row, axis=1))[:, None]
+        w[:, j] = np.where(joined[:, None], row, w[:, j])
+
+
+def warm_start(a):
+    """An orthonormal basis (B, n, n) of approximate eigenvectors, one per
+    column, for each symmetric matrix of the float64 stack ``a``, which is
+    left unmodified: Householder tridiagonalisation, multisection for every
+    eigenvalue of T, inverse iteration for every eigenvector, Gram-Schmidt
+    within clusters, then back through the reflectors.  Inverse iteration
+    takes half of the eigenvalues at a time, so its factors and iterates
+    hold about 2.5 n-by-n float64 arrays at once (``core.dense_bytes``)."""
+    b, n = a.shape[0], a.shape[1]
+    # Scaled by a power of two to entries below 1, so no square overflows.
+    _, exp = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))
+    h = a * np.ldexp(1.0, -exp)[:, None, None]
+    d, e, tau = _tridiagonalize(h)
+    norm = _scaled_tridiagonal(d, e)
+    start, stop = _blocks(e, n)
+    lam = _multisection(d, e, norm, start, stop)
+    w = np.empty((b, n, n))
+    half = max((n + 1) // 2, 1)
+    for lo in range(0, n, half):
+        cols = slice(lo, lo + half)
+        rows = np.arange(n)[cols]
+        w[:, cols] = _inverse_iteration(
+            d, e, lam[:, cols], rows, start[:, cols], stop[:, cols]
+        )
+    gap = _CLUSTER_GAP * np.where(norm > 0.0, norm, 1.0)[:, None]
+    _orthogonalize_clusters(w, lam, start, gap)
+    _back_transform(h, tau, w)
+    del h  # freed before the transpose's temporary
+    w[...] = w.transpose(0, 2, 1)
+    return w
+
+
+def similarity(a, v):
+    """Overwrite each matrix of the symmetric stack ``a`` with V^T a V for
+    the stack ``v``, made exactly symmetric by mirroring its upper triangle.
+    It is built a row at a time, so every entry is one numpy sum of
+    products, whose rounding does not depend on the machine."""
+    n = a.shape[1]
+    w = v.transpose(0, 2, 1)
+    wa = np.empty_like(a)
+    for i in range(n):
+        np.sum(w[:, i, None, :] * a, axis=2, out=wa[:, i])
+    for i in range(n):
+        np.sum(w[:, i, None, :] * wa[:, i:], axis=2, out=a[:, i, i:])
+    lower = np.tril_indices(n, -1)
+    a[:, lower[0], lower[1]] = a[:, lower[1], lower[0]]
+
+
+# ---------------------------------------------------------------------------
 # Subset-boundary scan (Yates 1937; Bjorklund, Husfeldt, Kaski & Koivisto,
 # "Fourier meets Mobius", STOC 2007)
 #
@@ -184,8 +507,9 @@ def subset_scan(edge_masks, edge_sizes, p):
 
 
 def warm_up():
-    """Run both kernels once on toy inputs.  Nothing is compiled any more;
-    this stays because the benchmark calls it before it starts timing."""
+    """Run the Jacobi and scan kernels once on toy inputs.  Nothing is
+    compiled any more; this stays because the benchmark calls it before it
+    starts timing."""
     a = np.array([[2.0, -1.0], [-1.0, 2.0]])
     v = np.eye(2)
     jacobi_sweeps(a, v, 30, 1e-12 * np.sqrt(10.0))

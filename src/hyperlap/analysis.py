@@ -126,8 +126,8 @@ class Analysis(Hypergraph):
 
     @property
     def connected(self) -> bool:
-        """Union-find connectivity, the authority that the spectral answer
-        is checked against."""
+        """Connectivity from the edges (:func:`~hyperlap.core.connected_components`),
+        the authority that the spectral answer is checked against."""
         return len(self.components) == 1
 
     @property

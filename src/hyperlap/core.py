@@ -190,11 +190,14 @@ def dense_bytes(n: int) -> int:
     """Predicted peak bytes of the n-by-n matrices of an n-vertex input: ten
     arrays of 8-byte entries.  This bounds what the adjacency, the
     Laplacian, the eigensolve, the bounds and the hard checks hold at once;
-    the eigensolve holds the most, about eight such arrays: the adjacency
-    and the Laplacian, the solver's float copy and eigenvectors, which it
-    rotates in place, its index pairs and its rotations' temporaries.  A
-    stacked solve of B same-size inputs holds B times as much, so a battery
-    takes at most dense_bytes(64) // dense_bytes(n) inputs a stack
+    the eigensolve holds the most, about eight and a half such arrays, in
+    its warm start's inverse iteration: the adjacency and the Laplacian, the
+    solver's float copy, its Householder reflectors, the basis it builds,
+    and the pivoted factors and iterates of half of the eigenvalues at a
+    time (about two and a half arrays).  Jacobi, which then rotates the
+    float copy and the basis in place, holds less.  A stacked solve of B
+    same-size inputs holds B times as much, so a battery takes at most
+    dense_bytes(64) // dense_bytes(n) inputs a stack
     (:func:`hyperlap.analysis.analyze_stream`): no more than one n=64
     solve."""
     return 10 * 8 * n * n
@@ -272,22 +275,26 @@ def laplacian_from_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def connected_components(h: Hypergraph) -> list:
-    """Components as sorted vertex lists, via union-find over the edges."""
-    parent = list(range(h.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in h.edges:
-        r = find(edge[0])
-        for v in edge[1:]:
-            s = find(v)
-            if s != r:
-                parent[s] = r
-    groups: dict = {}
-    for v in range(h.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+    """Components as sorted lists of sorted vertices, by min-label
+    propagation over the incidence table.  Every vertex's label is a vertex
+    of its component, at most itself, and after each pass a root: a vertex
+    labelled with itself.  A pass lowers the root of each edge member to
+    the least label in the edge, then jumps pointers until every label is a
+    root again.  Once every edge's members share one label, each vertex is
+    labelled with its component's least vertex."""
+    members, starts, sizes = h._incidence
+    label = np.arange(h.n)
+    while h.m:
+        roots = label[members]
+        least = np.repeat(np.minimum.reduceat(roots, starts), sizes)
+        if np.array_equal(least, roots):
+            break
+        np.minimum.at(label, roots, least)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return [group.tolist() for group in np.split(order, cuts)]

@@ -1,10 +1,16 @@
 """Symmetric eigensolver and readings of its spectrum.
 
-The solver is a self-contained round-robin parallel Jacobi iteration (hot
-loop in :mod:`hyperlap._kernels`) on one float64 copy of its input, so the
-int64 Laplacian stays exact; it never calls LAPACK, so test oracles can
-cross-check it.  :func:`eigendecompose_stack` solves a stack of same-size
-matrices in one kernel call, with the same result, bit for bit, as solving
+The solver is self-contained (kernels in :mod:`hyperlap._kernels`) and
+works on one float64 copy of its input, so the int64 Laplacian stays
+exact; it never calls LAPACK, so test oracles can cross-check it.  A warm
+start (Householder tridiagonalisation, Sturm multisection and inverse
+iteration) gives an orthonormal basis V of approximate eigenvectors; the
+round-robin Jacobi iteration then starts from V^T A V (made exactly
+symmetric) and V, and is what decides convergence.  From a good warm start it takes 0 sweeps, and
+the eigenvalues are the Rayleigh quotients on the diagonal; from a poor one
+it rotates until converged, as it would from the identity.
+:func:`eigendecompose_stack` solves a stack of same-size matrices in one
+pass through the kernels, with the same result, bit for bit, as solving
 each alone.  The spectrum, connectivity and zero threshold of a
 hypergraph's Laplacian are cached on its :class:`hyperlap.analysis.Analysis`.
 """
@@ -13,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_stack, jacobi_sweeps
+from ._kernels import jacobi_stack, jacobi_sweeps, similarity, warm_start
 from .errors import ConvergenceFailureError, TooSmallError
 
 # Convergence: off-diagonal Frobenius mass must drop below this times the
-# input norm.  100 sweeps is far beyond what desk-scale matrices need (n=128
-# takes about 7).
+# input norm.  100 sweeps is far beyond what desk-scale matrices need: from
+# the warm start they take 0, and from the identity n=128 takes about 7.
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
 
@@ -33,7 +39,7 @@ class Spectrum:
     """Eigenvalues ascending; ``eigenvectors[:, i]`` pairs with
     ``eigenvalues[i]``.  Columns are unit vectors whose first component
     larger than 1e-12 in magnitude is positive.  ``sweeps`` is the number
-    of Jacobi sweeps the solve took."""
+    of Jacobi sweeps the solve took after its warm start."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -73,8 +79,9 @@ def _solve(a: np.ndarray, max_sweeps: int) -> list:
         raise ValueError("matrix is not symmetric")
     n = a.shape[1]
 
-    v = np.broadcast_to(np.eye(n), a.shape).copy()
     off_tol = [OFF_DIAGONAL_TOL * float(np.linalg.norm(x, "fro")) for x in a]
+    v = warm_start(a)
+    similarity(a, v)  # nearly diagonal when V is good
     if a.shape[0] == 1:  # one matrix goes through the kernel's 2-D binding
         sweeps = np.array([jacobi_sweeps(a[0], v[0], max_sweeps, off_tol[0])])
     else:

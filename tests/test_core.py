@@ -174,6 +174,64 @@ class TestComponents:
         h = hl.Hypergraph.from_edges([], n=2)
         assert hl.connected_components(h) == [[0], [1]]
 
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_long_path(self, shuffled):
+        # 3000 edges in one chain: the labels must cross the whole path.
+        order = list(range(3001))
+        if shuffled:
+            random.Random(5).shuffle(order)
+        h = hl.Hypergraph.from_edges(zip(order, order[1:]), n=3001)
+        assert hl.connected_components(h) == [list(range(3001))]
+        assert hl.connected_components(h) == _union_find_components(h)
+
+    def test_edgeless_and_disconnected_match_the_loop(self):
+        cases = [
+            hl.Hypergraph.from_edges([], n=1),
+            hl.Hypergraph.from_edges([], n=5),
+            hl.Hypergraph.from_edges([(4, 7), (0, 9, 2), (2, 5), (7, 8)], n=10),
+        ]
+        for h in cases:
+            assert hl.connected_components(h) == _union_find_components(h)
+        assert hl.connected_components(cases[2]) == [
+            [0, 2, 5, 9], [1], [3], [4, 7, 8], [6]
+        ]
+
+
+def _union_find_components(h):
+    """The per-edge union-find that connected_components replaced, kept as
+    its oracle."""
+    parent = list(range(h.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in h.edges:
+        r = find(edge[0])
+        for v in edge[1:]:
+            s = find(v)
+            if s != r:
+                parent[s] = r
+    groups = {}
+    for v in range(h.n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    m=st.integers(0, 12),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_components_match_union_find(n, m, seed):
+    k_max = min(4, n)
+    m = min(m, sum(math.comb(n, k) for k in range(2, k_max + 1)))
+    h = hl.random_hypergraph(n=n, m=m, k_min=2, k_max=k_max, seed=seed)
+    assert hl.connected_components(h) == _union_find_components(h)
+
 
 def test_degree_identities_randomized():
     # delta equals the Laplacian row sum of the adjacency part for every

@@ -1,9 +1,14 @@
-"""Jacobi eigensolver, spectral certificates, connectivity agreement."""
+"""Warm-started Jacobi eigensolver, spectral certificates, connectivity
+agreement."""
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,20 @@ from hyperlap import _kernels, spectral
 def _random_symmetric(rng, n):
     x = rng.uniform(-5.0, 5.0, size=(n, n))
     return (x + x.T) / 2.0
+
+
+def _start_cold(monkeypatch):
+    """Solve from the identity, as Jacobi did before the warm start: the
+    seam that the sweep-budget and sweep-count tests need, since a good warm
+    start leaves Jacobi no sweep to take."""
+    monkeypatch.setattr(
+        spectral, "warm_start", lambda a: np.broadcast_to(np.eye(a.shape[1]), a.shape).copy()
+    )
+
+
+@pytest.fixture
+def cold_start(monkeypatch):
+    _start_cold(monkeypatch)
 
 
 def _connected_instances(count, start_seed=0, n_lo=4, n_hi=10):
@@ -76,7 +95,7 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="not symmetric"):
             hl.eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_sweep_budget_exhaustion(self):
+    def test_sweep_budget_exhaustion(self, cold_start):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(hl.ConvergenceFailureError, match="0 sweeps"):
             hl.eigendecompose(m, max_sweeps=0)
@@ -194,6 +213,129 @@ def test_single_vertex_connected():
     assert hl.spectral_component_count(an.spectrum, an.zero_threshold) == 1
 
 
+# The golden inputs (tests/test_golden.py) as generator calls.
+GOLDEN = {
+    "n40": lambda: hl.random_hypergraph(40, 3000, 2, 8, 11),
+    "r18": lambda: hl.random_hypergraph(18, 40, 2, 4, 7),
+    "k16": lambda: hl.complete_kgraph(16, 2),
+    "k20": lambda: hl.complete_kgraph(20, 3),
+}
+
+
+def _wilkinson_plus(n):
+    """W_n^+: diagonal |i - (n-1)/2|, unit off-diagonals; its largest
+    eigenvalues come in pairs that agree to many digits."""
+    return (np.diag(np.abs(np.arange(n) - (n - 1) / 2))
+            + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1))
+
+
+def _two_disjoint_k6():
+    k6 = hl.analyze(hl.complete_kgraph(6, 2)).laplacian
+    two = np.zeros((12, 12), dtype=np.int64)
+    two[:6, :6] = two[6:, 6:] = k6
+    return two
+
+
+class TestWarmStart:
+    # Jacobi takes no sweep when the warm start's basis is already converged,
+    # so a sweep count above 0 here means the warm start got worse and Jacobi
+    # silently took the work back.
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_inputs_need_no_sweeps(self, name):
+        assert hl.analyze(GOLDEN[name]()).spectrum.sweeps == 0
+
+    def test_battery_stack_needs_no_sweeps(self):
+        laplacians = [hl.analyze(h).laplacian
+                      for _, h in hl.random_battery(12, 20, 2, 4, 40, 99)]
+        assert all(s.sweeps == 0 for s in hl.eigendecompose_stack(laplacians))
+
+    @pytest.mark.parametrize("n", [64, 96, 128])
+    def test_random_inputs_need_no_sweeps(self, n):
+        lap = hl.analyze(hl.random_hypergraph(n, 5 * n, 2, 4, n)).laplacian
+        assert hl.eigendecompose(lap).sweeps == 0
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [_wilkinson_plus(21), _two_disjoint_k6(), np.zeros((7, 7)),
+         hl.analyze(hl.star_kgraph(3, 30)).laplacian,
+         hl.analyze(hl.complete_kgraph(20, 3)).laplacian],
+        ids=["wilkinson21", "two-k6", "zero", "star-3-30", "complete-20-3"],
+    )
+    def test_hard_cases_are_solved_to_rounding(self, matrix):
+        # Near-equal pairs, equal eigenvalues in separate blocks, a zero
+        # matrix and eigenvalues of multiplicity up to n - 2.
+        s = hl.eigendecompose(matrix)
+        n = matrix.shape[0]
+        scale = max(1.0, float(np.linalg.norm(matrix, "fro")))
+        resid = matrix @ s.eigenvectors - s.eigenvectors * s.eigenvalues
+        assert np.abs(resid).max() <= 1e-12 * scale
+        assert np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(n)).max() <= 1e-12
+        assert s.sweeps == 0
+
+    def test_start_vectors_are_fixed_hashes(self):
+        # Hashed, not drawn: the same rows give the same values in any call.
+        first = _kernels._start_vectors(np.arange(3, 6), 5)
+        assert first.shape == (5, 3)
+        assert np.array_equal(first, _kernels._start_vectors(np.arange(6), 5)[:, 3:])
+        assert np.all((first >= -1.0) & (first < 1.0))
+
+
+def test_eigenvalues_match_a_40_digit_reference():
+    # Every eigenvalue within 16 eps max|lambda| of mpmath's 40-digit solve.
+    # Cold Jacobi missed by up to 37 (n40) and 163 (n=96) ulps of max|lambda|.
+    mpmath = pytest.importorskip("mpmath")
+    for h in (GOLDEN["n40"](), GOLDEN["r18"](), hl.random_hypergraph(96, 800, 2, 4, 3)):
+        lap = hl.analyze(h).laplacian
+        with mpmath.workdps(40):
+            exact = mpmath.eigsy(mpmath.matrix(lap.tolist()), eigvals_only=True)
+            want = np.array(sorted(float(x) for x in exact))
+        got = hl.eigendecompose(lap).eigenvalues
+        top = np.abs(want).max()
+        assert np.abs(got - want).max() <= 16 * np.finfo(np.float64).eps * top
+
+
+def _run_cli(argv, **env):
+    """``cli.run(argv)`` in a fresh interpreter with extra environment."""
+    code = "import sys\nfrom hyperlap import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
+    src = str(Path(hl.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_printed_spectrum_does_not_depend_on_the_blas_kernel(tmp_path):
+    # The solver calls no matrix product, whose rounding differs between
+    # BLAS kernels (with and without fused multiply-adds): through one, an
+    # older kernel moved a printed eigenvalue of n40 in its last digit.  An
+    # OpenBLAS built for one CPU ignores the variable, and the test is then
+    # trivially true.
+    path = tmp_path / "n40.hg"
+    hl.dump(GOLDEN["n40"](), str(path))
+    runs = [_run_cli(["spectrum", str(path)], OPENBLAS_CORETYPE=core)
+            for core in ("Haswell", "Sandybridge", "Prescott")]
+    assert all(run.returncode == 0 for run in runs)
+    assert len({run.stdout for run in runs}) == 1
+
+
+def test_solving_does_not_import_numpy_random():
+    # numpy.random adds about 6 MiB of resident memory when imported; the
+    # warm start hashes its start vectors instead.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import hyperlap\n"
+        "from hyperlap import cli\n"
+        "hyperlap.eigendecompose(np.eye(3))\n"
+        "cli.run(['verify', '--random', '8', '6', '2', '4', '5', '1'])\n"
+        "sys.exit(2 if 'numpy.random' in sys.modules else 0)\n"
+    )
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestRoundRobinJacobi:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_schedule_steps_are_disjoint_and_cover_each_pair_once(self, n):
@@ -272,15 +414,22 @@ class TestStackedSolve:
         [(5, 2, 2, 4, 60, 3), (7, 0, 2, 4, 6, 1), (9, 5, 2, 4, 30, 8),
          (12, 20, 2, 4, 28, 99), (2, 1, 2, 2, 5, 4)],
     )
-    def test_stack_equals_each_solve_bit_for_bit(self, shape):
+    def test_stack_equals_each_solve_bit_for_bit(self, shape, monkeypatch):
         laplacians = [hl.analyze(h).laplacian for _, h in hl.random_battery(*shape)]
         stacked = hl.eigendecompose_stack(laplacians)
         assert len(stacked) == len(laplacians)
         for spectrum, lap in zip(stacked, laplacians):
             _assert_same_spectrum(spectrum, hl.eigendecompose(lap))
+        assert all(spectrum.sweeps == 0 for spectrum in stacked)
+        # From the identity, Jacobi does the work, and the stack still
+        # equals each solve.
+        _start_cold(monkeypatch)
+        stacked = hl.eigendecompose_stack(laplacians)
+        for spectrum, lap in zip(stacked, laplacians):
+            _assert_same_spectrum(spectrum, hl.eigendecompose(lap))
         assert any(spectrum.sweeps > 0 for spectrum in stacked) == (shape[1] > 0)
 
-    def test_stack_of_random_matrices_converging_apart(self):
+    def test_stack_of_random_matrices_converging_apart(self, cold_start):
         # Matrices of one stack that need different sweep counts: each
         # stops at its own, as it would alone.
         rng = np.random.default_rng(9)
@@ -291,7 +440,7 @@ class TestStackedSolve:
         for spectrum, m in zip(solved, stack):
             _assert_same_spectrum(spectrum, hl.eigendecompose(m))
 
-    def test_sweep_budget_exhaustion_has_the_same_text(self):
+    def test_sweep_budget_exhaustion_has_the_same_text(self, cold_start):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(hl.ConvergenceFailureError) as alone:
             hl.eigendecompose(m, max_sweeps=0)
