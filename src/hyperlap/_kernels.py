@@ -170,9 +170,8 @@ def jacobi_sweeps(a, v, max_sweeps, off_tol):
 # changes one matrix's arithmetic, so each matrix gets exactly the arithmetic
 # it would get alone.  No function calls a matrix product: its rounding
 # depends on the BLAS build and on the CPU (fused multiply-adds, block
-# sizes), and it would reach the printed eigenvalues.  The tridiagonal T is
-# scaled by a power of two to an infinity norm ||T|| in [1, 2), or is zero,
-# so the tolerances below are constants.
+# sizes), and it would reach the printed eigenvalues.  Every tolerance below
+# is relative to the infinity norm ||T|| of the tridiagonal T.
 # ---------------------------------------------------------------------------
 
 _EPS = np.finfo(np.float64).eps
@@ -185,10 +184,10 @@ _SPLIT_TOL = 16 * _EPS
 # divide it by 2**54, more than the 2**51 (1 + 2n eps) needed.
 _SHIFTS = 7
 _PASSES = 18
-# Inverse iteration: solves per eigenvalue, the size below which a pivot of
-# the factorisation is replaced (about eps ||T||), and the gap between
+# Inverse iteration: solves per eigenvalue, the size (times ||T||) below
+# which a pivot of the factorisation is replaced, and the gap between
 # consecutive eigenvalues (times ||T||) within which vectors are
-# reorthogonalised, as LAPACK dstein does.
+# reorthogonalised, as LAPACK dstein does.  A zero T takes ||T|| as 1 here.
 _SOLVES = 2
 _PIVOT_TOL = _EPS
 _CLUSTER_GAP = 1e-3
@@ -244,21 +243,22 @@ def _back_transform(h, tau, w):
         tail -= s[:, :, None] * v[:, None, :]
 
 
-def _scaled_tridiagonal(d, e):
-    """T scaled by a power of two to an infinity norm in [1, 2), or left
-    zero, with each off-diagonal at or below _SPLIT_TOL set to 0, in place.
-    Returns the scaled infinity norm (B,), 0 for a zero T."""
-    radius = np.abs(d)
+def _split_tridiagonal(d, e):
+    """Set each off-diagonal of T at or below _SPLIT_TOL ||T|| to 0, in
+    place.  Returns ||T||, T's infinity norm, and the ends of an interval
+    that holds every eigenvalue of the split T: the Gershgorin bounds of the
+    unsplit T, whose radii cover the split one's, widened by 2n eps ||T||
+    for their rounding; each (B,)."""
+    n = d.shape[1]
+    radius = np.zeros_like(d)
     radius[:, 1:] += np.abs(e)
     radius[:, :-1] += np.abs(e)
-    norm = radius.max(axis=1, initial=0.0)
-    _, exp = np.frexp(norm)
-    scale = np.ldexp(1.0, 1 - exp)
-    d *= scale[:, None]
-    e *= scale[:, None]
-    norm = norm * scale
+    norm = (np.abs(d) + radius).max(axis=1, initial=0.0)
     e[np.abs(e) <= _SPLIT_TOL * norm[:, None]] = 0.0
-    return norm
+    pad = 2 * n * _EPS * norm
+    lo = (d - radius).min(axis=1, initial=0.0) - pad
+    hi = (d + radius).max(axis=1, initial=0.0) + pad
+    return norm, lo, hi
 
 
 def _blocks(e, n):
@@ -276,10 +276,10 @@ def _blocks(e, n):
     return start, stop
 
 
-def _multisection(d, e, norm, start, stop):
-    """All eigenvalues of each scaled T, (B, n): index i of a block
+def _multisection(d, e, lo, hi, start, stop):
+    """All eigenvalues of each T, (B, n): index i of a block
     [start, stop) holds the block's (i - start)-th smallest.  Each
-    eigenvalue has its own interval, starting from T's Gershgorin bounds; a
+    eigenvalue has its own interval, starting from [lo, hi] (B,); a
     pass counts the block's eigenvalues below _SHIFTS evenly spaced shifts
     inside every interval and keeps the part that holds the eigenvalue.
     After _PASSES passes every interval is at most 4 eps ||T|| wide.
@@ -292,13 +292,9 @@ def _multisection(d, e, norm, start, stop):
     block makes the next one infinite; of the two, one is negative, as when
     the zero is taken as a tiny negative number."""
     b, n = d.shape
-    radius = np.zeros((b, n))
-    radius[:, 1:] += np.abs(e)
-    radius[:, :-1] += np.abs(e)
-    pad = 2 * n * _EPS * norm
     ends = np.empty((b, n, _SHIFTS + 2))
-    ends[:, :, 0] = ((d - radius).min(axis=1, initial=0.0) - pad)[:, None]
-    ends[:, :, -1] = ((d + radius).max(axis=1, initial=0.0) + pad)[:, None]
+    ends[:, :, 0] = lo[:, None]
+    ends[:, :, -1] = hi[:, None]
     flat = ends.reshape(-1)
     base = np.arange(b * n).reshape(b, n) * (_SHIFTS + 2)
     rank = (np.arange(n) - start)[:, :, None]
@@ -351,14 +347,14 @@ def _start_vectors(rows, n):
     return values
 
 
-def _inverse_iteration(d, e, lam, rows, start, stop):
-    """Eigenvectors of each scaled T for the eigenvalues ``lam`` (B, c) of
+def _inverse_iteration(d, e, lam, rows, start, stop, pivot_tol):
+    """Eigenvectors of each T for the eigenvalues ``lam`` (B, c) of
     its blocks [start, stop) (B, c), as unit rows (B, c, n): _SOLVES solves
     with T - lam, factored once by Gaussian elimination with partial
     pivoting, from the :func:`_start_vectors` of ``rows`` cut to each
     eigenvalue's block.  The factors of T - lam split where T does, so each
-    vector stays in its block.  A pivot smaller than _PIVOT_TOL is replaced
-    by that size, keeping its sign."""
+    vector stays in its block.  A pivot smaller than its matrix's
+    ``pivot_tol`` (B,) is replaced by that size, keeping its sign."""
     b, n = d.shape
     c = lam.shape[1]
     # The start vectors first, while their hashing's temporaries are all
@@ -385,8 +381,9 @@ def _inverse_iteration(d, e, lam, rows, start, stop):
         nxt = np.where(s, 0.0, ee[:, i + 1]) - m * u2[i]
         u0[i], mult[i], swap[i] = p0, m, s
     u0[n - 1] = top
-    small = np.abs(u0) < _PIVOT_TOL
-    u0[small] = np.copysign(_PIVOT_TOL, u0[small])
+    tol = np.broadcast_to(pivot_tol[:, None], u0.shape)
+    small = np.abs(u0) < tol
+    u0[small] = np.copysign(tol[small], u0[small])
 
     for _ in range(_SOLVES):
         for i in range(n - 1):
@@ -442,19 +439,19 @@ def warm_start(a):
     _, exp = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))
     h = a * np.ldexp(1.0, -exp)[:, None, None]
     d, e, tau = _tridiagonalize(h)
-    norm = _scaled_tridiagonal(d, e)
+    norm, lo, hi = _split_tridiagonal(d, e)
     start, stop = _blocks(e, n)
-    lam = _multisection(d, e, norm, start, stop)
+    lam = _multisection(d, e, lo, hi, start, stop)
+    unit = np.where(norm > 0.0, norm, 1.0)
     w = np.empty((b, n, n))
     half = max((n + 1) // 2, 1)
-    for lo in range(0, n, half):
-        cols = slice(lo, lo + half)
+    for first in range(0, n, half):
+        cols = slice(first, first + half)
         rows = np.arange(n)[cols]
         w[:, cols] = _inverse_iteration(
-            d, e, lam[:, cols], rows, start[:, cols], stop[:, cols]
+            d, e, lam[:, cols], rows, start[:, cols], stop[:, cols], _PIVOT_TOL * unit
         )
-    gap = _CLUSTER_GAP * np.where(norm > 0.0, norm, 1.0)[:, None]
-    _orthogonalize_clusters(w, lam, start, gap)
+    _orthogonalize_clusters(w, lam, start, _CLUSTER_GAP * unit[:, None])
     _back_transform(h, tau, w)
     del h  # freed before the transpose's temporary
     w[...] = w.transpose(0, 2, 1)

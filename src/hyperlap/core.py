@@ -287,14 +287,15 @@ def connected_components(h: Hypergraph) -> list:
     while h.m:
         roots = label[members]
         least = np.repeat(np.minimum.reduceat(roots, starts), sizes)
-        if np.array_equal(least, roots):
+        if (least == roots).all():
             break
         np.minimum.at(label, roots, least)
         while True:
             jumped = label[label]
-            if np.array_equal(jumped, label):
+            if (jumped == label).all():
                 break
             label = jumped
     order = np.argsort(label, kind="stable")
-    cuts = np.flatnonzero(np.diff(label[order])) + 1
-    return [group.tolist() for group in np.split(order, cuts)]
+    bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), h.n]
+    order = order.tolist()
+    return [order[i:j] for i, j in zip(bounds, bounds[1:])]

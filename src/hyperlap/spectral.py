@@ -4,11 +4,15 @@ The solver is self-contained (kernels in :mod:`hyperlap._kernels`) and
 works on one float64 copy of its input, so the int64 Laplacian stays
 exact; it never calls LAPACK, so test oracles can cross-check it.  A warm
 start (Householder tridiagonalisation, Sturm multisection and inverse
-iteration) gives an orthonormal basis V of approximate eigenvectors; the
-round-robin Jacobi iteration then starts from V^T A V (made exactly
-symmetric) and V, and is what decides convergence.  From a good warm start it takes 0 sweeps, and
-the eigenvalues are the Rayleigh quotients on the diagonal; from a poor one
-it rotates until converged, as it would from the identity.
+iteration, with Gram-Schmidt within clusters) gives a basis V of
+approximate eigenvectors; the round-robin Jacobi iteration then starts from
+V^T A V (made exactly symmetric) and V, and decides when V^T A V is
+diagonal enough.  From a good warm start it takes 0 sweeps, and the
+eigenvalues are the Rayleigh quotients on the diagonal; from a poor one it
+rotates until V^T A V is diagonal.  Its rotations are orthogonal, so they
+leave V^T V as it is: the eigenvectors are orthonormal only because the
+warm start's V is, which Jacobi does not check (tests/test_spectral.py
+asserts it beside each 0-sweep solve).
 :func:`eigendecompose_stack` solves a stack of same-size matrices in one
 pass through the kernels, with the same result, bit for bit, as solving
 each alone.  The spectrum, connectivity and zero threshold of a

@@ -236,23 +236,32 @@ def _two_disjoint_k6():
     return two
 
 
+def _assert_warm_and_orthonormal(s):
+    """0 sweeps, and columns orthonormal to 1e-12: Jacobi's rotations keep
+    V^T V as the warm start left it, and its stopping test does not read it."""
+    assert s.sweeps == 0
+    v = s.eigenvectors
+    assert np.abs(v.T @ v - np.eye(s.n)).max() <= 1e-12
+
+
 class TestWarmStart:
     # Jacobi takes no sweep when the warm start's basis is already converged,
     # so a sweep count above 0 here means the warm start got worse and Jacobi
     # silently took the work back.
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_inputs_need_no_sweeps(self, name):
-        assert hl.analyze(GOLDEN[name]()).spectrum.sweeps == 0
+        _assert_warm_and_orthonormal(hl.analyze(GOLDEN[name]()).spectrum)
 
     def test_battery_stack_needs_no_sweeps(self):
         laplacians = [hl.analyze(h).laplacian
                       for _, h in hl.random_battery(12, 20, 2, 4, 40, 99)]
-        assert all(s.sweeps == 0 for s in hl.eigendecompose_stack(laplacians))
+        for s in hl.eigendecompose_stack(laplacians):
+            _assert_warm_and_orthonormal(s)
 
     @pytest.mark.parametrize("n", [64, 96, 128])
     def test_random_inputs_need_no_sweeps(self, n):
         lap = hl.analyze(hl.random_hypergraph(n, 5 * n, 2, 4, n)).laplacian
-        assert hl.eigendecompose(lap).sweeps == 0
+        _assert_warm_and_orthonormal(hl.eigendecompose(lap))
 
     @pytest.mark.parametrize(
         "matrix",
@@ -265,12 +274,10 @@ class TestWarmStart:
         # Near-equal pairs, equal eigenvalues in separate blocks, a zero
         # matrix and eigenvalues of multiplicity up to n - 2.
         s = hl.eigendecompose(matrix)
-        n = matrix.shape[0]
         scale = max(1.0, float(np.linalg.norm(matrix, "fro")))
         resid = matrix @ s.eigenvectors - s.eigenvectors * s.eigenvalues
         assert np.abs(resid).max() <= 1e-12 * scale
-        assert np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(n)).max() <= 1e-12
-        assert s.sweeps == 0
+        _assert_warm_and_orthonormal(s)
 
     def test_start_vectors_are_fixed_hashes(self):
         # Hashed, not drawn: the same rows give the same values in any call.
@@ -429,12 +436,15 @@ class TestStackedSolve:
             _assert_same_spectrum(spectrum, hl.eigendecompose(lap))
         assert any(spectrum.sweeps > 0 for spectrum in stacked) == (shape[1] > 0)
 
-    def test_stack_of_random_matrices_converging_apart(self, cold_start):
-        # Matrices of one stack that need different sweep counts: each
-        # stops at its own, as it would alone.
+    def test_stack_of_random_matrices_converging_apart(self, monkeypatch):
         rng = np.random.default_rng(9)
         stack = [np.diag(rng.uniform(-5.0, 5.0, 6)) for _ in range(3)]
         stack += [_random_symmetric(rng, 6) for _ in range(5)]
+        for spectrum, m in zip(hl.eigendecompose_stack(stack), stack):
+            _assert_same_spectrum(spectrum, hl.eigendecompose(m))
+        # From the identity, matrices of one stack need different sweep
+        # counts: each stops at its own, as it would alone.
+        _start_cold(monkeypatch)
         solved = hl.eigendecompose_stack(stack)
         assert len({s.sweeps for s in solved}) > 1
         for spectrum, m in zip(solved, stack):
