@@ -11,11 +11,12 @@ eigenvalue of T by Sturm-count multisection and every eigenvector by
 inverse iteration, and maps them back: a basis in which the matrix is
 diagonal to rounding.  Jacobi then confirms it, rotating only what is not
 yet converged: it applies the n/2 disjoint rotations of each round-robin
-step to every matrix of the stack at once, as fancy-indexed row updates;
-``jacobi_sweeps`` is the same kernel on one matrix.  The scan counts, for
-every subset, the edges inside it with one subset-sum (zeta) transform, n
-whole-table passes whose cost O(n 2**n) does not depend on the number of
-edges.
+step to every matrix of the stack at once, as fancy-indexed row updates,
+and builds that schedule only when a first rotation is due, which from a
+good warm start never happens; ``jacobi_sweeps`` is the same kernel on one
+matrix.  The scan counts, for every subset, the edges inside it with one
+subset-sum (zeta) transform, n whole-table passes whose cost O(n 2**n) does
+not depend on the number of edges.
 """
 
 import numpy as np
@@ -39,8 +40,11 @@ def backend() -> str:
 # step's numpy calls are shared by the whole stack.  Each matrix sweeps until
 # its own off-diagonal Frobenius norm drops below its own tolerance, and is
 # left alone from then on; every matrix gets exactly the arithmetic it would
-# get if solved alone.  Mutates `a` (diagonals converge to the eigenvalues)
-# and accumulates rotations into the columns of `v`.
+# get if solved alone.  The schedule's n-1 steps of index arrays are built
+# only before the first rotation: a stack that converges before any sweep,
+# as one from a good warm start does, never builds them.  Mutates `a`
+# (diagonals converge to the eigenvalues) and accumulates rotations into
+# the columns of `v`.
 # ---------------------------------------------------------------------------
 
 
@@ -62,11 +66,11 @@ def _round_robin(n):
     return steps
 
 
-def _stack_steps(n, b):
-    """The steps of one sweep over every matrix of a (B, n, n) stack, each
-    as index arrays (p, q) over its pairs, matrix-major, into the stack's
-    (B*n, n) row view."""
-    base = np.arange(b)[:, None] * n
+def _stack_steps(n, matrices):
+    """The steps of one sweep over the matrices ``matrices`` of a (B, n, n)
+    stack, each as index arrays (p, q) over their pairs, matrix-major, into
+    the stack's (B*n, n) row view."""
+    base = matrices[:, None] * n
     return [((base + p).ravel(), (base + q).ravel()) for p, q in _round_robin(n)]
 
 
@@ -101,7 +105,7 @@ def jacobi_stack(a, v, max_sweeps, off_tol):
     off_tol = np.asarray(off_tol, dtype=np.float64)
     sweeps = np.full(b, -1)
     active = np.arange(b)
-    steps = _stack_steps(n, b)
+    steps = None  # built at the first rotation: from a warm start none runs
     for sweep in range(max_sweeps + 1):
         sq = a * a
         sq.reshape(b, n * n)[:, :: n + 1] = 0.0
@@ -114,13 +118,16 @@ def jacobi_stack(a, v, max_sweeps, off_tol):
         if done.any():
             # Drop the converged matrices' pairs from every step.
             keep = ~done
-            steps = [
-                tuple(x.reshape(active.size, -1)[keep].ravel() for x in step)
-                for step in steps
-            ]
+            if steps is not None:
+                steps = [
+                    tuple(x.reshape(active.size, -1)[keep].ravel() for x in step)
+                    for step in steps
+                ]
             active = active[keep]
         if sweep == max_sweeps:
             break
+        if steps is None:
+            steps = _stack_steps(n, active)
         for rp, rq in steps:
             apq = flat[diag[rp] + (rq - rp)]
             live = apq != 0.0
@@ -184,6 +191,9 @@ _SPLIT_TOL = 16 * _EPS
 # divide it by 2**54, more than the 2**51 (1 + 2n eps) needed.
 _SHIFTS = 7
 _PASSES = 18
+# Multisection computes the Sturm recurrence's d_i - x for at most this many
+# rows in one numpy call.
+_STURM_ROWS = 32
 # Inverse iteration: solves per eigenvalue, the size (times ||T||) below
 # which a pivot of the factorisation is replaced, and the gap between
 # consecutive eigenvalues (times ||T||) within which vectors are
@@ -198,8 +208,8 @@ def _tridiagonalize(h):
     to a symmetric tridiagonal T = Q^T h Q in place, by n - 2 Householder
     reflections.  Returns (d, e, tau): T's diagonal (B, n), off-diagonal
     (B, n - 1) and reflector scales (B, n - 2).  Reflector k is
-    I - tau[:, k] v v^T on coordinates k+1..n-1, with v = (1, h[:, k+2:, k]),
-    and Q is the product of reflectors 0, 1, ..., n-3."""
+    I - tau[:, k] v v^T on coordinates k+1..n-1, with v = h[:, k+1:, k], whose
+    first entry is 1, and Q is the product of reflectors 0, 1, ..., n-3."""
     b, n = h.shape[0], h.shape[1]
     tau = np.zeros((b, max(n - 2, 0)))
     e = np.zeros((b, max(n - 1, 0)))
@@ -207,7 +217,7 @@ def _tridiagonalize(h):
         x = h[:, k + 1 :, k]
         alpha = x[:, 0].copy()
         tail = x[:, 1:]
-        sigma = np.sum(tail * tail, axis=1)
+        sigma = np.add.reduce(tail * tail, axis=1)
         norm = np.sqrt(alpha * alpha + sigma)
         beta = np.where(alpha >= 0.0, -norm, norm)
         # A column already zero below the subdiagonal needs no reflection.
@@ -221,11 +231,11 @@ def _tridiagonalize(h):
         # Two-sided update of the trailing block: A -= v w^T + w v^T with
         # p = tau A v and w = p - (tau/2)(p.v) v.
         block = h[:, k + 1 :, k + 1 :]
-        p = t[:, None] * np.sum(block * v[:, None, :], axis=2)
-        w = p - (0.5 * t * np.sum(p * v, axis=1))[:, None] * v
+        p = t[:, None] * np.add.reduce(block * v[:, None, :], axis=2)
+        w = p - (0.5 * t * np.add.reduce(p * v, axis=1))[:, None] * v
         block -= v[:, :, None] * w[:, None, :]
         block -= w[:, :, None] * v[:, None, :]
-        x[:, 1:] = v[:, 1:]
+        x[...] = v
     if n > 1:
         e[:, n - 2] = h[:, n - 1, n - 2]
     d = np.diagonal(h, axis1=1, axis2=2).copy()
@@ -237,9 +247,9 @@ def _back_transform(h, tau, w):
     place: a row z of T's eigenvectors becomes Q z, one of h's."""
     n = h.shape[1]
     for k in range(n - 3, -1, -1):
-        v = np.concatenate([np.ones((h.shape[0], 1)), h[:, k + 2 :, k]], axis=1)
+        v = h[:, k + 1 :, k]
         tail = w[:, :, k + 1 :]
-        s = np.sum(tail * v[:, None, :], axis=2) * tau[:, k, None]
+        s = np.add.reduce(tail * v[:, None, :], axis=2) * tau[:, k, None]
         tail -= s[:, :, None] * v[:, None, :]
 
 
@@ -287,45 +297,68 @@ def _multisection(d, e, lo, hi, start, stop):
     The count below a shift x is the number of negative pivots
     q_i = d_i - x - e_{i-1}**2 / q_{i-1} of the LDL^T factorisation of
     T - x.  Where e_{i-1} is 0, T splits and q_i = d_i - x starts afresh.
-    Each eigenvalue's counts see only its own block: outside it the
-    diagonal is +inf, so every pivot there is +inf.  A zero pivot within a
-    block makes the next one infinite; of the two, one is negative, as when
-    the zero is taken as a tiny negative number."""
+    Each eigenvalue's count takes only the pivots of its own block.  A zero
+    pivot within a block makes the next one infinite; of the two, one is
+    negative, as when the zero is taken as a tiny negative number.
+
+    Every array is laid out (shift, eigenvalue, matrix), so each numpy call
+    runs over all 7 n B shifts of one row.  A pass takes the rows in chunks
+    of n // 8 (1 to _STURM_ROWS): one call computes d_i - x for the whole
+    chunk, two per row (a division and a subtraction, in place) finish its
+    pivots, and one marks the negative ones in an (n, 7, n, B) bool array,
+    which is counted once per pass.  So the chunk's float pivots take no
+    more bytes than that array; with it, the (n, n, B) block mask and a few
+    (7, n, B) arrays they are the working set."""
     b, n = d.shape
-    ends = np.empty((b, n, _SHIFTS + 2))
-    ends[:, :, 0] = lo[:, None]
-    ends[:, :, -1] = hi[:, None]
+    ends = np.empty((_SHIFTS + 2, n, b))
+    ends[0] = lo
+    ends[-1] = hi
     flat = ends.reshape(-1)
-    base = np.arange(b * n).reshape(b, n) * (_SHIFTS + 2)
-    rank = (np.arange(n) - start)[:, :, None]
-    frac = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+    base = np.arange(n * b).reshape(n, b)
+    rank = np.arange(n)[:, None] - start.T
+    frac = np.arange(1, _SHIFTS + 1)[:, None, None] / (_SHIFTS + 1)
 
     idx = np.arange(n)[:, None, None]
-    diag = np.where((start <= idx) & (idx < stop), d.T[:, :, None], np.inf)[..., None]
-    e2 = (e * e).T[:, :, None, None]
-    split = e2 == 0.0
-    restart = split.any(axis=(1, 2, 3))
-    negative = np.empty((n, b, n, _SHIFTS), dtype=bool)
-    shifts = np.empty((b, n, _SHIFTS))
-    q = np.empty((b, n, _SHIFTS))
-    t = np.empty((b, n, _SHIFTS))
+    inside = ((start.T <= idx) & (idx < stop.T))[:, None]  # row i in j's block
+    rows_d = d.T[:, None, None]
+    e2 = (e * e).T
+    # Where T splits, q_i is d_i - x afresh: for each row, None where no
+    # matrix splits, True where all do, else the indices of those that do.
+    split = [None if x.all() else True if not x.any() else np.flatnonzero(~x)
+             for x in (e2 != 0.0)]
+    shifts = np.empty((_SHIFTS, n, b))
+    ratio = np.empty((_SHIFTS, n, b))
+    rows = max(1, min(_STURM_ROWS, n // 8))
+    q = np.empty((rows, _SHIFTS, n, b))
+    pivots = list(q)
+    negative = np.empty((n, _SHIFTS, n, b), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_PASSES):
-            lo, hi = ends[:, :, :1], ends[:, :, -1:]
+            lo, hi = ends[0], ends[-1]
             np.multiply(hi - lo, frac, out=shifts)
             shifts += lo
-            ends[:, :, 1:-1] = shifts
-            for i in range(n):
-                np.subtract(diag[i], shifts, out=q if i == 0 else t)
-                if i:
-                    np.divide(e2[i - 1], q, out=q)
-                    np.subtract(t, q, out=q)
-                    if restart[i - 1]:
-                        np.copyto(q, t, where=split[i - 1])
-                np.less(q, 0.0, out=negative[i])
-            below = base + (negative.sum(axis=0) <= rank).sum(axis=2)
-            ends[:, :, 0], ends[:, :, -1] = flat[below], flat[below + 1]
-    return 0.5 * (ends[:, :, 0] + ends[:, :, -1])
+            ends[1:-1] = shifts
+            for first in range(0, n, rows):
+                last = min(first + rows, n)
+                for i in range(first, last):
+                    # e_{i-1}**2 / q_{i-1}; for a chunk's first row, before
+                    # the chunk's d_i - x overwrites q_{i-1}.
+                    joined = i > 0 and split[i - 1] is not True
+                    if joined:
+                        np.divide(e2[i - 1], pivots[(i - 1 - first) % rows], out=ratio)
+                        if split[i - 1] is not None:
+                            ratio[..., split[i - 1]] = 0.0  # q_i = d_i - x there
+                    if i == first:
+                        np.subtract(rows_d[first:last], shifts, out=q[: last - first])
+                    if joined:
+                        np.subtract(pivots[i - first], ratio, out=pivots[i - first])
+                np.less(q[: last - first], 0.0, out=negative[first:last])
+            negative &= inside
+            # Summed as uint8 into int32: numpy adds bools several times slower.
+            count = np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.int32)
+            below = base + (count <= rank).sum(axis=0) * (n * b)
+            ends[0], ends[-1] = flat[below], flat[below + n * b]
+    return (0.5 * (ends[0] + ends[-1])).T.copy()
 
 
 def _start_vectors(rows, n):
@@ -347,6 +380,16 @@ def _start_vectors(rows, n):
     return values
 
 
+def _eliminate(x0, x1, swap, mult, tmp):
+    """One step of the forward elimination of L^-1 x, on consecutive rows
+    ``x0`` and ``x1`` of the iterate: swap them where ``swap``, then
+    subtract ``mult`` times the first from the second.  Returns ``x1``."""
+    top = np.where(swap, x1, x0)
+    np.subtract(np.where(swap, x0, x1), np.multiply(mult, top, out=tmp), out=x1)
+    x0[...] = top
+    return x1
+
+
 def _inverse_iteration(d, e, lam, rows, start, stop, pivot_tol):
     """Eigenvectors of each T for the eigenvalues ``lam`` (B, c) of
     its blocks [start, stop) (B, c), as unit rows (B, c, n): _SOLVES solves
@@ -354,48 +397,66 @@ def _inverse_iteration(d, e, lam, rows, start, stop, pivot_tol):
     pivoting, from the :func:`_start_vectors` of ``rows`` cut to each
     eigenvalue's block.  The factors of T - lam split where T does, so each
     vector stays in its block.  A pivot smaller than its matrix's
-    ``pivot_tol`` (B,) is replaced by that size, keeping its sign."""
+    ``pivot_tol`` (B,) is replaced by that size, keeping its sign.
+
+    The factors (three bands, the multipliers and the swaps) and the iterate
+    are (n, B, c) arrays, so each row is one (B, c) view: d - lam of every
+    row is computed in one call into the pivots' slots, and the first
+    solve's forward elimination runs inside the factorisation loop.  Beside
+    the factors and the iterate, the working set is a few (B, c) rows."""
     b, n = d.shape
     c = lam.shape[1]
     # The start vectors first, while their hashing's temporaries are all
     # that is alive beside them.
     idx = np.arange(n)[:, None, None]
     x = np.where((start <= idx) & (idx < stop), _start_vectors(rows, n)[:, None, :], 0.0)
-    u0 = np.empty((n, b, c))  # the pivots
+    # d_i - lam for every row, in the pivots' slots: row i+1's is read at
+    # step i, before step i+1 writes pivot i+1 over it.
+    u0 = np.subtract(d.T[:, :, None], lam)  # the pivots
     u1 = np.empty((n, b, c))  # U's first superdiagonal
     u2 = np.zeros((n, b, c))  # U's second superdiagonal, nonzero where swapped
     mult = np.zeros((n, b, c))
-    swap = np.zeros((n, b, c), dtype=bool)
-    ee = np.concatenate([e, np.zeros((b, 1))], axis=1)[:, :, None]
-    top, nxt = d[:, 0, None] - lam, np.broadcast_to(ee[:, 0], (b, c))
+    swap = np.empty((n, b, c), dtype=bool)
+    ee = np.concatenate([e, np.zeros((b, 1))], axis=1).T[:, :, None]  # (n, B, 1)
+    tmp = np.empty((b, c))
+    # Row i is (top, nxt, 0) and row i+1 is (sub, diag, below): e_i,
+    # d_{i+1} - lam and e_{i+1}.  Each row's views are taken once and
+    # carried to the next step.
+    top, nxt, below, pivot, xi = u0[0], ee[0], ee[0], u0[0], x[0]
     for i in range(n - 1):
-        # Row i is (top, nxt, 0) and row i+1 is (e_i, d_{i+1} - lam, e_{i+1}).
-        sub = np.broadcast_to(ee[:, i], (b, c))
-        diag = d[:, i + 1, None] - lam
-        s = np.abs(sub) > np.abs(top)
+        sub, below, diag = below, ee[i + 1], u0[i + 1]
+        s, m, v1, v2 = swap[i], mult[i], u1[i], u2[i]
+        np.greater(np.abs(sub), np.abs(top), out=s)
         p0 = np.where(s, sub, top)
-        u1[i] = np.where(s, diag, nxt)
-        u2[i] = np.where(s, ee[:, i + 1], 0.0)
-        m = np.divide(np.where(s, top, sub), p0, out=np.zeros((b, c)), where=p0 != 0.0)
-        top = np.where(s, nxt, diag) - m * u1[i]
-        nxt = np.where(s, 0.0, ee[:, i + 1]) - m * u2[i]
-        u0[i], mult[i], swap[i] = p0, m, s
-    u0[n - 1] = top
+        v1[...] = np.where(s, diag, nxt)
+        v2[...] = np.where(s, below, 0.0)
+        np.divide(np.where(s, top, sub), p0, out=m, where=p0 != 0.0)
+        top = np.where(s, nxt, diag) - m * v1
+        nxt = np.where(s, 0.0, below) - m * v2
+        pivot[...] = p0
+        pivot = diag
+        xi = _eliminate(xi, x[i + 1], s, m, tmp)  # the first solve's, while row i is at hand
+    pivot[...] = top
     tol = np.broadcast_to(pivot_tol[:, None], u0.shape)
     small = np.abs(u0) < tol
     u0[small] = np.copysign(tol[small], u0[small])
 
-    for _ in range(_SOLVES):
-        for i in range(n - 1):
-            s = swap[i]
-            top = np.where(s, x[i + 1], x[i])
-            x[i + 1] = np.where(s, x[i], x[i + 1]) - mult[i] * top
-            x[i] = top
-        x[n - 1] /= u0[n - 1]
-        if n > 1:
-            x[n - 2] = (x[n - 2] - u1[n - 2] * x[n - 1]) / u0[n - 2]
-        for i in range(n - 3, -1, -1):
-            x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+    for solve in range(_SOLVES):
+        if solve:
+            xi = x[0]
+            for i in range(n - 1):
+                xi = _eliminate(xi, x[i + 1], swap[i], mult[i], tmp)
+        x1 = x[n - 1]
+        x1 /= u0[n - 1]
+        x2 = None
+        for i in range(n - 2, -1, -1):
+            # x_i = (x_i - u1_i x_{i+1} - u2_i x_{i+2}) / u0_i, left to right.
+            xi = x[i]
+            np.subtract(xi, np.multiply(u1[i], x1, out=tmp), out=xi)
+            if x2 is not None:
+                np.subtract(xi, np.multiply(u2[i], x2, out=tmp), out=xi)
+            np.divide(xi, u0[i], out=xi)
+            x1, x2 = xi, x1
         x /= np.sqrt(np.sum(x * x, axis=0))
     return x.transpose(1, 2, 0)
 
@@ -412,10 +473,8 @@ def _orthogonalize_clusters(w, lam, start, gap):
     close = np.zeros((b, n), dtype=bool)
     close[:, 1:] = (np.diff(lam, axis=1) <= gap) & (start[:, 1:] == start[:, :-1])
     first = np.maximum.accumulate(np.where(close, 0, idx), axis=1)
-    for j in range(1, n):
+    for j in np.flatnonzero((first < idx).any(axis=0)):
         joined = first[:, j] < j
-        if not joined.any():
-            continue
         member = idx[:j] >= first[:, j, None]
         earlier = w[:, :j]
         row = w[:, j]
@@ -467,9 +526,9 @@ def similarity(a, v):
     w = v.transpose(0, 2, 1)
     wa = np.empty_like(a)
     for i in range(n):
-        np.sum(w[:, i, None, :] * a, axis=2, out=wa[:, i])
+        np.add.reduce(w[:, i, None, :] * a, axis=2, out=wa[:, i])
     for i in range(n):
-        np.sum(w[:, i, None, :] * wa[:, i:], axis=2, out=a[:, i, i:])
+        np.add.reduce(w[:, i, None, :] * wa[:, i:], axis=2, out=a[:, i, i:])
     lower = np.tril_indices(n, -1)
     a[:, lower[0], lower[1]] = a[:, lower[1], lower[0]]
 

@@ -106,23 +106,32 @@ def _check_laplacian_structure(an: Analysis, index: int) -> Optional[str]:
     return None
 
 
+# Spectrum certificates: the largest eigen-residual norm and the most
+# negative eigenvalue, each times max(1, ||L||_F); the largest entry of
+# V^T V - I; and |sum of eigenvalues - trace|, times max(1, |trace|).
+RESIDUAL_TOL = 1e-8
+ORTHONORMAL_TOL = 1e-10
+NEGATIVE_EIGENVALUE_TOL = 1e-10
+TRACE_TOL = 1e-8
+
+
 def _check_spectrum_certificates(an: Analysis, index: int) -> Optional[str]:
     lam, vec = an.spectrum.eigenvalues, an.spectrum.eigenvectors
     scale = max(1.0, an.frobenius)
     residual = float(
         np.max(np.linalg.norm(an.laplacian @ vec - vec * lam, axis=0))
     )
-    if residual > 1e-8 * scale:
+    if residual > RESIDUAL_TOL * scale:
         return f"eigen residual {residual:.3e}"
     ortho = float(np.max(np.abs(vec.T @ vec - np.eye(an.n))))
-    if ortho > 1e-10:
+    if ortho > ORTHONORMAL_TOL:
         return f"eigenvectors not orthonormal ({ortho:.3e})"
     if np.any(np.diff(lam) < 0):
         return "eigenvalues not ascending"
-    if float(lam[0]) < -1e-10 * scale:
+    if float(lam[0]) < -NEGATIVE_EIGENVALUE_TOL * scale:
         return f"negative eigenvalue {float(lam[0]):.3e}"
     trace = float(np.trace(an.laplacian))
-    if abs(float(lam.sum()) - trace) > 1e-8 * max(1.0, abs(trace)):
+    if abs(float(lam.sum()) - trace) > TRACE_TOL * max(1.0, abs(trace)):
         return "eigenvalue sum differs from trace"
     return None
 
@@ -166,17 +175,23 @@ def _check_zhu_two_graph(an: Analysis, index: int) -> Optional[str]:
     return None
 
 
+# How far a boundary may fall below the sandwich's lower bound, or rise
+# above its upper bound, for its subset size.
+SANDWICH_LOWER_MARGIN = 1e-8
+SANDWICH_UPPER_MARGIN = 1e-8
+
+
 def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
     if not an.enumerable or an.m == 0 or an.n < 2:
         return None
     boundary, sizes = an.scan
     # The bounds depend on the subset size alone: evaluate and shift per size.
     lower, upper = sandwich_bounds(an, np.arange(an.n, dtype=np.int64))
-    bad_low = np.flatnonzero(boundary < (lower - 1e-8)[sizes])
+    bad_low = np.flatnonzero(boundary < (lower - SANDWICH_LOWER_MARGIN)[sizes])
     if bad_low.size:
         s = int(bad_low[0])
         return f"boundary {boundary[s]} below lower bound {lower[sizes[s]]:.6f} (mask {s})"
-    bad_high = np.flatnonzero(boundary > (upper + 1e-8)[sizes])
+    bad_high = np.flatnonzero(boundary > (upper + SANDWICH_UPPER_MARGIN)[sizes])
     if bad_high.size:
         s = int(bad_high[0])
         return f"boundary {boundary[s]} above upper bound {upper[sizes[s]]:.6f} (mask {s})"
@@ -196,18 +211,29 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
             sorted({rng.randrange(1 << p) for _ in range(_QUAD_SAMPLES)}),
             dtype=np.int64,
         )
+    # Each edge adds t (|e| - t) for the t of its vertices in the mask.  All
+    # edges are counted against all masks at once, n edges at a time, so the
+    # int64 temporary is no larger than chi below; t <= |e| <= n <= 28, so
+    # t (|e| - t) <= 196 fits in uint8.
     quad = np.zeros(masks.size, dtype=np.int64)
-    # The uint8 popcounts are cast once, into one reused int64 row.
-    t = np.empty_like(quad)
-    for em, sz in zip(an.edge_masks, an.edge_sizes):
-        np.bitwise_count(masks & em, out=t)
-        quad += t * (sz - t)
-    chi = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    expected = np.einsum("si,si->s", chi @ an.laplacian, chi)
+    sizes = an.edge_sizes.astype(np.uint8)[:, None]
+    for first in range(0, an.m, n):
+        t = np.bitwise_count(masks & an.edge_masks[first : first + n, None])
+        quad += np.add.reduce(t * (sizes[first : first + n] - t), axis=0, dtype=np.int64)
+    # Every product and partial sum of chi^T L chi is an integer far below
+    # 2**53, so the float64 products are exact whatever the BLAS does.
+    chi = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.float64)
+    expected = np.einsum("si,si->s", chi @ an.laplacian.astype(np.float64), chi)
     if not np.array_equal(quad, expected):
         bad = int(masks[np.flatnonzero(quad != expected)[0]])
         return f"edge-contribution sum differs from chi^T L chi (mask {bad})"
     return None
+
+
+# How far the max cut may exceed n lambda_n / (4 (k_min - 1)), and the
+# isoperimetric number fall below 2 lambda_2 / k_max^2.
+MAX_CUT_MARGIN = 1e-8
+ISOPERIMETRIC_MARGIN = 1e-8
 
 
 def _check_maxcut_iso_bounds(an: Analysis, index: int) -> Optional[str]:
@@ -215,11 +241,11 @@ def _check_maxcut_iso_bounds(an: Analysis, index: int) -> Optional[str]:
         return None
     summary = connectivity_summary(an)
     mc, bound = summary.max_cut, summary.max_cut_bound_kmin
-    if mc > bound + 1e-8:
+    if mc > bound + MAX_CUT_MARGIN:
         return f"max cut {mc} above n lambda_n / (4 (k_min - 1)) = {bound:.6f}"
     if an.connected:
         iso, low = summary.isoperimetric, summary.iso_lower_bound
-        if float(iso) < low - 1e-8:
+        if float(iso) < low - ISOPERIMETRIC_MARGIN:
             return f"isoperimetric {iso} below 2 lambda_2 / k_max^2 = {low:.6f}"
     return None
 
@@ -259,12 +285,17 @@ def _record_bound(an: Analysis, name: str, k_min: int = 0) -> Optional[dict]:
     return {"bound": rep.value, "lambda_n": rep.lambda_n, "pair": list(rep.witness)}
 
 
+# How far the max cut may exceed the k_max form of its bound before the
+# claim records a violation.
+MAX_CUT_KMAX_MARGIN = 1e-8
+
+
 def _record_maxcut_printed(an: Analysis) -> Optional[dict]:
     if not an.enumerable or an.m == 0 or an.n < 2:
         return None
     summary = connectivity_summary(an)
     mc, bound = summary.max_cut, summary.max_cut_bound_kmax
-    if mc <= bound + 1e-8:
+    if mc <= bound + MAX_CUT_KMAX_MARGIN:
         return None
     return {
         "max_cut": mc,

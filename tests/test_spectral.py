@@ -287,6 +287,194 @@ class TestWarmStart:
         assert np.all((first >= -1.0) & (first < 1.0))
 
 
+class TestLazySchedule:
+    # Jacobi builds its round-robin schedule just before its first rotation,
+    # so a solve that needs no sweep never builds it.
+    def test_solves_that_need_no_sweep_build_no_schedule(self, monkeypatch):
+        def refuse(n, matrices):
+            raise AssertionError("the Jacobi schedule was built")
+
+        monkeypatch.setattr(_kernels, "_stack_steps", refuse)
+        for name in sorted(GOLDEN):
+            assert hl.analyze(GOLDEN[name]()).spectrum.sweeps == 0
+        laplacians = [hl.analyze(h).laplacian
+                      for _, h in hl.random_battery(12, 20, 2, 4, 40, 99)]
+        assert all(s.sweeps == 0 for s in hl.eigendecompose_stack(laplacians))
+
+    def test_cold_solves_build_it_once_for_the_matrices_left(self, cold_start, monkeypatch):
+        built = []
+        real = _kernels._stack_steps
+
+        def record(n, matrices):
+            built.append(matrices.tolist())
+            return real(n, matrices)
+
+        monkeypatch.setattr(_kernels, "_stack_steps", record)
+        assert hl.eigendecompose(_wilkinson_plus(9)).sweeps > 0
+        assert built == [[0]]
+        # The identity is diagonal from the start, so only the second matrix
+        # is scheduled.
+        built.clear()
+        solved = hl.eigendecompose_stack([np.eye(4), _wilkinson_plus(4)])
+        assert solved[0].sweeps == 0 and solved[1].sweeps > 0
+        assert built == [[1]]
+
+
+# Reference forms of the Sturm rows and of inverse iteration, in the plainest
+# row-at-a-time numpy: the shipped loops, which take fewer numpy calls for
+# the same arithmetic, must give the same arrays, bit for bit.
+def _multisection_by_rows(d, e, lo, hi, start, stop):
+    """Four numpy calls per row of each pass, with +inf outside each
+    eigenvalue's block."""
+    shifts_n, passes = _kernels._SHIFTS, _kernels._PASSES
+    b, n = d.shape
+    ends = np.empty((b, n, shifts_n + 2))
+    ends[:, :, 0] = lo[:, None]
+    ends[:, :, -1] = hi[:, None]
+    flat = ends.reshape(-1)
+    base = np.arange(b * n).reshape(b, n) * (shifts_n + 2)
+    rank = (np.arange(n) - start)[:, :, None]
+    frac = np.arange(1, shifts_n + 1) / (shifts_n + 1)
+    idx = np.arange(n)[:, None, None]
+    diag = np.where((start <= idx) & (idx < stop), d.T[:, :, None], np.inf)[..., None]
+    e2 = (e * e).T[:, :, None, None]
+    split = e2 == 0.0
+    restart = split.any(axis=(1, 2, 3))
+    negative = np.empty((n, b, n, shifts_n), dtype=bool)
+    shifts = np.empty((b, n, shifts_n))
+    q = np.empty((b, n, shifts_n))
+    t = np.empty((b, n, shifts_n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(passes):
+            lo, hi = ends[:, :, :1], ends[:, :, -1:]
+            np.multiply(hi - lo, frac, out=shifts)
+            shifts += lo
+            ends[:, :, 1:-1] = shifts
+            for i in range(n):
+                np.subtract(diag[i], shifts, out=q if i == 0 else t)
+                if i:
+                    np.divide(e2[i - 1], q, out=q)
+                    np.subtract(t, q, out=q)
+                    if restart[i - 1]:
+                        np.copyto(q, t, where=split[i - 1])
+                np.less(q, 0.0, out=negative[i])
+            below = base + (negative.sum(axis=0) <= rank).sum(axis=2)
+            ends[:, :, 0], ends[:, :, -1] = flat[below], flat[below + 1]
+    return 0.5 * (ends[:, :, 0] + ends[:, :, -1])
+
+
+def _inverse_iteration_unfused(d, e, lam, rows, start, stop, pivot_tol):
+    """The factorisation, then each solve's elimination and substitution,
+    one row at a time with fresh temporaries."""
+    b, n = d.shape
+    c = lam.shape[1]
+    idx = np.arange(n)[:, None, None]
+    x = np.where((start <= idx) & (idx < stop),
+                 _kernels._start_vectors(rows, n)[:, None, :], 0.0)
+    u0 = np.empty((n, b, c))
+    u1 = np.empty((n, b, c))
+    u2 = np.zeros((n, b, c))
+    mult = np.zeros((n, b, c))
+    swap = np.zeros((n, b, c), dtype=bool)
+    ee = np.concatenate([e, np.zeros((b, 1))], axis=1)[:, :, None]
+    top, nxt = d[:, 0, None] - lam, np.broadcast_to(ee[:, 0], (b, c))
+    for i in range(n - 1):
+        sub = np.broadcast_to(ee[:, i], (b, c))
+        diag = d[:, i + 1, None] - lam
+        s = np.abs(sub) > np.abs(top)
+        p0 = np.where(s, sub, top)
+        u1[i] = np.where(s, diag, nxt)
+        u2[i] = np.where(s, ee[:, i + 1], 0.0)
+        m = np.divide(np.where(s, top, sub), p0, out=np.zeros((b, c)), where=p0 != 0.0)
+        top = np.where(s, nxt, diag) - m * u1[i]
+        nxt = np.where(s, 0.0, ee[:, i + 1]) - m * u2[i]
+        u0[i], mult[i], swap[i] = p0, m, s
+    u0[n - 1] = top
+    tol = np.broadcast_to(pivot_tol[:, None], u0.shape)
+    small = np.abs(u0) < tol
+    u0[small] = np.copysign(tol[small], u0[small])
+    for _ in range(_kernels._SOLVES):
+        for i in range(n - 1):
+            s = swap[i]
+            top = np.where(s, x[i + 1], x[i])
+            x[i + 1] = np.where(s, x[i], x[i + 1]) - mult[i] * top
+            x[i] = top
+        x[n - 1] /= u0[n - 1]
+        if n > 1:
+            x[n - 2] = (x[n - 2] - u1[n - 2] * x[n - 1]) / u0[n - 2]
+        for i in range(n - 3, -1, -1):
+            x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+        x /= np.sqrt(np.sum(x * x, axis=0))
+    return x.transpose(1, 2, 0)
+
+
+def _assert_same_bits(x, y):
+    assert x.shape == y.shape
+    assert np.array_equal(x, y, equal_nan=True)
+    assert np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def _assert_loops_match_oracles(stack):
+    """The warm start's inputs to multisection and inverse iteration, as
+    :func:`_kernels.warm_start` makes them from ``stack``, through the
+    shipped loops and the oracles."""
+    a = np.array(stack, dtype=np.float64)
+    b, n = a.shape[0], a.shape[1]
+    _, exp = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))
+    h = a * np.ldexp(1.0, -exp)[:, None, None]
+    d, e, _ = _kernels._tridiagonalize(h)
+    norm, lo, hi = _kernels._split_tridiagonal(d, e)
+    start, stop = _kernels._blocks(e, n)
+    lam = _kernels._multisection(d, e, lo, hi, start, stop)
+    _assert_same_bits(lam, _multisection_by_rows(d, e, lo, hi, start, stop))
+    pivot_tol = _kernels._PIVOT_TOL * np.where(norm > 0.0, norm, 1.0)
+    half = max((n + 1) // 2, 1)
+    for first in range(0, n, half):
+        cols = slice(first, first + half)
+        args = (d, e, lam[:, cols], np.arange(n)[cols], start[:, cols], stop[:, cols],
+                pivot_tol)
+        _assert_same_bits(_kernels._inverse_iteration(*args),
+                          _inverse_iteration_unfused(*args))
+    return e
+
+
+class TestRewrittenLoopsMatchOracles:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_inputs(self, name):
+        _assert_loops_match_oracles([hl.analyze(GOLDEN[name]()).laplacian])
+
+    @pytest.mark.parametrize("shape", [(8, 6, 2, 4, 64, 12345), (12, 20, 2, 4, 28, 99)])
+    def test_battery_stacks(self, shape):
+        _assert_loops_match_oracles(
+            [hl.analyze(h).laplacian for _, h in hl.random_battery(*shape)])
+
+    @pytest.mark.parametrize(
+        "matrix", [_wilkinson_plus(21), _two_disjoint_k6(), np.zeros((7, 7))],
+        ids=["wilkinson21", "two-k6", "zero"])
+    def test_hard_cases(self, matrix):
+        _assert_loops_match_oracles([matrix])
+
+    # Edgeless and disconnected batteries: T splits in some matrices of the
+    # stack and not in others, and in every matrix of the edgeless one.
+    @pytest.mark.parametrize("shape", [(7, 0, 2, 4, 6, 1), (9, 5, 2, 4, 30, 8)],
+                             ids=["edgeless", "disconnected"])
+    def test_split_batteries(self, shape):
+        e = _assert_loops_match_oracles(
+            [hl.analyze(h).laplacian for _, h in hl.random_battery(*shape)])
+        assert np.any(e == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stack=st.tuples(st.integers(1, 5), st.integers(0, 9)).flatmap(
+        lambda shape: hnp.arrays(np.float64, (shape[0], shape[1], shape[1]),
+                                 elements=st.floats(-4.0, 4.0, width=32))
+    )
+)
+def test_rewritten_loops_match_oracles_on_random_stacks(stack):
+    _assert_loops_match_oracles(stack + stack.transpose(0, 2, 1))
+
+
 def test_eigenvalues_match_a_40_digit_reference():
     # Every eigenvalue within 16 eps max|lambda| of mpmath's 40-digit solve.
     # Cold Jacobi missed by up to 37 (n40) and 163 (n=96) ulps of max|lambda|.

@@ -136,6 +136,20 @@ class TestVerifyInstances:
         )
 
 
+# Each hard check's tolerance, and the recorded max-cut claim's, named once
+# beside the check that reads it.  A loosened or tightened value fails here.
+@pytest.mark.parametrize(
+    "name, value",
+    [("RESIDUAL_TOL", 1e-8), ("ORTHONORMAL_TOL", 1e-10),
+     ("NEGATIVE_EIGENVALUE_TOL", 1e-10), ("TRACE_TOL", 1e-8),
+     ("SANDWICH_LOWER_MARGIN", 1e-8), ("SANDWICH_UPPER_MARGIN", 1e-8),
+     ("MAX_CUT_MARGIN", 1e-8), ("ISOPERIMETRIC_MARGIN", 1e-8),
+     ("MAX_CUT_KMAX_MARGIN", 1e-8)],
+)
+def test_check_tolerances_keep_their_values(name, value):
+    assert getattr(verify, name) == value
+
+
 class TestBatteries:
     def test_random_battery_shapes_and_names(self):
         battery = hl.random_battery(n=6, m=4, k_min=2, k_max=3, count=5, seed=10)
