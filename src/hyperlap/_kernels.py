@@ -3,20 +3,18 @@ sweeps and the subset-boundary scan.
 
 These loops do nearly all of the package's numeric work: the eigensolve
 behind every spectrum, and the scan over all vertex subsets behind exact
-max cut and the isoperimetric number.  Each has one numpy build, and the
-eigensolver works on a stack of same-size matrices, (B, n, n), giving each
-matrix the arithmetic it would get alone.  :func:`warm_start` reduces each
-matrix to a tridiagonal T by Householder reflections, finds every
-eigenvalue of T by Sturm-count multisection and every eigenvector by
-inverse iteration, and maps them back: a basis in which the matrix is
-diagonal to rounding.  Jacobi then confirms it, rotating only what is not
-yet converged: it applies the n/2 disjoint rotations of each round-robin
-step to every matrix of the stack at once, as fancy-indexed row updates,
-and builds that schedule only when a first rotation is due, which from a
-good warm start never happens; ``jacobi_sweeps`` is the same kernel on one
-matrix.  The scan counts, for every subset, the edges inside it with one
-subset-sum (zeta) transform, n whole-table passes whose cost O(n 2**n) does
-not depend on the number of edges.
+max cut and the isoperimetric number.  Each has one numpy build.  The warm
+start works on a stack of same-size matrices, (B, n, n), giving each matrix
+the arithmetic it would get alone: :func:`warm_start` reduces each matrix
+to a tridiagonal T by Householder reflections, finds every eigenvalue of T
+by Sturm-count multisection and every eigenvector by inverse iteration,
+and maps them back: a basis in which the matrix is diagonal to rounding.
+:func:`jacobi_sweeps` then confirms it on one (n, n) matrix at a time,
+which from a good warm start costs one off-diagonal norm; otherwise it
+applies the n/2 disjoint rotations of each round-robin step at once, as
+fancy-indexed row updates.  The scan counts, for every subset, the edges
+inside it with one subset-sum (zeta) transform, n whole-table passes whose
+cost O(n 2**n) does not depend on the number of edges.
 """
 
 import numpy as np
@@ -35,16 +33,12 @@ def backend() -> str:
 # up to even players; pairs with the padding player are dropped.  The pairs of
 # one step are disjoint, so their rotations commute and are applied at once as
 # fancy-indexed row updates; each (p, q) with p < q meets once per sweep.
-# A stack of B same-size matrices is solved together: each step rotates the
-# pairs of every matrix still being solved in the same row updates, so the
-# step's numpy calls are shared by the whole stack.  Each matrix sweeps until
-# its own off-diagonal Frobenius norm drops below its own tolerance, and is
-# left alone from then on; every matrix gets exactly the arithmetic it would
-# get if solved alone.  The schedule's n-1 steps of index arrays are built
-# only before the first rotation: a stack that converges before any sweep,
-# as one from a good warm start does, never builds them.  Mutates `a`
-# (diagonals converge to the eigenvalues) and accumulates rotations into
-# the columns of `v`.
+# The matrix sweeps until its off-diagonal Frobenius norm drops below its
+# tolerance.  The schedule's n-1 steps of index arrays, the diagonal index and
+# the transposed basis are made only before the first rotation: a matrix that
+# has converged before any sweep, as one from a good warm start has, costs
+# one off-norm.  Mutates `a` (diagonals converge to the eigenvalues) and
+# accumulates rotations into the columns of `v`.
 # ---------------------------------------------------------------------------
 
 
@@ -66,14 +60,6 @@ def _round_robin(n):
     return steps
 
 
-def _stack_steps(n, matrices):
-    """The steps of one sweep over the matrices ``matrices`` of a (B, n, n)
-    stack, each as index arrays (p, q) over their pairs, matrix-major, into
-    the stack's (B*n, n) row view."""
-    base = matrices[:, None] * n
-    return [((base + p).ravel(), (base + q).ravel()) for p, q in _round_robin(n)]
-
-
 def _rotate_rows(x, p, q, c, s):
     """Row p becomes c*row_p - s*row_q and row q becomes s*row_p + c*row_q."""
     xp = x[p]
@@ -82,89 +68,61 @@ def _rotate_rows(x, p, q, c, s):
     x[q] = s * xp + c * xq
 
 
-def jacobi_stack(a, v, max_sweeps, off_tol):
-    """Jacobi sweeps over C-contiguous float64 stacks ``a`` and ``v`` of
-    shape (B, n, n), with one tolerance per matrix in ``off_tol``.  Returns
-    each matrix's number of completed sweeps, or -1 where the cap was hit
-    before convergence."""
+def jacobi_sweeps(a, v, max_sweeps, off_tol):
+    """Jacobi sweeps over the C-contiguous float64 (n, n) matrices ``a`` and
+    ``v``, in place, until the off-diagonal norm of ``a`` is at most
+    ``off_tol``.  Returns the number of completed sweeps, or -1 if the cap
+    was hit before convergence."""
     if not (a.flags.c_contiguous and v.flags.c_contiguous):
-        raise ValueError("the Jacobi kernel rotates C-contiguous stacks in place")
-    b, n = a.shape[0], a.shape[1]
-    # Only whole rows are rotated, since gathering rows is much cheaper than
-    # gathering columns: `a` takes its column update as a row update of its
-    # transpose (numpy copies the overlapping assignment through a
-    # temporary), and `v` is held transposed, so its rows are its columns.
-    # Both are rotated in place; no working copy is alive beside them.
-    v[...] = v.transpose(0, 2, 1)
+        raise ValueError("the Jacobi kernel rotates C-contiguous matrices in place")
+    n = a.shape[0]
     flat = a.reshape(-1)
-    rows = a.reshape(b * n, n)
-    v_rows = v.reshape(b * n, n)
-    # The flat index of each row's diagonal entry; a_pq sits q - p entries
-    # after a_pp.
-    diag = (np.arange(b)[:, None] * (n * n) + np.arange(n) * (n + 1)).ravel()
-    off_tol = np.asarray(off_tol, dtype=np.float64)
-    sweeps = np.full(b, -1)
-    active = np.arange(b)
-    steps = None  # built at the first rotation: from a warm start none runs
+    steps = None  # made at the first rotation: from a warm start none runs
+    sweeps = -1
     for sweep in range(max_sweeps + 1):
-        sq = a * a
-        sq.reshape(b, n * n)[:, :: n + 1] = 0.0
-        off = np.sqrt(np.sum(sq.reshape(b, n * n), axis=1))
+        sq = flat * flat
+        sq[:: n + 1] = 0.0
+        off = np.sqrt(np.sum(sq))
         del sq  # freed before the rotations, which hold the solve's peak
-        done = off[active] <= off_tol[active]
-        sweeps[active[done]] = sweep
-        if done.all():
+        if off <= off_tol:
+            sweeps = sweep
             break
-        if done.any():
-            # Drop the converged matrices' pairs from every step.
-            keep = ~done
-            if steps is not None:
-                steps = [
-                    tuple(x.reshape(active.size, -1)[keep].ravel() for x in step)
-                    for step in steps
-                ]
-            active = active[keep]
         if sweep == max_sweeps:
             break
         if steps is None:
-            steps = _stack_steps(n, active)
-        for rp, rq in steps:
-            apq = flat[diag[rp] + (rq - rp)]
+            steps = _round_robin(n)
+            # The flat index of each row's diagonal entry; a_pq sits q - p
+            # entries after a_pp.
+            diag = np.arange(n) * (n + 1)
+            # Only whole rows are rotated, since gathering rows is much
+            # cheaper than gathering columns: `a` takes its column update as
+            # a row update of its transpose (numpy copies the overlapping
+            # assignment through a temporary), and `v` is held transposed,
+            # so its rows are its columns.
+            v[...] = v.T
+        for p, q in steps:
+            apq = flat[diag[p] + (q - p)]
             live = apq != 0.0
-            turned = active
             if not live.all():
-                rp, rq, apq = rp[live], rq[live], apq[live]
+                p, q, apq = p[live], q[live], apq[live]
                 if apq.size == 0:
                     continue
-                if active.size > 1:
-                    # A matrix with no live pair in this step is not
-                    # touched, not even transposed: it is symmetric only
-                    # up to rounding.
-                    turned = active[live.reshape(active.size, -1).any(axis=1)]
             # tau overflows to +-inf only when a_pq is negligible next to the
             # diagonal gap; then t = 0 and the rotation is the identity.
             with np.errstate(over="ignore"):
-                tau = (flat[diag[rq]] - flat[diag[rp]]) / (2.0 * apq)
+                tau = (flat[diag[q]] - flat[diag[p]]) / (2.0 * apq)
             t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             c = c[:, None]
             s = s[:, None]
-            _rotate_rows(rows, rp, rq, c, s)
-            if turned.size == b:
-                a[...] = a.transpose(0, 2, 1)
-            else:
-                a[turned] = a[turned].transpose(0, 2, 1)
-            _rotate_rows(rows, rp, rq, c, s)
-            _rotate_rows(v_rows, rp, rq, c, s)
-    v[...] = v.transpose(0, 2, 1)
+            _rotate_rows(a, p, q, c, s)
+            a[...] = a.T
+            _rotate_rows(a, p, q, c, s)
+            _rotate_rows(v, p, q, c, s)
+    if steps is not None:
+        v[...] = v.T
     return sweeps
-
-
-def jacobi_sweeps(a, v, max_sweeps, off_tol):
-    """:func:`jacobi_stack` on one (n, n) matrix ``a`` and one float
-    tolerance; returns its sweep count as an int."""
-    return int(jacobi_stack(a[None], v[None], max_sweeps, [off_tol])[0])
 
 
 # ---------------------------------------------------------------------------

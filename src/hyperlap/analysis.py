@@ -203,8 +203,9 @@ def analyze(h: Hypergraph) -> Analysis:
 
 def _chunk_size(n: int) -> int:
     """How many n-vertex inputs one stacked solve takes: B with
-    B * dense_bytes(n) <= dense_bytes(64), so a stack is priced like one
-    n=64 solve, and at least one."""
+    B * dense_bytes(n) <= dense_bytes(64), and at least one.  The solve
+    peaks above that price at small n, at up to 2 dense_bytes(64) for n
+    from 4 to 64 (measured, :func:`hyperlap.core.dense_bytes`)."""
     return max(1, dense_bytes(64) // dense_bytes(max(n, 1)))
 
 

@@ -195,11 +195,15 @@ def dense_bytes(n: int) -> int:
     solver's float copy, its Householder reflectors, the basis it builds,
     and the pivoted factors and iterates of half of the eigenvalues at a
     time (about two and a half arrays).  Jacobi, which then rotates the
-    float copy and the basis in place, holds less.  A stacked solve of B
-    same-size inputs holds B times as much, so a battery takes at most
+    float copy and the basis in place, holds less.  A battery takes at most
     dense_bytes(64) // dense_bytes(n) inputs a stack
-    (:func:`hyperlap.analysis.analyze_stream`): no more than one n=64
-    solve."""
+    (:func:`hyperlap.analysis.analyze_stream`), but a stacked solve holds
+    more than its inputs' share at small n, where the solver's per-row
+    arrays and numpy's ufunc buffers outweigh n**2: measured by
+    tracemalloc, one stack's solve peaks at 0.65 dense_bytes(64) at n=64,
+    0.79 at n=12, 1.04 at n=8 and 1.78 at n=4, so at most
+    2 dense_bytes(64) for n from 4 to 64 (tests/test_analysis.py); 2.2 at
+    n=3 and 3.0 at n=2."""
     return 10 * 8 * n * n
 
 

@@ -13,17 +13,18 @@ rotates until V^T A V is diagonal.  Its rotations are orthogonal, so they
 leave V^T V as it is: the eigenvectors are orthonormal only because the
 warm start's V is, which Jacobi does not check (tests/test_spectral.py
 asserts it beside each 0-sweep solve).
-:func:`eigendecompose_stack` solves a stack of same-size matrices in one
-pass through the kernels, with the same result, bit for bit, as solving
-each alone.  The spectrum, connectivity and zero threshold of a
-hypergraph's Laplacian are cached on its :class:`hyperlap.analysis.Analysis`.
+:func:`eigendecompose_stack` runs the warm start and V^T A V on a stack of
+same-size matrices in one pass, then Jacobi on each matrix of the stack in
+turn, so each matrix gets the same result, bit for bit, as solving it
+alone.  The spectrum, connectivity and zero threshold of a hypergraph's
+Laplacian are cached on its :class:`hyperlap.analysis.Analysis`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_stack, jacobi_sweeps, similarity, warm_start
+from ._kernels import jacobi_sweeps, similarity, warm_start
 from .errors import ConvergenceFailureError, TooSmallError
 
 # Convergence: off-diagonal Frobenius mass must drop below this times the
@@ -54,31 +55,35 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def eigendecompose(matrix: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> Spectrum:
+def eigendecompose(matrix: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a real symmetric matrix, which may be of
     any real dtype and is left unmodified.
 
-    Raises ConvergenceFailureError if the sweep budget runs out before the
-    off-diagonal norm reaches the tolerance.
+    Raises ValueError on a non-finite entry, and ConvergenceFailureError if
+    MAX_SWEEPS sweeps run out before the off-diagonal norm reaches the
+    tolerance.
     """
     a = np.array(matrix, dtype=np.float64)  # the kernel's working copy
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return _solve(a[None], max_sweeps)[0]
+    return _solve(a[None])[0]
 
 
-def eigendecompose_stack(matrices: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> list:
+def eigendecompose_stack(matrices: np.ndarray) -> list:
     """:func:`eigendecompose` of each matrix of a (B, n, n) stack, as a list
     of B Spectra equal bit for bit to solving each matrix alone, with the
     same errors; the solve fails as a whole if any matrix fails."""
     a = np.array(matrices, dtype=np.float64)  # the kernel's working copy
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    return _solve(a, max_sweeps)
+    return _solve(a)
 
 
-def _solve(a: np.ndarray, max_sweeps: int) -> list:
-    """Spectra of the float64 stack ``a``, which the kernel overwrites."""
+def _solve(a: np.ndarray) -> list:
+    """Spectra of the float64 stack ``a``, which the kernels overwrite: the
+    warm start and V^T A V for the whole stack, then Jacobi on each matrix."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     if not np.array_equal(a, a.transpose(0, 2, 1)):
         raise ValueError("matrix is not symmetric")
     n = a.shape[1]
@@ -86,13 +91,10 @@ def _solve(a: np.ndarray, max_sweeps: int) -> list:
     off_tol = [OFF_DIAGONAL_TOL * float(np.linalg.norm(x, "fro")) for x in a]
     v = warm_start(a)
     similarity(a, v)  # nearly diagonal when V is good
-    if a.shape[0] == 1:  # one matrix goes through the kernel's 2-D binding
-        sweeps = np.array([jacobi_sweeps(a[0], v[0], max_sweeps, off_tol[0])])
-    else:
-        sweeps = jacobi_stack(a, v, max_sweeps, off_tol)
-    if np.any(sweeps < 0):
+    sweeps = [jacobi_sweeps(x, y, MAX_SWEEPS, t) for x, y, t in zip(a, v, off_tol)]
+    if any(s < 0 for s in sweeps):
         raise ConvergenceFailureError(
-            f"Jacobi iteration did not converge in {max_sweeps} sweeps"
+            f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
         )
 
     values = np.diagonal(a, axis1=1, axis2=2)
@@ -107,9 +109,7 @@ def _solve(a: np.ndarray, max_sweeps: int) -> list:
         first = np.take_along_axis(vectors, lead, axis=1)
         flip = large.any(axis=1, keepdims=True) & (first < 0.0)
         np.negative(vectors, out=vectors, where=flip)
-    return [
-        Spectrum(values[i], vectors[i], int(sweeps[i])) for i in range(a.shape[0])
-    ]
+    return [Spectrum(x, y, s) for x, y, s in zip(values, vectors, sweeps)]
 
 
 def lambda2(spectrum: Spectrum) -> float:

@@ -6,6 +6,7 @@ import functools
 import gc
 import importlib
 import pkgutil
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -99,26 +100,21 @@ def test_verify_over_the_scan_budget_scans_nothing(counts, tmp_path, capsys):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The stack size of every eigensolve, a 2-D solve counted as 1."""
+    """The stack size of every eigensolve, a single solve counted as 1."""
     sizes = []
-    stack, single = spectral.jacobi_stack, spectral.jacobi_sweeps
+    real = spectral.warm_start
 
-    def stacked(a, *args):
+    def recorded(a):
         sizes.append(a.shape[0])
-        return stack(a, *args)
+        return real(a)
 
-    def alone(*args):
-        sizes.append(1)
-        return single(*args)
-
-    monkeypatch.setattr(spectral, "jacobi_stack", stacked)
-    monkeypatch.setattr(spectral, "jacobi_sweeps", alone)
+    monkeypatch.setattr(spectral, "warm_start", recorded)
     return sizes
 
 
 def test_battery_solves_each_instance_once_in_chunks(solves, capsys):
-    # 57 instances at n=12 are chunks of 28, 28 and 1; the last takes the
-    # lazy 2-D path.
+    # 57 instances at n=12 are chunks of 28, 28 and 1; the last is solved
+    # lazily, alone.
     assert cli.run(["verify", "--random", "12", "20", "2", "4", "57", "5"]) == 0
     assert solves == [28, 28, 1]
 
@@ -137,6 +133,23 @@ def test_a_chunk_is_priced_like_one_n64_solve(n):
     priced = core.dense_bytes(max(n, 1))
     assert size == 1 or size * priced <= core.dense_bytes(64)
     assert (size + 1) * priced > core.dense_bytes(64)
+
+
+@pytest.mark.parametrize("n", range(4, 65))
+def test_a_chunk_solve_peaks_within_two_n64_prices(n):
+    # A chunk costs more than its share of dense_bytes at small n: the
+    # solver's per-row arrays and numpy's ufunc buffers outweigh n**2.
+    # Measured peaks, as a share of dense_bytes(64): 1.78 at n=4, 1.04 at
+    # n=8, 0.79 at n=12 and 0.65 at n=64.
+    laplacians = [hl.analyze(h).laplacian
+                  for _, h in hl.random_battery(n, 2 * n, 2, 4, analysis._chunk_size(n), 3)]
+    tracemalloc.start()
+    try:
+        hl.eigendecompose_stack(laplacians)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * core.dense_bytes(64), f"{peak / core.dense_bytes(64):.3f}"
 
 
 @pytest.mark.parametrize(

@@ -95,13 +95,29 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="not symmetric"):
             hl.eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_sweep_budget_exhaustion(self, cold_start):
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[np.inf]], [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 1.0], [1.0, 0.0]]],
+        ids=["inf", "nan", "inf-coupled"],
+    )
+    def test_rejects_non_finite(self, matrix):
+        # Unchecked, an infinite entry gives NaN eigenvalues with no error, a
+        # NaN fails the symmetry test, and an infinite coupling spends the
+        # whole sweep budget.
+        with pytest.raises(ValueError, match="non-finite"):
+            hl.eigendecompose(np.array(matrix))
+        with pytest.raises(ValueError, match="non-finite"):
+            hl.eigendecompose_stack([np.zeros_like(matrix), matrix])
+
+    def test_sweep_budget_exhaustion(self, cold_start, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(hl.ConvergenceFailureError, match="0 sweeps"):
-            hl.eigendecompose(m, max_sweeps=0)
+            hl.eigendecompose(m)
 
-    def test_diagonal_needs_no_sweeps(self):
-        s = hl.eigendecompose(np.diag([3.0, 1.0, 2.0]), max_sweeps=0)
+    def test_diagonal_needs_no_sweeps(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+        s = hl.eigendecompose(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_array_equal(s.eigenvalues, [1.0, 2.0, 3.0])
         assert s.sweeps == 0
 
@@ -291,10 +307,10 @@ class TestLazySchedule:
     # Jacobi builds its round-robin schedule just before its first rotation,
     # so a solve that needs no sweep never builds it.
     def test_solves_that_need_no_sweep_build_no_schedule(self, monkeypatch):
-        def refuse(n, matrices):
+        def refuse(n):
             raise AssertionError("the Jacobi schedule was built")
 
-        monkeypatch.setattr(_kernels, "_stack_steps", refuse)
+        monkeypatch.setattr(_kernels, "_round_robin", refuse)
         for name in sorted(GOLDEN):
             assert hl.analyze(GOLDEN[name]()).spectrum.sweeps == 0
         laplacians = [hl.analyze(h).laplacian
@@ -302,22 +318,30 @@ class TestLazySchedule:
         assert all(s.sweeps == 0 for s in hl.eigendecompose_stack(laplacians))
 
     def test_cold_solves_build_it_once_for_the_matrices_left(self, cold_start, monkeypatch):
-        built = []
-        real = _kernels._stack_steps
+        # Each entry of `built` is the index, within its solve, of the
+        # matrix that Jacobi was rotating when the schedule was built.
+        built, solving = [], []
+        real_schedule, real_jacobi = _kernels._round_robin, spectral.jacobi_sweeps
 
-        def record(n, matrices):
-            built.append(matrices.tolist())
-            return real(n, matrices)
+        def record(n):
+            built.append(len(solving) - 1)
+            return real_schedule(n)
 
-        monkeypatch.setattr(_kernels, "_stack_steps", record)
+        def jacobi(*args):
+            solving.append(args[0].shape[0])
+            return real_jacobi(*args)
+
+        monkeypatch.setattr(_kernels, "_round_robin", record)
+        monkeypatch.setattr(spectral, "jacobi_sweeps", jacobi)
         assert hl.eigendecompose(_wilkinson_plus(9)).sweeps > 0
-        assert built == [[0]]
+        assert built == [0]
         # The identity is diagonal from the start, so only the second matrix
         # is scheduled.
         built.clear()
+        solving.clear()
         solved = hl.eigendecompose_stack([np.eye(4), _wilkinson_plus(4)])
         assert solved[0].sweeps == 0 and solved[1].sweeps > 0
-        assert built == [[1]]
+        assert built == [1]
 
 
 # Reference forms of the Sturm rows and of inverse iteration, in the plainest
@@ -638,12 +662,13 @@ class TestStackedSolve:
         for spectrum, m in zip(solved, stack):
             _assert_same_spectrum(spectrum, hl.eigendecompose(m))
 
-    def test_sweep_budget_exhaustion_has_the_same_text(self, cold_start):
+    def test_sweep_budget_exhaustion_has_the_same_text(self, cold_start, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(hl.ConvergenceFailureError) as alone:
-            hl.eigendecompose(m, max_sweeps=0)
+            hl.eigendecompose(m)
         with pytest.raises(hl.ConvergenceFailureError) as stacked:
-            hl.eigendecompose_stack([np.eye(2), m], max_sweeps=0)
+            hl.eigendecompose_stack([np.eye(2), m])
         assert str(stacked.value) == str(alone.value)
 
     def test_rejects_what_the_single_solve_rejects(self):
@@ -662,9 +687,9 @@ class TestStackedSolve:
         np.testing.assert_allclose(np.sort(np.diagonal(a)), [1.0, 3.0], atol=1e-12)
 
     def test_kernel_refuses_a_stack_it_cannot_rotate_in_place(self):
-        a = np.eye(4)[None, ::2, ::2]
+        a = np.eye(4)[::2, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            _kernels.jacobi_stack(a, np.eye(2)[None], 5, [0.0])
+            _kernels.jacobi_sweeps(a, np.eye(2), 5, 0.0)
 
 
 @settings(max_examples=150, deadline=None)
