@@ -198,15 +198,19 @@ def analyze(h: Hypergraph) -> Analysis:
     """An Analysis of ``h``; ``h`` itself when it already is one."""
     if isinstance(h, Analysis):
         return h
-    return Analysis(n=h.n, edges=h.edges, labels=h.labels)
+    an = Analysis(n=h.n, edges=h.edges, labels=h.labels)
+    if "_incidence" in vars(h):  # seeded by hgio.loads, or built already
+        vars(an)["_incidence"] = h._incidence
+    return an
 
 
 def _chunk_size(n: int) -> int:
     """How many n-vertex inputs one stacked solve takes: B with
-    B * dense_bytes(n) <= dense_bytes(64), and at least one.  The solve
-    peaks above that price at small n, at up to 2 dense_bytes(64) for n
-    from 4 to 64 (measured, :func:`hyperlap.core.dense_bytes`)."""
-    return max(1, dense_bytes(64) // dense_bytes(max(n, 1)))
+    B * dense_bytes(max(n, 4)) <= dense_bytes(64), and at least one.  The
+    solve peaks above that price at small n, at up to 2 dense_bytes(64)
+    (measured, :func:`hyperlap.core.dense_bytes`); below n=4 the per-row
+    arrays outweigh n**2, so a chunk is no longer than at n=4."""
+    return max(1, dense_bytes(64) // dense_bytes(max(n, 4)))
 
 
 def analyze_stream(instances: Iterable) -> Iterator:

@@ -8,14 +8,18 @@ the Laplacian L = diag(delta) - A. Both are int64 arrays of exact counts,
 so structural identities (zero row sums, symmetry, degree bounds) hold
 exactly, not approximately.
 
-Every pass over the edge list reads one flat incidence table, built once
-per object: the sorted members of every edge concatenated in edge order,
-where each edge's run starts, and each edge's size.  Outside this module it
+Every pass over the edge list reads one flat incidence table, once per
+object: the sorted members of every edge concatenated in edge order, where
+each edge's run starts, and each edge's size.  :func:`hyperlap.hgio.loads`
+stores it in the Hypergraph it reads, from the arrays it sorted the edges
+with, and :func:`hyperlap.analysis.analyze` carries it into the Analysis;
+otherwise it is built from ``edges`` on first use.  Outside this module it
 is read through :attr:`Hypergraph.edge_sizes` and
 :meth:`Hypergraph.edge_reduce`, one ``reduceat`` whose results come out in
-edge order.  The adjacency and the degrees are ``np.bincount`` calls over
-the members, so every pass costs O(sum |e|) numpy work and no incidence
-matrix is built.
+edge order.  The adjacency is one ``np.bincount`` over the vertex pairs of
+the edges, gathered one block of equal-size edges at a time, and the
+degrees are numpy passes over the members, so every pass costs
+O(sum |e|**2) numpy work at most and no incidence matrix is built.
 
 This module also decides how large an input may be.  Each exponential or
 quadratic stage has a price in bytes predicted from n alone,
@@ -150,7 +154,8 @@ class Hypergraph:
     def _incidence(self) -> tuple:
         """(members, starts, sizes): the sorted members of every edge
         concatenated in edge order, where each edge's run starts in
-        ``members``, and each edge's size; all int64."""
+        ``members``, and each edge's size; all int64.  A reader may store
+        it in this slot when it builds the Hypergraph."""
         sizes = np.fromiter(map(len, self.edges), dtype=np.int64, count=self.m)
         starts = np.cumsum(sizes) - sizes
         members = np.fromiter(
@@ -196,14 +201,14 @@ def dense_bytes(n: int) -> int:
     and the pivoted factors and iterates of half of the eigenvalues at a
     time (about two and a half arrays).  Jacobi, which then rotates the
     float copy and the basis in place, holds less.  A battery takes at most
-    dense_bytes(64) // dense_bytes(n) inputs a stack
+    dense_bytes(64) // dense_bytes(max(n, 4)) inputs a stack
     (:func:`hyperlap.analysis.analyze_stream`), but a stacked solve holds
     more than its inputs' share at small n, where the solver's per-row
     arrays and numpy's ufunc buffers outweigh n**2: measured by
     tracemalloc, one stack's solve peaks at 0.65 dense_bytes(64) at n=64,
-    0.79 at n=12, 1.04 at n=8 and 1.78 at n=4, so at most
-    2 dense_bytes(64) for n from 4 to 64 (tests/test_analysis.py); 2.2 at
-    n=3 and 3.0 at n=2."""
+    0.79 at n=12, 1.04 at n=8 and 1.78 at n=4.  Below n=4 a stack is no
+    longer than at n=4, and peaks at 1.29 at n=3 and 0.85 at n=2, so at
+    most 2 dense_bytes(64) for n from 2 to 64 (tests/test_analysis.py)."""
     return 10 * 8 * n * n
 
 
@@ -245,18 +250,14 @@ def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     n = h.n
     require_budget(n, dense_bytes(n), "n-by-n matrices")
     members, starts, sizes = h._incidence
-    # room[j] counts the members from position j to the end of its edge;
-    # ``at`` keeps the positions with a member g places later in that edge.
-    room = np.repeat(starts + sizes, sizes) - np.arange(members.size)
-    at = np.arange(members.size)
-    # Members ascend within an edge, so each such pair is i < j: count the
-    # upper triangle as flat indices i*n + j, one offset g at a time, then
-    # mirror it.
-    upper = np.zeros(n * n, dtype=np.int64)
-    for g in range(1, int(sizes.max(initial=0))):
-        at = at[room[at] > g]
-        upper += np.bincount(members[at] * n + members[at + g], minlength=n * n)
-    upper = upper.reshape(n, n)
+    # Members ascend within an edge, so in the (edges, k) block of each edge
+    # size k, column x < y gives vertex i < j: count the upper triangle as
+    # flat indices i*n + j, one column pair at a time, then mirror it.
+    pairs = [np.zeros(0, dtype=np.int64)]
+    for k in range(2, int(sizes.max(initial=0)) + 1):
+        rows = members[starts[sizes == k, None] + np.arange(k)]
+        pairs += [rows[:, x] * n + rows[:, y] for x in range(k) for y in range(x + 1, k)]
+    upper = np.bincount(np.concatenate(pairs), minlength=n * n).reshape(n, n)
     return upper + upper.T
 
 

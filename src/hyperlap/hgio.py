@@ -12,11 +12,22 @@ Line-oriented UTF-8 format:
 A label is any token that does not start with ``#`` or ``!``
 (:func:`hyperlap.core.is_label`), so every Hypergraph round-trips.  Without
 the directive the universe is the union of all labels in first-appearance
-order. ``loads`` reads the text in one pass and builds the canonical
-Hypergraph itself, without re-checking it through ``Hypergraph.from_edges``.
+order.
+
+``loads`` reads the text in one pass over its lines, which turns each
+edge line into vertex indices and does nothing else per line.  The
+per-edge work that follows, sorting each edge, finding repeated labels and
+duplicate sets, and ordering the edges, is a few numpy calls over all the
+edges at once.  It builds the canonical Hypergraph itself, without
+re-checking it through ``Hypergraph.from_edges``, and hands it the
+incidence table (``Hypergraph._incidence``) that those calls leave behind,
+so no later pass builds it from the edge tuples again.
 """
 
+from array import array
 from typing import Optional
+
+import numpy as np
 
 from .core import LABEL_RULE, Hypergraph, is_label
 from .errors import HgParseError
@@ -38,19 +49,25 @@ class _Universe(dict):
 def loads(text: str) -> Hypergraph:
     """Parse ``.hg`` text; parse errors carry 1-based line numbers.
 
-    One pass tokenises each line once, maps its labels to indices (interning
-    them in first-appearance order, or looking them up in the pinned
-    universe), sorts each edge and finds duplicate edges with a dict; the
-    edge list is sorted once and the Hypergraph is built directly, already
-    canonical.  Directive errors take precedence over edge errors, which
-    come in line order.
+    One pass over the lines tokenises each line once and maps its labels to
+    indices (interning them in first-appearance order, or looking them up in
+    the pinned universe).  For each edge line it only records the indices,
+    their count and the line number; numpy then sorts every edge, finds
+    repeated labels, short edges and duplicate sets, and puts the edges in
+    canonical order (:func:`_canonical`).  The Hypergraph is built
+    directly, already canonical, with its incidence table.  Directive
+    errors take precedence over edge errors; among edge errors the first
+    bad line wins, with the message the line's own tokens give
+    (:func:`_edge_error`) or the line of the set it repeats.
     """
     # A leading byte-order mark is no part of the first line's first token.
     text = text.removeprefix("\ufeff")
     index = _Universe()
     had_edges = False
-    edge_error = None
-    seen: dict = {}  # edge -> line of its first appearance
+    edge_error = None  # the error of a line with a label outside the universe
+    flat: list = []  # every edge line's vertex indices, in line order
+    sizes: list = []  # each edge line's label count
+    linenos = array("q")  # each edge line's number, held as no int objects
     lookup = index.__getitem__
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -84,23 +101,80 @@ def loads(text: str) -> Hypergraph:
         if edge_error is not None:
             continue
         try:
-            edge = tuple(sorted(map(lookup, tokens)))
+            flat.extend(map(lookup, tokens))
         except KeyError:
-            edge = None
-        if edge is None or len(tokens) < 2 or len(set(edge)) != len(edge):
+            del flat[sum(sizes):]  # the indices of this line before the bad one
             edge_error = _edge_error(tokens, index, lineno)
             continue
-        first = seen.setdefault(edge, lineno)
-        if first != lineno:
-            edge_error = HgParseError(
-                f"edge duplicates the set on line {first}", lineno
-            )
+        sizes.append(len(tokens))
+        linenos.append(lineno)
 
+    edges, incidence, bad = _canonical(len(index), flat, sizes)
+    if bad is not None:
+        line, first = bad
+        lineno = linenos[line]
+        if first < 0:
+            tokens = text.splitlines()[lineno - 1].split()
+            edge_error = _edge_error(tokens, index, lineno)
+        else:
+            edge_error = HgParseError(
+                f"edge duplicates the set on line {linenos[first]}", lineno
+            )
     if edge_error is not None:
         raise edge_error
     if not index:
         raise HgParseError("no vertices defined", 1)
-    return Hypergraph(n=len(index), edges=tuple(sorted(seen)), labels=tuple(index))
+    h = Hypergraph(n=len(index), edges=edges, labels=tuple(index))
+    vars(h)["_incidence"] = incidence  # the cached_property's slot
+    return h
+
+
+def _canonical(n: int, flat: list, sizes: list) -> tuple:
+    """(edges, incidence, bad) of edge lines given as runs of ``sizes``
+    vertex indices in ``flat``, with lines counted from 0.
+
+    ``edges`` are the canonical edge tuples and ``incidence`` is their
+    ``Hypergraph._incidence``.  ``bad`` is None when every line is a
+    distinct edge of two or more distinct vertices.  Otherwise it is the
+    first bad line: (line, -1) for one that repeats a label or has fewer
+    than two, or (line, first) for one that repeats the set of line
+    ``first``, the first line with that set.  ``flat`` is emptied once
+    read, so that it holds no memory while the edge tuples are built."""
+    sizes = np.array(sizes, dtype=np.int64)
+    m = sizes.size
+    # One row per edge, in the least integer type that holds -1 and n.
+    # Padded with n, each row sorts with its members first; then the
+    # padding becomes -1, so that a prefix sorts first, as in tuple order.
+    dtype = np.min_scalar_type(-1 - n)
+    table = np.full((m, int(sizes.max(initial=1))), n, dtype=dtype)
+    filled = np.arange(table.shape[1]) < sizes[:, None]
+    table[filled] = np.fromiter(flat, dtype=dtype, count=len(flat))
+    flat.clear()
+    table.sort(axis=1)
+    twice = ((table[:, 1:] == table[:, :-1]) & filled[:, 1:]).any(axis=1)
+    table[~filled] = -1
+    invalid = np.flatnonzero(twice | (sizes < 2))
+    # The stable sort keeps equal sets in line order.
+    order = np.lexsort(table.T[::-1])
+    table, sizes = table[order], sizes[order]
+    again = np.flatnonzero((table[1:] == table[:-1]).all(axis=1)) + 1
+    bad = [(int(invalid[0]), -1)] if invalid.size else []
+    if again.size:
+        repeat = again[order[again].argmin()]
+        first = np.flatnonzero((table == table[repeat]).all(axis=1))[0]
+        bad.append((int(order[repeat]), int(order[first])))
+    if bad:
+        return None, None, min(bad)
+    # The tuples of each size class in one zip, then all in canonical order.
+    rows: list = []
+    where = np.empty(m, dtype=np.int64)  # each edge's place in rows
+    for k in range(2, table.shape[1] + 1):
+        at = np.flatnonzero(sizes == k)
+        where[at] = np.arange(len(rows), len(rows) + at.size)
+        rows += zip(*table[at, :k].T.tolist())
+    edges = tuple(map(rows.__getitem__, where.tolist()))
+    members = table[table >= 0].astype(np.int64)
+    return edges, (members, np.cumsum(sizes) - sizes, sizes), None
 
 
 def _edge_error(tokens: list, index: dict, lineno: int) -> HgParseError:

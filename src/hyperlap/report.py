@@ -5,11 +5,18 @@ fixed by construction, floats are rounded to 10 decimal places, non-finite
 floats become null, and exact rationals are emitted as numerator/denominator
 pairs next to a rounded decimal.  Degrees, spectrum, connectivity and
 bounds are read from ``analyze(h)``.
+
+:func:`dumps` writes the JSON text in one recursive pass that converts
+and encodes each value: two-space indentation, ``","`` between items and
+``": "`` after keys, ASCII-only strings through the standard library's C
+string encoder, and each number as its ``repr``.  Vertex labels are looked
+up by index, with one table per input, and each list of labels is written
+with one ``join``.
 """
 
-import json
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 from typing import Optional
 
@@ -32,43 +39,66 @@ def _round(x: float) -> Optional[float]:
 
 
 class _Labels(list):
-    """A list of vertex labels: already JSON-safe, so :func:`jsonable`
-    returns it as it is."""
+    """A list of vertex labels, which :func:`dumps` writes as strings
+    without looking at each one's type."""
 
     __slots__ = ()  # as small as a plain list
 
 
-def jsonable(obj):
-    """Recursively convert to JSON-safe values with fixed float rounding."""
-    if type(obj) is _Labels:
-        return obj
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round(obj)
-    if isinstance(obj, Fraction):
-        return {
-            "numerator": obj.numerator,
-            "denominator": obj.denominator,
-            "value": _round(float(obj)),
-        }
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [jsonable(v) for v in obj]
-    return obj
+def dumps(payload) -> str:
+    """The JSON text of ``payload``, ending in a newline.  Floats (numpy's
+    too) are rounded to 10 places and non-finite ones become null; numpy
+    integers become ints; a Fraction becomes its numerator, denominator and
+    rounded value; tuples and arrays become lists; dict keys become
+    strings.  A value of any other type raises TypeError."""
+    return _encode(payload, "\n") + "\n"
 
 
-def dumps(payload: dict) -> str:
-    return json.dumps(jsonable(payload), indent=2, allow_nan=False) + "\n"
+def _encode(obj, pad: str) -> str:
+    """``obj`` as JSON text whose nested lines start with ``pad``, a
+    newline and the indentation of the line ``obj`` starts on."""
+    inner = pad + "  "
+    if type(obj) is _Labels:  # first, as most nodes of a large report are
+        items = map(_string, obj)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = [_encode(v, inner) for v in obj]
+    elif isinstance(obj, str):
+        return _string(obj)
+    elif obj is None:
+        return "null"
+    elif isinstance(obj, bool):
+        return "true" if obj else "false"
+    elif isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        x = _round(obj)
+        return "null" if x is None else float.__repr__(x)
+    else:
+        if isinstance(obj, Fraction):
+            obj = {"numerator": obj.numerator, "denominator": obj.denominator,
+                   "value": float(obj)}
+        if not isinstance(obj, dict):
+            raise TypeError(
+                f"Object of type {type(obj).__name__} is not JSON serializable"
+            )
+        if not obj:
+            return "{}"
+        items = (_string(str(k)) + ": " + _encode(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if len(obj) == 0:
+        return "[]"
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
-def _labels(h: Hypergraph, vertices) -> Optional[list]:
+def _names(h: Hypergraph) -> tuple:
+    """Each vertex's label, by index."""
+    return h.labels if h.labels is not None else tuple(map(str, range(h.n)))
+
+
+def _labels(names: tuple, vertices) -> Optional[list]:
     if vertices is None:
         return None
-    return _Labels(map(h.label_of, vertices))
+    return _Labels(map(names.__getitem__, vertices))
 
 
 def _shape(h: Hypergraph, source: str) -> dict:
@@ -99,6 +129,7 @@ def spectrum_payload(h: Hypergraph, source: str) -> dict:
 
 def bounds_payload(h: Hypergraph) -> list:
     """JSON array: one entry per applicable bound."""
+    names = _names(h)
     return [
         {
             "name": rep.name,
@@ -106,35 +137,37 @@ def bounds_payload(h: Hypergraph) -> list:
             "lambda_n": rep.lambda_n,
             "slack": rep.slack,
             "holds": rep.holds,
-            "witness": _labels(h, rep.witness),
+            "witness": _labels(names, rep.witness),
         }
         for rep in all_bounds(h)
     ]
 
 
 def cut_payload(h: Hypergraph, report: CutReport, source: str) -> dict:
+    names = _names(h)
     payload = _shape(h, source)
     payload.update(
         {
-            "subset": _labels(h, report.subset),
+            "subset": _labels(names, report.subset),
             "boundary_size": report.boundary_size,
             "lower": report.lower,
             "upper": report.upper,
             "density": report.density,
-            "boundary_edges": [_labels(h, e) for e in report.edges],
+            "boundary_edges": [_labels(names, e) for e in report.edges],
         }
     )
     return payload
 
 
 def _summary_fields(h: Hypergraph, summary: ConnectivitySummary) -> dict:
+    names = _names(h)
     return {
         "max_cut": summary.max_cut,
-        "max_cut_witness": _labels(h, summary.max_cut_witness),
+        "max_cut_witness": _labels(names, summary.max_cut_witness),
         "max_cut_bound_kmin": summary.max_cut_bound_kmin,
         "max_cut_bound_kmax": summary.max_cut_bound_kmax,
         "isoperimetric": summary.isoperimetric,
-        "iso_witness": _labels(h, summary.iso_witness),
+        "iso_witness": _labels(names, summary.iso_witness),
         "iso_lower_bound": summary.iso_lower_bound,
     }
 
@@ -151,7 +184,7 @@ def sweep_payload(
     payload = _shape(h, source)
     payload.update(
         {
-            "subset": _labels(h, subset),
+            "subset": _labels(_names(h), subset),
             "ratio": Fraction(report.boundary_size, len(subset)),
             "boundary_size": report.boundary_size,
             "lower": report.lower,

@@ -130,19 +130,21 @@ def test_stream_chunks_break_where_n_changes(solves):
 @pytest.mark.parametrize("n", [0, 1, 2, 8, 12, 19, 40, 45, 46, 64, 65, 128])
 def test_a_chunk_is_priced_like_one_n64_solve(n):
     size = analysis._chunk_size(n)
-    priced = core.dense_bytes(max(n, 1))
+    priced = core.dense_bytes(max(n, 4))  # a chunk is no longer than at n=4
     assert size == 1 or size * priced <= core.dense_bytes(64)
     assert (size + 1) * priced > core.dense_bytes(64)
 
 
-@pytest.mark.parametrize("n", range(4, 65))
+@pytest.mark.parametrize("n", range(2, 65))
 def test_a_chunk_solve_peaks_within_two_n64_prices(n):
     # A chunk costs more than its share of dense_bytes at small n: the
     # solver's per-row arrays and numpy's ufunc buffers outweigh n**2.
-    # Measured peaks, as a share of dense_bytes(64): 1.78 at n=4, 1.04 at
-    # n=8, 0.79 at n=12 and 0.65 at n=64.
+    # Measured peaks, as a share of dense_bytes(64): 0.85 at n=2, 1.29 at
+    # n=3, 1.78 at n=4, 1.04 at n=8, 0.79 at n=12 and 0.65 at n=64.  Below
+    # n=4 only 2**n - n - 1 edges of at most n vertices exist.
+    m, k_max = min(2 * n, 2**n - n - 1), min(4, n)
     laplacians = [hl.analyze(h).laplacian
-                  for _, h in hl.random_battery(n, 2 * n, 2, 4, analysis._chunk_size(n), 3)]
+                  for _, h in hl.random_battery(n, m, 2, k_max, analysis._chunk_size(n), 3)]
     tracemalloc.start()
     try:
         hl.eigendecompose_stack(laplacians)

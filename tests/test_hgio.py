@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,7 @@ _NOT_A_LABEL = (
 
 def _loads_loops(text):
     """The two-pass parser that `loads` replaced, kept as the oracle."""
+    text = text.removeprefix(_BOM)  # as loads drops a leading byte-order mark
     order: list = []
     index: dict = {}
     pinned = False
@@ -267,7 +269,8 @@ def _loads_loops(text):
 
 
 _PIECES = ["a", "b", "c", "d", "#", "!vertices", "!other", "\n", "\n\n",
-           "\t", "\x0b", "\x1c", " "]
+           "\t", "\x0b", "\x1c", " ", "\r\n", "\r", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029", _BOM, "a a", "a b c", "c a b"]
 
 
 def _outcome(parse, text):
@@ -349,3 +352,52 @@ def test_dumps_then_loads_round_trips(h):
     back = hl.loads(hl.dumps(h))
     labels = h.labels if h.labels is not None else tuple(map(str, range(h.n)))
     assert back == hl.Hypergraph(n=h.n, edges=h.edges, labels=labels)
+
+
+def _incidence_of_edges(h):
+    """The incidence table built from ``h.edges``, as without a reader."""
+    return hl.Hypergraph(n=h.n, edges=h.edges, labels=h.labels)._incidence
+
+
+def _assert_seeded(h):
+    """``h`` carries the incidence table of its edges, and so does its
+    Analysis, without building it again."""
+    seeded = vars(h)["_incidence"]
+    for got, want in zip(seeded, _incidence_of_edges(h), strict=True):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert vars(hl.analyze(h))["_incidence"] is seeded
+
+
+def test_loads_without_edges():
+    h = hl.loads("!vertices a b c\n")
+    assert (h.n, h.edges, h.labels) == (3, (), ("a", "b", "c"))
+    _assert_seeded(h)
+    assert [x.size for x in h._incidence] == [0, 0, 0]
+
+
+def test_loads_with_one_edge():
+    h = hl.loads("# one\nb c a\n")
+    assert (h.n, h.edges, h.labels) == (3, ((0, 1, 2),), ("b", "c", "a"))
+    _assert_seeded(h)
+    assert np.array_equal(h._incidence[0], [0, 1, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_hypergraphs(), rnd=st.randoms(use_true_random=False), pin=st.booleans())
+def test_loads_seeds_the_incidence_table_of_its_edges(h, rnd, pin):
+    # Edges and their members in any order, with and without the directive.
+    if h is None:
+        return
+    labels = h.labels if h.labels is not None else tuple(map(str, range(h.n)))
+    edges = [[labels[v] for v in edge] for edge in h.edges]
+    rnd.shuffle(edges)
+    for edge in edges:
+        rnd.shuffle(edge)
+    text = ("!vertices " + " ".join(labels) + "\n" if pin or not edges else "") + "".join(
+        " ".join(edge) + "\n" for edge in edges
+    )
+    read = hl.loads(text)
+    assert read.edges == tuple(sorted(tuple(sorted(map(read.labels.index, e)))
+                                      for e in edges))
+    _assert_seeded(read)

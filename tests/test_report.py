@@ -7,36 +7,109 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperlap as hl
 from hyperlap import report
 
 
+def _jsonable(obj):
+    """The conversion the writer folds in: JSON-safe values with floats
+    rounded to ten places, kept as the oracle beside ``json.dumps``."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return round(x, 10) + 0.0 if math.isfinite(x) else None
+    if isinstance(obj, Fraction):
+        return {
+            "numerator": obj.numerator,
+            "denominator": obj.denominator,
+            "value": _jsonable(float(obj)),
+        }
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", '\\"q"', "\x00\x1f\x7f", "caf\u00e9", "\u2028\ud800", "\U0001f600", ""]
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 1e16, 1e-7, 1e22, 5e-324, float("nan"), float("inf"),
+                     -float("inf"), 0.1 + 0.2]),
+    st.fractions(min_value=-(10**9), max_value=10**9),
+    _TEXT,
+    st.lists(_TEXT, max_size=4).map(report._Labels),
+    st.lists(st.floats(), max_size=4).map(np.array),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_PAYLOADS)
+def test_dumps_writes_the_bytes_of_json_dumps(payload):
+    want = json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    assert report.dumps(payload) == want
+
+
+def test_dumps_refuses_what_json_refuses():
+    for bad in ({"x": {1, 2}}, [np.bool_(True)], object()):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(_jsonable(bad))
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            report.dumps(bad)
+
+
+def _read(obj):
+    """What a report of ``obj`` reads back as."""
+    return json.loads(report.dumps(obj))
+
+
 class TestJsonable:
     def test_scalars(self):
-        assert report.jsonable(True) is True
-        assert report.jsonable(np.int64(3)) == 3
-        assert isinstance(report.jsonable(np.int64(3)), int)
-        assert report.jsonable(np.float64(0.25)) == 0.25
+        assert _read(True) is True
+        assert _read(np.int64(3)) == 3
+        assert isinstance(_read(np.int64(3)), int)
+        assert _read(np.float64(0.25)) == 0.25
 
     def test_rounding_to_ten_places(self):
-        assert report.jsonable(1.23456789012345) == 1.2345678901
-        assert report.jsonable(-0.0) == 0.0
-        assert math.copysign(1.0, report.jsonable(-0.0)) == 1.0
+        assert _read(1.23456789012345) == 1.2345678901
+        assert _read(-0.0) == 0.0
+        assert math.copysign(1.0, _read(-0.0)) == 1.0
 
     def test_non_finite_becomes_null(self):
-        assert report.jsonable(float("nan")) is None
-        assert report.jsonable(float("inf")) is None
+        assert _read(float("nan")) is None
+        assert _read(float("inf")) is None
 
     def test_fraction(self):
-        assert report.jsonable(Fraction(2, 3)) == {
+        assert _read(Fraction(2, 3)) == {
             "numerator": 2,
             "denominator": 3,
             "value": 0.6666666667,
         }
 
     def test_containers(self):
-        got = report.jsonable({"a": np.array([1.0, 2.0]), "b": (1, 2)})
+        got = _read({"a": np.array([1.0, 2.0]), "b": (1, 2)})
         assert got == {"a": [1.0, 2.0], "b": [1, 2]}
 
     def test_dumps_round_trips_through_json(self):
@@ -113,7 +186,7 @@ def test_cut_payload_fields(g_uniform_cycle):
 def test_sweep_payload_ratio_is_exact(path4):
     subset, rep = hl.fiedler_sweep(path4)
     payload = report.sweep_payload(path4, subset, rep, "unit")
-    assert report.jsonable(payload)["ratio"] == {
+    assert _read(payload)["ratio"] == {
         "numerator": 1,
         "denominator": 2,
         "value": 0.5,

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import hyperlap as hl
-from hyperlap import verify
+from hyperlap import bounds, spectral, verify
 from hyperlap.cuts import sandwich_bounds
 
 HARD_CHECK_NAMES = [
@@ -148,6 +148,17 @@ class TestVerifyInstances:
 )
 def test_check_tolerances_keep_their_values(name, value):
     assert getattr(verify, name) == value
+
+
+# The tolerances of the `holds` verdict and of connectivity's zero
+# eigenvalue, which live beside the code that reads them.
+@pytest.mark.parametrize(
+    "module, name, value",
+    [(bounds, "HOLDS_TOL", 1e-8), (spectral, "ZERO_EIGENVALUE_TOL", 1e-8)],
+    ids=["HOLDS_TOL", "ZERO_EIGENVALUE_TOL"],
+)
+def test_verdict_tolerances_keep_their_values(module, name, value):
+    assert getattr(module, name) == value
 
 
 class TestBatteries:
