@@ -16,10 +16,12 @@ with, and :func:`hyperlap.analysis.analyze` carries it into the Analysis;
 otherwise it is built from ``edges`` on first use.  Outside this module it
 is read through :attr:`Hypergraph.edge_sizes` and
 :meth:`Hypergraph.edge_reduce`, one ``reduceat`` whose results come out in
-edge order.  The adjacency is one ``np.bincount`` over the vertex pairs of
-the edges, gathered one block of equal-size edges at a time, and the
-degrees are numpy passes over the members, so every pass costs
-O(sum |e|**2) numpy work at most and no incidence matrix is built.
+edge order.  The adjacency counts the vertex pairs of the edges with
+``np.bincount``, gathered one block of equal-size edges and one offset at
+a time (:func:`edge_blocks`), and the degrees are numpy passes over the
+members.  The adjacency costs O(sum |e|**2 + n**2) numpy work, the other
+passes O(sum |e|), and each holds O(sum |e| + n**2) bytes whatever the
+spread of the edge sizes; no incidence matrix is built.
 
 This module also decides how large an input may be.  Each exponential or
 quadratic stage has a price in bytes predicted from n alone,
@@ -32,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -242,6 +244,21 @@ def require_budget(n: int, nbytes: int, what: str) -> None:
     )
 
 
+def edge_blocks(incidence: tuple) -> Iterator:
+    """(at, rows) for each edge size k of an incidence table
+    ``(members, starts, sizes)``, ascending: the indices of the edges of
+    size k, ascending, and their members as a (len(at), k) array.  Only the
+    sizes present are visited, so the blocks cost O(sum |e|) in all,
+    however the sizes are spread."""
+    members, starts, sizes = incidence
+    counts = np.bincount(sizes)
+    by_size = np.argsort(sizes, kind="stable")
+    ends = np.cumsum(counts)
+    for k in np.flatnonzero(counts).tolist():
+        at = by_size[ends[k] - counts[k] : ends[k]]
+        yield at, members[starts[at, None] + np.arange(k)]
+
+
 def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     """Weighted clique-expansion adjacency: A[i, j] = #edges containing both.
 
@@ -249,15 +266,25 @@ def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     exceeds MAX_DENSE_BYTES."""
     n = h.n
     require_budget(n, dense_bytes(n), "n-by-n matrices")
-    members, starts, sizes = h._incidence
+    members, _, _ = h._incidence
     # Members ascend within an edge, so in the (edges, k) block of each edge
-    # size k, column x < y gives vertex i < j: count the upper triangle as
-    # flat indices i*n + j, one column pair at a time, then mirror it.
-    pairs = [np.zeros(0, dtype=np.int64)]
-    for k in range(2, int(sizes.max(initial=0)) + 1):
-        rows = members[starts[sizes == k, None] + np.arange(k)]
-        pairs += [rows[:, x] * n + rows[:, y] for x in range(k) for y in range(x + 1, k)]
-    upper = np.bincount(np.concatenate(pairs), minlength=n * n).reshape(n, n)
+    # size, column x and column x + g give vertices i < j: count the upper
+    # triangle as flat indices i*n + j, one offset g at a time, then mirror
+    # it.  The pairs are counted once they reach the larger of the member
+    # count and n*n, so they hold O(sum |e| + n**2) entries at any time.
+    limit = max(members.size, n * n)
+    upper = np.zeros(n * n, dtype=np.int64)
+    batch, held = [], 0
+    for _, rows in edge_blocks(h._incidence):
+        for g in range(1, rows.shape[1]):
+            batch.append((rows[:, :-g] * n + rows[:, g:]).ravel())
+            held += batch[-1].size
+            if held >= limit:
+                upper += np.bincount(np.concatenate(batch), minlength=n * n)
+                batch, held = [], 0
+    if batch:
+        upper += np.bincount(np.concatenate(batch), minlength=n * n)
+    upper = upper.reshape(n, n)
     return upper + upper.T
 
 

@@ -18,7 +18,8 @@ order.
 edge line into vertex indices and does nothing else per line.  The
 per-edge work that follows, sorting each edge, finding repeated labels and
 duplicate sets, and ordering the edges, is a few numpy calls over all the
-edges at once.  It builds the canonical Hypergraph itself, without
+edges at once, on the flat runs of their vertex indices, so that it costs
+O(sum |e|) bytes however the edge sizes are spread.  It builds the canonical Hypergraph itself, without
 re-checking it through ``Hypergraph.from_edges``, and hands it the
 incidence table (``Hypergraph._incidence``) that those calls leave behind,
 so no later pass builds it from the edge tuples again.
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LABEL_RULE, Hypergraph, is_label
+from .core import LABEL_RULE, Hypergraph, edge_blocks, is_label
 from .errors import HgParseError
 
 
@@ -139,42 +140,93 @@ def _canonical(n: int, flat: list, sizes: list) -> tuple:
     first bad line: (line, -1) for one that repeats a label or has fewer
     than two, or (line, first) for one that repeats the set of line
     ``first``, the first line with that set.  ``flat`` is emptied once
-    read, so that it holds no memory while the edge tuples are built."""
+    read.  Every step works on the flat runs, so it costs O(sum |e|) bytes
+    however the edge sizes are spread."""
     sizes = np.array(sizes, dtype=np.int64)
     m = sizes.size
-    # One row per edge, in the least integer type that holds -1 and n.
-    # Padded with n, each row sorts with its members first; then the
-    # padding becomes -1, so that a prefix sorts first, as in tuple order.
-    dtype = np.min_scalar_type(-1 - n)
-    table = np.full((m, int(sizes.max(initial=1))), n, dtype=dtype)
-    filled = np.arange(table.shape[1]) < sizes[:, None]
-    table[filled] = np.fromiter(flat, dtype=dtype, count=len(flat))
+    starts = np.cumsum(sizes) - sizes
+    # Offset by line * n, all the indices sort as one array, and each
+    # line's run comes out sorted in place.  Equal neighbours are then a
+    # label repeated on one line.
+    offset = np.repeat(np.arange(m) * n, sizes)
+    members = np.fromiter(flat, dtype=np.int64, count=len(flat))
     flat.clear()
-    table.sort(axis=1)
-    twice = ((table[:, 1:] == table[:, :-1]) & filled[:, 1:]).any(axis=1)
-    table[~filled] = -1
-    invalid = np.flatnonzero(twice | (sizes < 2))
+    members += offset
+    members.sort()
+    twice = np.flatnonzero(members[1:] == members[:-1]) + 1
+    members -= offset
+    del offset
+    invalid = np.flatnonzero(sizes < 2)[:1].tolist()
+    invalid += (np.searchsorted(starts, twice[:1], side="right") - 1).tolist()
+    rank = _ranks(n, members, starts, sizes)
     # The stable sort keeps equal sets in line order.
-    order = np.lexsort(table.T[::-1])
-    table, sizes = table[order], sizes[order]
-    again = np.flatnonzero((table[1:] == table[:-1]).all(axis=1)) + 1
-    bad = [(int(invalid[0]), -1)] if invalid.size else []
+    order = np.argsort(rank, kind="stable")
+    rank = rank[order]
+    again = np.flatnonzero(rank[1:] == rank[:-1]) + 1
+    bad = [(min(invalid), -1)] if invalid else []
     if again.size:
         repeat = again[order[again].argmin()]
-        first = np.flatnonzero((table == table[repeat]).all(axis=1))[0]
+        first = np.searchsorted(rank, rank[repeat])
         bad.append((int(order[repeat]), int(order[first])))
     if bad:
         return None, None, min(bad)
-    # The tuples of each size class in one zip, then all in canonical order.
-    rows: list = []
-    where = np.empty(m, dtype=np.int64)  # each edge's place in rows
-    for k in range(2, table.shape[1] + 1):
-        at = np.flatnonzero(sizes == k)
-        where[at] = np.arange(len(rows), len(rows) + at.size)
-        rows += zip(*table[at, :k].T.tolist())
-    edges = tuple(map(rows.__getitem__, where.tolist()))
-    members = table[table >= 0].astype(np.int64)
-    return edges, (members, np.cumsum(sizes) - sizes, sizes), None
+    # The incidence table in canonical order, then the tuples of each size
+    # class in one zip, each put at its edges' places.  The line-order
+    # arrays go as soon as they are read, and the tuples share one int
+    # object per vertex, to keep the peak low.
+    sizes = sizes[order]
+    moved = np.cumsum(sizes) - sizes
+    source = np.repeat(starts[order] - moved, sizes)
+    del starts, order, rank
+    source += np.arange(source.size)
+    members = members[source]
+    del source
+    incidence = (members, moved, sizes)
+    vertices = np.arange(n).astype(object)
+    edges = np.empty(m, dtype=object)
+    for at, block in edge_blocks(incidence):
+        rows = zip(*vertices[block].T.tolist())
+        edges[at] = np.fromiter(rows, dtype=object, count=at.size)
+    return tuple(edges.tolist()), incidence, None
+
+
+def _ranks(n: int, members, starts, sizes) -> np.ndarray:
+    """Each edge's rank in tuple order: how many edges sort before it,
+    the same for edges with the same members.  The edges are the sorted
+    runs of ``sizes`` members from ``starts``.
+
+    Column j of an edge is its j-th member plus one, or 0 past its end, so
+    that a prefix sorts first.  Each pass packs the rank so far and the
+    next w columns into one int64 key, as many columns as fit, and sorts
+    only the edges that still tie with another and have columns left.  An
+    edge e takes part in at most |e| // w + 1 passes, so the passes read
+    O(sum |e| + w m) columns whatever the spread of the sizes."""
+    m = sizes.size
+    base = n + 1
+    # Ranks are below m, so a key stays below 2**63.
+    w = max(1, (63 - m.bit_length()) // base.bit_length())
+    rank = np.zeros(m, dtype=np.int64)
+    live = np.arange(m)
+    c = 0
+    while live.size:
+        key = rank[live]
+        for j in range(c, c + w):
+            column = np.zeros(live.size, dtype=np.int64)
+            more = sizes[live] > j
+            column[more] = members[starts[live[more]] + j] + 1
+            key = key * base + column
+        sort = np.argsort(key)
+        live, key = live[sort], key[sort]
+        # Sorted by key is sorted by rank: a group of equal rank splits at
+        # its start into runs of equal key, and each run's rank grows by
+        # the number of the group's edges that sort before it.
+        tied = rank[live]
+        first = np.searchsorted(key, key)
+        rank[live] = tied + first - np.searchsorted(tied, tied)
+        alone = np.searchsorted(key, key, side="right") - first == 1
+        live = live[~alone & (sizes[live] >= c + w)]
+        c += w
+    return rank
 
 
 def _edge_error(tokens: list, index: dict, lineno: int) -> HgParseError:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +305,31 @@ def test_loads_matches_two_pass_parser_on_edge_lines(lines, pin):
     assert _outcome(hl.loads, text) == _outcome(_loads_loops, text)
 
 
+_WIDE = "!vertices " + " ".join(f"v{v}" for v in range(3000)) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(1, 30), st.lists(st.integers(30, 2999), max_size=3)),
+        min_size=1, max_size=12,
+    ),
+    again=st.booleans(),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_loads_matches_two_pass_parser_on_long_shared_prefixes(edges, again, rnd):
+    # Edges that start with the same run 0, 1, ... of up to 30 vertices, out
+    # of 3000: one int64 key then holds four columns, so ordering them takes
+    # several passes.  Prefixes of each other, repeats and duplicates too.
+    lines = [[f"v{v}" for v in [*range(length), *extra]] for length, extra in edges]
+    if again:
+        lines.append(list(rnd.choice(lines)))
+    for line in lines:
+        rnd.shuffle(line)
+    text = _WIDE + "".join(" ".join(line) + "\n" for line in lines)
+    assert _outcome(hl.loads, text) == _outcome(_loads_loops, text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=st.one_of(
     st.text(max_size=60),
@@ -401,3 +429,23 @@ def test_loads_seeds_the_incidence_table_of_its_edges(h, rnd, pin):
     assert read.edges == tuple(sorted(tuple(sorted(map(read.labels.index, e)))
                                       for e in edges))
     _assert_seeded(read)
+
+
+def test_loads_peak_memory_is_linear_in_the_members():
+    # Many pairs and one edge of half the vertices: a table padded to the
+    # widest edge would hold about 800 times as many entries as the members.
+    n, rng = 4000, random.Random(3)
+    pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(5000)}
+    big = rng.sample(range(n), n // 2)
+    text = "".join(
+        " ".join(f"v{v}" for v in edge) + "\n" for edge in [range(n), big, *pairs]
+    )
+    members = n + n // 2 + 2 * len(pairs)
+    tracemalloc.start()
+    try:
+        h = hl.loads(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.edges == tuple(sorted([tuple(range(n)), tuple(sorted(big)), *pairs]))
+    assert peak <= 250 * members, f"{peak / members:.0f} bytes per member"
