@@ -147,12 +147,14 @@ def _canonical(n: int, flat: list, sizes: list) -> tuple:
     starts = np.cumsum(sizes) - sizes
     # Offset by line * n, all the indices sort as one array, and each
     # line's run comes out sorted in place.  Equal neighbours are then a
-    # label repeated on one line.
+    # label repeated on one line.  Every sort here is the stable one: on
+    # first use numpy's int64 quicksort and argsort map about 0.5 MiB more
+    # of their code into the process.
     offset = np.repeat(np.arange(m) * n, sizes)
     members = np.fromiter(flat, dtype=np.int64, count=len(flat))
     flat.clear()
     members += offset
-    members.sort()
+    members.sort(kind="stable")
     twice = np.flatnonzero(members[1:] == members[:-1]) + 1
     members -= offset
     del offset
@@ -209,13 +211,15 @@ def _ranks(n: int, members, starts, sizes) -> np.ndarray:
     live = np.arange(m)
     c = 0
     while live.size:
+        # No column past the longest live edge's end tells edges apart.
+        stop = min(c + w, int(sizes[live].max()) + 1)
         key = rank[live]
-        for j in range(c, c + w):
+        for j in range(c, stop):
             column = np.zeros(live.size, dtype=np.int64)
             more = sizes[live] > j
             column[more] = members[starts[live[more]] + j] + 1
             key = key * base + column
-        sort = np.argsort(key)
+        sort = np.argsort(key, kind="stable")
         live, key = live[sort], key[sort]
         # Sorted by key is sorted by rank: a group of equal rank splits at
         # its start into runs of equal key, and each run's rank grows by
@@ -224,8 +228,8 @@ def _ranks(n: int, members, starts, sizes) -> np.ndarray:
         first = np.searchsorted(key, key)
         rank[live] = tied + first - np.searchsorted(tied, tied)
         alone = np.searchsorted(key, key, side="right") - first == 1
-        live = live[~alone & (sizes[live] >= c + w)]
-        c += w
+        live = live[~alone & (sizes[live] >= stop)]
+        c = stop
     return rank
 
 
