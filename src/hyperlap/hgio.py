@@ -17,12 +17,12 @@ order.
 ``loads`` reads the text in one pass over its lines, which turns each
 edge line into vertex indices and does nothing else per line.  The
 per-edge work that follows, sorting each edge, finding repeated labels and
-duplicate sets, and ordering the edges, is a few numpy calls over all the
-edges at once, on the flat runs of their vertex indices, so that it costs
-O(sum |e|) bytes however the edge sizes are spread.  It builds the canonical Hypergraph itself, without
-re-checking it through ``Hypergraph.from_edges``, and hands it the
-incidence table (``Hypergraph._incidence``) that those calls leave behind,
-so no later pass builds it from the edge tuples again.
+duplicate sets, and ordering the edges, is a few numpy calls over the flat
+runs of all the edges' vertex indices, so that it costs O(sum |e|) bytes
+however the edge sizes are spread.  It builds the canonical Hypergraph
+itself, without re-checking it through ``Hypergraph.from_edges``, and
+hands it the incidence table (``Hypergraph._incidence``) that those calls
+leave behind, so no later pass builds it from the edge tuples again.
 """
 
 from array import array

@@ -300,6 +300,12 @@ def test_vectorised_construction_matches_loops():
         k_max = rng.randint(2, min(n, 7))
         m = rng.randint(1, min(60, math.comb(n, 2)))
         cases.append(hl.random_hypergraph(n=n, m=m, k_min=2, k_max=k_max, seed=seed))
+    # Many pairs beside edges of nearly every vertex: the vertex pairs
+    # outnumber both the members and n*n, so they are counted in batches.
+    for n in (3, 8, 13, 21):
+        sizes = [2] * 3 * n + [n - 1, n] + rng.choices(range(2, n + 1), k=n)
+        edges = {tuple(sorted(rng.sample(range(n), k))) for k in sizes}
+        cases.append(hl.Hypergraph.from_edges(edges, n=n))
     for h in cases:
         a = hl.adjacency_matrix(h)
         assert a.dtype == np.int64
@@ -310,19 +316,6 @@ def test_vectorised_construction_matches_loops():
         assert np.array_equal(dp.d, d) and np.array_equal(dp.delta, delta)
         sizes = [len(e) for e in h.edges]
         assert (dp.k_min, dp.k_max) == (min(sizes, default=0), max(sizes, default=0))
-
-
-def test_construction_matches_loops_on_spread_edge_sizes():
-    # Many pairs beside edges of nearly every vertex: the vertex pairs
-    # outnumber both the members and n*n, so they are counted in batches.
-    rng = random.Random(5)
-    for n in (3, 8, 13, 21):
-        sizes = [2] * 3 * n + [n - 1, n] + rng.choices(range(2, n + 1), k=n)
-        edges = {tuple(sorted(rng.sample(range(n), k))) for k in sizes}
-        h = hl.Hypergraph.from_edges(edges, n=n)
-        assert np.array_equal(hl.adjacency_matrix(h), _adjacency_loops(h))
-        dp = hl.degree_profile(h)
-        assert [dp.d.tolist(), dp.delta.tolist()] == [x.tolist() for x in _degrees_loops(h)]
 
 
 @st.composite

@@ -258,32 +258,24 @@ def test_battery_peak_memory_is_one_scan():
     assert peak <= hl.core.scan_bytes(19), f"{peak / 2**20:.2f} MiB"
 
 
-def _dense_stages_peak(an):
-    """The tracemalloc peak of the n-by-n stages of ``an``, which must pass."""
+# Both n are over the scan's budget, so only the n-by-n stages run; the
+# eigensolve holds their peak.  In the large-edge cases each edge holds a
+# quarter to half of the vertices, so the vertex pairs outnumber the members
+# and n**2 several times over, and the adjacency counts them in batches.
+@pytest.mark.parametrize(
+    "n, m, k_min, k_max",
+    [(128, 640, 2, 4), (200, 1000, 2, 4), (128, 128, 32, 64), (200, 200, 50, 100)],
+    ids=["128", "200", "128-large-edges", "200-large-edges"],
+)
+def test_dense_stages_peak_memory_is_within_dense_bytes(n, m, k_min, k_max):
+    an = hl.analyze(hl.random_hypergraph(n, m, k_min, k_max, 3))
     tracemalloc.start()
     try:
         an.spectrum
         an.bounds
-        report = verify.verify_instances([(f"r{an.n}", an)], f"r{an.n}")
+        report = verify.verify_instances([(f"r{n}", an)], f"r{n}")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.passed
-    return peak
-
-
-# Both n are over the scan's budget, so only the n-by-n stages run; the
-# eigensolve holds their peak.
-@pytest.mark.parametrize("n", [128, 200])
-def test_dense_stages_peak_memory_is_within_dense_bytes(n):
-    peak = _dense_stages_peak(hl.analyze(hl.random_hypergraph(n, 5 * n, 2, 4, 3)))
-    assert peak <= hl.core.dense_bytes(n), f"{peak / hl.core.dense_bytes(n):.3f}"
-
-
-# Edges of a quarter to half of the vertices: their vertex pairs outnumber
-# the members and n**2 several times over, and the adjacency counts them in
-# batches, so that the eigensolve still holds the peak.
-@pytest.mark.parametrize("n", [128, 200])
-def test_dense_stages_peak_memory_is_within_dense_bytes_with_large_edges(n):
-    peak = _dense_stages_peak(hl.analyze(hl.random_hypergraph(n, n, n // 4, n // 2, 3)))
     assert peak <= hl.core.dense_bytes(n), f"{peak / hl.core.dense_bytes(n):.3f}"
