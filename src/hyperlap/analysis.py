@@ -28,7 +28,7 @@ solves the spectra of consecutive same-size inputs as one stack.
 
 from collections import deque
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -71,6 +71,45 @@ def _lex_least(sides: np.ndarray) -> tuple:
         sides = sides[low == least] ^ least
         if not sides.all():
             return tuple(witness)
+
+
+# A scanned mask's low bits, which give its column in :func:`_size_profile`.
+_PROFILE_BITS = 12
+
+
+@cache
+def _size_order(bits: int) -> tuple:
+    """The masks of [0, 2**bits) in order of size, stably, and where the run
+    of each size 0..bits starts in that order."""
+    sizes = np.bitwise_count(np.arange(1 << bits))
+    order = np.argsort(sizes, kind="stable")
+    return order, np.searchsorted(sizes[order], np.arange(bits + 1))
+
+
+def _size_profile(boundary: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
+    """(least, most): the least and most of the int32 ``boundary`` among the
+    scanned masks of each size 0..n-1, ``sizes`` being each mask's size.
+    The masks of one row of 2**bits share their high part; taken in order
+    of size, each run of a row's masks has one size.  The rows whose high
+    parts have size c are first reduced, column by column, to one row,
+    whose runs then hold the masks of sizes c..c+bits."""
+    bits = min(n - 1, _PROFILE_BITS)
+    order, starts = _size_order(bits)
+    rows = boundary.reshape(-1, 1 << bits)
+    if rows.shape[0] == 1:
+        runs = boundary[order]
+        return np.minimum.reduceat(runs, starts), np.maximum.reduceat(runs, starts)
+    row_sizes = sizes[:: 1 << bits]
+    least = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
+    most = np.full(n, -1, dtype=np.int32)
+    for c in range(n - bits):
+        block = rows[row_sizes == c]
+        window = slice(c, c + bits + 1)
+        lo = np.minimum.reduceat(block.min(axis=0)[order], starts)
+        hi = np.maximum.reduceat(block.max(axis=0)[order], starts)
+        np.minimum(least[window], lo, out=least[window])
+        np.maximum(most[window], hi, out=most[window])
+    return least, most
 
 
 class Analysis(Hypergraph):
@@ -157,13 +196,26 @@ class Analysis(Hypergraph):
         boundary = subset_scan(self.edge_masks, self.edge_sizes, p)
         return boundary, np.bitwise_count(np.arange(1 << p, dtype=np.int32))
 
+    @property
+    def profile(self) -> tuple:
+        """(least, most): the int32 least and most boundary among the scanned
+        masks of each size 0..n-1 (:func:`_size_profile`).  Computed once
+        per scan: it is kept beside the scan it was read from, and a scan
+        stored in its place gets a profile of its own."""
+        scan = self.scan
+        kept = vars(self).get("_profile")
+        if kept is None or kept[0] is not scan:
+            kept = vars(self)["_profile"] = (scan, _size_profile(*scan, self.n))
+        return kept[1]
+
     @cached_property
     def max_cut(self) -> tuple:
         """(value, witness) of :func:`hyperlap.cuts.max_cut`."""
-        boundary, _ = self.scan
-        value = int(boundary.max())
+        _, most = self.profile
+        value = int(most.max())
         if value == 0:
             return 0, ()
+        boundary, _ = self.scan
         best = np.flatnonzero(boundary == value)
         full = (1 << self.n) - 1
         return value, _lex_least(np.concatenate([best, full ^ best]))
@@ -174,24 +226,30 @@ class Analysis(Hypergraph):
         n = self.n
         if n < 2:
             raise TooSmallError("isoperimetric number needs at least two vertices")
-        boundary, sizes = self.scan
+        least, _ = self.profile
         # A scanned mask of size s stands for itself (size s) and for its
         # complement (size n - s), which holds vertex n-1.
-        least = np.full(n, self.m, dtype=boundary.dtype)
-        np.minimum.at(least, sizes, boundary)
-        value = min(
-            Fraction(int(min(least[t], least[n - t])), t) for t in range(1, n // 2 + 1)
-        )
+        ends = least.tolist()
+        value = min(Fraction(min(ends[t], ends[n - t]), t) for t in range(1, n // 2 + 1))
         # need[t] is the boundary of a size-t minimiser with 1 <= t <= n/2,
         # and -1, which no boundary equals, where value * t is no integer.
-        need = np.full(n + 1, -1, dtype=boundary.dtype)
+        # A scanned mask of size s is a minimiser when its boundary is
+        # direct[s], and its complement is one when it is flipped[s].  No
+        # mask of size s has a boundary below least[s], so only the values
+        # that least reaches are searched for.
+        need = np.full(n + 1, -1, dtype=np.int64)
         t = np.arange(value.denominator, n // 2 + 1, value.denominator)
         need[t] = t // value.denominator * value.numerator
-        direct = boundary == need[sizes]
-        flipped = boundary == need[n - sizes]
+        direct, flipped = need[:n], need[n:0:-1]
+        reached = {*least[least == direct].tolist(), *least[least == flipped].tolist()}
+        boundary, sizes = self.scan
         full = (1 << n) - 1
-        sides = np.concatenate([np.flatnonzero(direct), full ^ np.flatnonzero(flipped)])
-        return value, _lex_least(sides)
+        sides = []
+        for b in reached:
+            hits = np.flatnonzero(boundary == b)
+            s = sizes[hits]
+            sides += [hits[direct[s] == b], full ^ hits[flipped[s] == b]]
+        return value, _lex_least(np.concatenate(sides))
 
 
 def analyze(h: Hypergraph) -> Analysis:

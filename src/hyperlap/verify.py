@@ -184,16 +184,20 @@ SANDWICH_UPPER_MARGIN = 1e-8
 def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
     if not an.enumerable or an.m == 0 or an.n < 2:
         return None
-    boundary, sizes = an.scan
-    # The bounds depend on the subset size alone: evaluate and shift per size.
+    # The bounds depend on the subset size alone, so each size's least and
+    # most boundary decide the check; the scan is searched for the first
+    # offending mask only when one exists.
+    least, most = an.profile
     lower, upper = sandwich_bounds(an, np.arange(an.n, dtype=np.int64))
-    bad_low = np.flatnonzero(boundary < (lower - SANDWICH_LOWER_MARGIN)[sizes])
-    if bad_low.size:
-        s = int(bad_low[0])
+    low = lower - SANDWICH_LOWER_MARGIN
+    high = upper + SANDWICH_UPPER_MARGIN
+    if np.any(least < low):
+        boundary, sizes = an.scan
+        s = int(np.flatnonzero(boundary < low[sizes])[0])
         return f"boundary {boundary[s]} below lower bound {lower[sizes[s]]:.6f} (mask {s})"
-    bad_high = np.flatnonzero(boundary > (upper + SANDWICH_UPPER_MARGIN)[sizes])
-    if bad_high.size:
-        s = int(bad_high[0])
+    if np.any(most > high):
+        boundary, sizes = an.scan
+        s = int(np.flatnonzero(boundary > high[sizes])[0])
         return f"boundary {boundary[s]} above upper bound {upper[sizes[s]]:.6f} (mask {s})"
     return None
 
