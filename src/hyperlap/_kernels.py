@@ -15,8 +15,9 @@ applies the n/2 disjoint rotations of each round-robin step at once, as
 fancy-indexed row updates.  The scan counts, for every subset, the edges
 inside it with a subset-sum (zeta) transform: its b low-bit passes run on a
 block of at most m rows of 2**b entries, one row per distinct high part of
-an edge, and the n - b passes that follow run on the whole table, so the
-cost is O(b m 2**b + (n - b) 2**n).
+an edge, unless there are as many edges as high parts, and the n - b
+passes that follow run on the whole table, so the cost is
+O(b m 2**b + (n - b) 2**n).
 """
 
 import numpy as np
@@ -510,7 +511,8 @@ def similarity(a, v):
 # and stays 0 under them.  The block is written into its rows of the table,
 # and passes b..n-1 run on the whole table, on inner runs of at least 2**b
 # entries.  Integer sums are exact, so the order of the passes does not
-# change the table.
+# change the table.  With at least as many edges as high parts the block
+# could be the whole table, so then every pass runs on the table.
 # ---------------------------------------------------------------------------
 
 # The low bits whose passes run on the block.
@@ -527,7 +529,7 @@ def subset_scan(edge_masks, edge_sizes, p):
     b = min(_LOW_BITS, n)
     inside = np.zeros(2 * half, dtype=np.int32)
     if len(edge_masks) >= 1 << (n - b):
-        # The block could hold every row of the table: all passes run on it.
+        # The block could hold every row: all passes run on the table.
         b = 0
         inside[edge_masks] = 1
     else:

@@ -14,12 +14,17 @@ they are refused when the scan's predicted bytes (``core.scan_bytes``)
 exceed the budget ``core.MAX_DENSE_BYTES``, which admits n <= 28.  Since a
 cut and its complement have the same boundary, only subsets avoiding
 vertex n-1 are scanned (half the masks).  The scan gets every boundary from one subset-sum
-transform of the edge list, in O(n 2**n) whatever the edge count.  Values
-and witnesses are chosen in integer arithmetic: the isoperimetric number is
-the least of at most n/2 exact Fractions (the smallest boundary per subset
-size, taken in one pass over the scan, with size t folded together with
+transform of the edge list, in O(n 2**n) whatever the edge count.  Its
+readers share one profile (``Analysis.profile``): the least and most
+boundary among the scanned masks of each size.  The max cut and the
+subset-sandwich check read their values and bounds from it, and the scan
+is searched again only for witnesses and for a failed check's first
+offending mask.  Values and witnesses are chosen in integer arithmetic: the
+isoperimetric number is the least of at most n/2 exact Fractions (the
+profile's least boundary per subset size, with size t folded together with
 size n - t), its minimisers are the masks whose boundary equals the value
-times their size or their complement's, and both witnesses come from one
+times their size or their complement's, searched for only among the
+boundary values that the profile reaches, and both witnesses come from one
 rule, :func:`_lex_least`.  No float takes part in either choice.
 
 :func:`analyze_stream` analyses a stream of inputs, such as a battery, and

@@ -215,10 +215,13 @@ def dense_bytes(n: int) -> int:
 
 
 def scan_bytes(n: int) -> int:
-    """Predicted peak bytes of the subset scan of an n-vertex input and the
-    exact checks that read it: 20 bytes for each of the 2**(n-1) scanned
-    subsets, the int32 table of 2**n counts (8), the int32 boundary (4),
-    the uint8 sizes (1) and the checks' per-subset temporaries."""
+    """Predicted peak bytes of the subset scan of an n-vertex input and of
+    its readers: 20 bytes for each of the 2**(n-1) scanned subsets.  The
+    scan holds the int32 table of 2**n counts (8) and the int32 boundary (4)
+    at its end; the boundary then stays with the uint8 sizes (1).  The
+    readers work on the per-size profile, and search the scan only for
+    witnesses (a bool per subset) or, when the sandwich check fails, for
+    its first offending subset (a float64 bound and a bool per subset)."""
     return 20 << (n - 1)
 
 

@@ -9,6 +9,7 @@ import pkgutil
 import tracemalloc
 import weakref
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -334,6 +335,102 @@ def test_subset_scan_matches_per_mask_recount(h):
     assert [int(b) for b in boundary] == [
         _recount(h, mask)[0] for mask in range(boundary.size)
     ]
+
+
+# The kernel runs its low-bit passes on a block of edge rows when there are
+# fewer edges than high parts (mask >> b), and on the whole table otherwise.
+# n runs from b - 1 to 20; at n = b + 1 only m <= 1 takes the block, and
+# m = 0 gives it no row at all.
+_B = _kernels._LOW_BITS
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(_B - 1, 12), (_B, 1), (_B, 16), (_B + 1, 0), (_B + 1, 1), (_B + 1, 20),
+     (12, 0), (12, 10), (12, 40), (16, 40), (20, 0), (20, 60)],
+)
+def test_subset_scan_around_the_low_bits_matches_recount(n, m):
+    h = hl.random_hypergraph(n, m, 2, min(n, 6), n + m) if m else hl.Hypergraph.from_edges([], n=n)
+    boundary = _kernel_scan(h)
+    assert boundary.dtype == np.int32 and boundary.shape == (1 << (n - 1),)
+    if m == 0:
+        assert not boundary.any()
+        return
+    rng = np.random.default_rng(n)
+    masks = range(boundary.size) if n <= 12 else rng.integers(0, boundary.size, 300).tolist()
+    for mask in masks:
+        assert int(boundary[mask]) == _recount(h, mask)[0], mask
+
+
+def test_subset_scan_of_edges_sharing_one_high_part():
+    # Five edges share the high part {b, b + 1}, so one row of the block, and
+    # one more has {b + 3}; among the five, the low part is empty in one and
+    # holds every low bit in another.
+    b = _kernels._LOW_BITS
+    low = list(range(b))
+    edges = [(0, b, b + 1), (1, 2, b, b + 1), (b - 1, b, b + 1), (b, b + 1),
+             (*low, b, b + 1), (5, b + 3)]
+    h = hl.Hypergraph.from_edges(edges, n=b + 4)
+    boundary = _kernel_scan(h)
+    assert [int(x) for x in boundary] == [_recount(h, mask)[0] for mask in range(boundary.size)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=_scan_inputs(), b=st.integers(1, 10))
+def test_subset_scan_with_any_low_bits_matches_recount(h, b):
+    # Any split into low and high bits gives the same table: b from 1 to 10
+    # puts every drawn n on both sides of it.
+    with patch.object(_kernels, "_LOW_BITS", b):
+        boundary = _kernel_scan(h)
+    assert [int(x) for x in boundary] == [
+        _recount(h, mask)[0] for mask in range(boundary.size)
+    ]
+
+
+def _brute_profile(h):
+    """(least, most) boundary per scanned size 0..n-1, counted edge by edge."""
+    least, most = [None] * h.n, [None] * h.n
+    for mask in range(1 << (h.n - 1)):
+        count, size = _recount(h, mask)
+        least[size] = count if least[size] is None else min(least[size], count)
+        most[size] = count if most[size] is None else max(most[size], count)
+    return least, most
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_scan_inputs(), bits=st.integers(1, 12))
+def test_profile_matches_per_mask_recount(h, bits):
+    # The profile's row width, 2**bits masks, from 1 bit to wider than the
+    # scan, so that rows are reduced per high-part size and also not.
+    with patch.object(analysis, "_PROFILE_BITS", bits):
+        least, most = hl.analyze(h).profile
+    assert least.dtype == most.dtype == np.int32
+    assert (least.tolist(), most.tolist()) == _brute_profile(h)
+
+
+@pytest.mark.parametrize("n, m", [(14, 30), (20, 50)])
+def test_profile_matches_a_reduction_of_the_scan(n, m):
+    # At these n the scan has more than one row of 2**_PROFILE_BITS masks.
+    an = hl.analyze(hl.random_hypergraph(n, m, 2, 5, n))
+    assert n - 1 > analysis._PROFILE_BITS
+    boundary, sizes = an.scan
+    least = np.full(n, m, dtype=np.int64)
+    most = np.zeros(n, dtype=np.int64)
+    np.minimum.at(least, sizes, boundary)
+    np.maximum.at(most, sizes, boundary)
+    got_least, got_most = an.profile
+    assert got_least.tolist() == least.tolist() and got_most.tolist() == most.tolist()
+
+
+def test_a_stored_scan_gets_a_profile_of_its_own():
+    an = hl.analyze(hl.random_hypergraph(10, 20, 2, 4, 4))
+    assert an.profile is an.profile
+    boundary, sizes = an.scan
+    boundary = boundary.copy()
+    boundary[77] = 10**6
+    vars(an)["scan"] = (boundary, sizes)  # replace the cached scan
+    _, most = an.profile
+    assert most[sizes[77]] == 10**6
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hyperlap as hl
 from hyperlap import bounds, spectral, verify
-from hyperlap.cuts import sandwich_bounds
+from hyperlap.cuts import fiedler_sweep, sandwich_bounds
 
 HARD_CHECK_NAMES = [
     "laplacian_structure",
@@ -134,6 +137,111 @@ class TestVerifyInstances:
         assert verify._check_subset_sandwich(an, 0) == (
             f"boundary {boundary[77]} {side} {bound} (mask 77)"
         )
+
+
+# Faults at each check's margin.  A fault set 2 margins past the tolerance
+# must fail with the check's exact text, and one set half a margin inside it
+# must pass, so a loosened or a tightened margin fails one of the pair.  The
+# fault is seeded into a cached slot of a connected n=10 input.
+_PAST_OR_INSIDE = pytest.mark.parametrize("margins", [2.0, -0.5], ids=["past", "inside"])
+
+
+def _margin_input():
+    an = hl.analyze(hl.random_hypergraph(n=10, m=20, k_min=2, k_max=4, seed=4))
+    assert an.connected and an.degrees.k_min == 2
+    for check in (verify._check_subset_sandwich, verify._check_maxcut_iso_bounds,
+                  verify._check_sweep_ratio):
+        assert check(an, 0) is None
+    return an
+
+
+def _seed_eigenvalue(an, index, value):
+    """Replace eigenvalue ``index`` of the cached spectrum by ``value``."""
+    lam = an.spectrum.eigenvalues.copy()
+    lam[index] = value
+    vars(an)["spectrum"] = dataclasses.replace(an.spectrum, eigenvalues=lam)
+
+
+def _first_sandwich_fault(an, side, margin):
+    """The message for the first mask, counted edge by edge, whose boundary
+    is more than ``margin`` outside its size's bound on ``side``."""
+    for mask in range(1 << (an.n - 1)):
+        vertices = [v for v in range(an.n) if (mask >> v) & 1]
+        count = hl.edge_boundary(an, vertices)[0]
+        lower, upper = sandwich_bounds(an, len(vertices))
+        if side == "below" and count < lower - margin:
+            return f"boundary {count} below lower bound {lower:.6f} (mask {mask})"
+        if side == "above" and count > upper + margin:
+            return f"boundary {count} above upper bound {upper:.6f} (mask {mask})"
+    return None
+
+
+@_PAST_OR_INSIDE
+def test_subset_sandwich_lower_margin(margins):
+    an = _margin_input()
+    least, _ = an.profile
+    n, k_max = an.n, an.degrees.k_max
+    size = np.arange(1, n)
+    per_lambda2 = 4.0 * size * (n - size) / (n * k_max**2)
+    # lambda_2 at which the tightest size's lower bound reaches its least
+    # boundary, raised so that the bound passes it by `margins` margins.
+    t = int(np.argmin(least[1:] / per_lambda2))
+    margin = verify.SANDWICH_LOWER_MARGIN
+    _seed_eigenvalue(an, 1, (least[1 + t] + margins * margin) / per_lambda2[t])
+    want = _first_sandwich_fault(an, "below", margin)
+    assert (want is not None) == (margins > 1)
+    assert verify._check_subset_sandwich(an, 0) == want
+
+
+@_PAST_OR_INSIDE
+def test_subset_sandwich_upper_margin(margins):
+    an = _margin_input()
+    _, most = an.profile
+    n, k_min = an.n, an.degrees.k_min
+    size = np.arange(1, n)
+    per_lambda_n = size * (n - size) / (n * (k_min - 1))
+    t = int(np.argmax(most[1:] / per_lambda_n))
+    margin = verify.SANDWICH_UPPER_MARGIN
+    _seed_eigenvalue(an, -1, (most[1 + t] - margins * margin) / per_lambda_n[t])
+    want = _first_sandwich_fault(an, "above", margin)
+    assert (want is not None) == (margins > 1)
+    assert verify._check_subset_sandwich(an, 0) == want
+
+
+@_PAST_OR_INSIDE
+def test_max_cut_margin(margins):
+    an = _margin_input()
+    value, _ = an.max_cut
+    n, k_min = an.n, an.degrees.k_min
+    _seed_eigenvalue(an, -1, (value - margins * verify.MAX_CUT_MARGIN) * 4 * (k_min - 1) / n)
+    bound = hl.connectivity_summary(an).max_cut_bound_kmin
+    want = f"max cut {value} above n lambda_n / (4 (k_min - 1)) = {bound:.6f}"
+    assert verify._check_maxcut_iso_bounds(an, 0) == (want if margins > 1 else None)
+
+
+@_PAST_OR_INSIDE
+def test_isoperimetric_margin(margins):
+    an = _margin_input()
+    value, _ = an.isoperimetric
+    k_max = an.degrees.k_max
+    _seed_eigenvalue(an, 1, (float(value) + margins * verify.ISOPERIMETRIC_MARGIN) * k_max**2 / 2)
+    low = hl.connectivity_summary(an).iso_lower_bound
+    want = f"isoperimetric {value} below 2 lambda_2 / k_max^2 = {low:.6f}"
+    assert verify._check_maxcut_iso_bounds(an, 0) == (want if margins > 1 else None)
+
+
+# The sweep ratio and the isoperimetric number are exact Fractions, so the
+# check has no margin: an isoperimetric number between the sweep ratio and
+# the ratio plus one must fail it, and one equal to the ratio must not.
+@pytest.mark.parametrize("excess", [Fraction(1, 2), Fraction(0)], ids=["past", "equal"])
+def test_sweep_ratio_against_a_seeded_isoperimetric_number(excess):
+    an = _margin_input()
+    subset, report = fiedler_sweep(an)
+    ratio = Fraction(report.boundary_size, len(subset))
+    iso = ratio + excess
+    vars(an)["isoperimetric"] = (iso, subset)  # replace the cached value
+    want = f"sweep ratio {ratio} below isoperimetric number {iso}" if excess else None
+    assert verify._check_sweep_ratio(an, 0) == want
 
 
 # Each hard check's tolerance, and the recorded max-cut claim's, named once
