@@ -85,10 +85,13 @@ _PROFILE_BITS = 12
 @cache
 def _size_order(bits: int) -> tuple:
     """The masks of [0, 2**bits) in order of size, stably, and where the run
-    of each size 0..bits starts in that order."""
+    of each size 0..bits starts in that order; read-only, since every call
+    shares them."""
     sizes = np.bitwise_count(np.arange(1 << bits))
     order = np.argsort(sizes, kind="stable")
-    return order, np.searchsorted(sizes[order], np.arange(bits + 1))
+    starts = np.searchsorted(sizes[order], np.arange(bits + 1))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
 
 
 def _size_profile(boundary: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
