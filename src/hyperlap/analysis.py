@@ -234,22 +234,23 @@ class Analysis(Hypergraph):
         n = self.n
         if n < 2:
             raise TooSmallError("isoperimetric number needs at least two vertices")
-        least, _ = self.profile
+        least = self.profile[0].tolist()
         # A scanned mask of size s stands for itself (size s) and for its
         # complement (size n - s), which holds vertex n-1.
-        ends = least.tolist()
-        value = min(Fraction(min(ends[t], ends[n - t]), t) for t in range(1, n // 2 + 1))
+        value = min(Fraction(min(least[t], least[n - t]), t) for t in range(1, n // 2 + 1))
         # need[t] is the boundary of a size-t minimiser with 1 <= t <= n/2,
         # and -1, which no boundary equals, where value * t is no integer.
+        num, den = value.numerator, value.denominator
+        need = [
+            t // den * num if t % den == 0 and 0 < t <= n // 2 else -1 for t in range(n + 1)
+        ]
         # A scanned mask of size s is a minimiser when its boundary is
         # direct[s], and its complement is one when it is flipped[s].  No
         # mask of size s has a boundary below least[s], so only the values
         # that least reaches are searched for.
-        need = np.full(n + 1, -1, dtype=np.int64)
-        t = np.arange(value.denominator, n // 2 + 1, value.denominator)
-        need[t] = t // value.denominator * value.numerator
         direct, flipped = need[:n], need[n:0:-1]
-        reached = {*least[least == direct].tolist(), *least[least == flipped].tolist()}
+        reached = {b for b, d, f in zip(least, direct, flipped) if b in (d, f)}
+        direct, flipped = np.array(direct), np.array(flipped)
         boundary, sizes = self.scan
         full = (1 << n) - 1
         sides = []

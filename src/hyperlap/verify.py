@@ -191,11 +191,11 @@ def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
     lower, upper = sandwich_bounds(an, np.arange(an.n, dtype=np.int64))
     low = lower - SANDWICH_LOWER_MARGIN
     high = upper + SANDWICH_UPPER_MARGIN
-    if np.any(least < low):
+    if (least < low).any():
         boundary, sizes = an.scan
         s = int(np.flatnonzero(boundary < low[sizes])[0])
         return f"boundary {boundary[s]} below lower bound {lower[sizes[s]]:.6f} (mask {s})"
-    if np.any(most > high):
+    if (most > high).any():
         boundary, sizes = an.scan
         s = int(np.flatnonzero(boundary > high[sizes])[0])
         return f"boundary {boundary[s]} above upper bound {upper[sizes[s]]:.6f} (mask {s})"
