@@ -236,8 +236,15 @@ class Analysis(Hypergraph):
             raise TooSmallError("isoperimetric number needs at least two vertices")
         least = self.profile[0].tolist()
         # A scanned mask of size s stands for itself (size s) and for its
-        # complement (size n - s), which holds vertex n-1.
-        value = min(Fraction(min(least[t], least[n - t]), t) for t in range(1, n // 2 + 1))
+        # complement (size n - s), which holds vertex n-1.  The value is the
+        # least ratio min(least[t], least[n - t]) / t over 1 <= t <= n/2,
+        # compared by cross-multiplying and made one exact Fraction.
+        best = (min(least[1], least[n - 1]), 1)
+        for t in range(2, n // 2 + 1):
+            b = min(least[t], least[n - t])
+            if b * best[1] < best[0] * t:
+                best = (b, t)
+        value = Fraction(*best)
         # need[t] is the boundary of a size-t minimiser with 1 <= t <= n/2,
         # and -1, which no boundary equals, where value * t is no integer.
         num, den = value.numerator, value.denominator
