@@ -542,11 +542,15 @@ def subset_scan(edge_masks, edge_sizes, p):
         block[np.searchsorted(rows, high), edge_masks & (width - 1)] = 1
         for i in range(b):
             v = block.reshape(rows.size, width >> (i + 1), 2, 1 << i)
-            v[:, :, 1] += v[:, :, 0]
+            upper = v[:, :, 1]
+            upper += v[:, :, 0]
         inside.reshape(-1, width)[rows] = block
     for i in range(b, n):
+        # The halves are views: adding in place into one writes the table,
+        # without the item assignment that `v[:, 1] += v[:, 0]` makes.
         v = inside.reshape(-1, 2, 1 << i)
-        v[:, 1] += v[:, 0]
+        upper = v[:, 1]
+        upper += v[:, 0]
     # Entry S of the reversed upper half is g of the complement of S.
     boundary = len(edge_masks) - inside[:half]
     boundary -= inside[: half - 1 : -1]

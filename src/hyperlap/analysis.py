@@ -33,7 +33,9 @@ solves the spectra of consecutive same-size inputs as one stack.
 
 from collections import deque
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import accumulate
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -82,27 +84,18 @@ def _lex_least(sides: np.ndarray) -> tuple:
 _PROFILE_BITS = 12
 
 
-@cache
-def _size_order(bits: int) -> tuple:
-    """The masks of [0, 2**bits) in order of size, stably, and where the run
-    of each size 0..bits starts in that order; read-only, since every call
-    shares them."""
-    sizes = np.bitwise_count(np.arange(1 << bits))
-    order = np.argsort(sizes, kind="stable")
-    starts = np.searchsorted(sizes[order], np.arange(bits + 1))
-    order.flags.writeable = starts.flags.writeable = False
-    return order, starts
-
-
 def _size_profile(boundary: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
     """(least, most): the least and most of the int32 ``boundary`` among the
     scanned masks of each size 0..n-1, ``sizes`` being each mask's size.
     The masks of one row of 2**bits share their high part; taken in order
     of size, each run of a row's masks has one size.  The rows whose high
     parts have size c are first reduced, column by column, to one row,
-    whose runs then hold the masks of sizes c..c+bits."""
+    whose runs then hold the masks of sizes c..c+bits.  The order is made
+    afresh for each scan: kept for the process, its small arrays held the
+    heap's top and raised a later peak by up to 1 MiB."""
     bits = min(n - 1, _PROFILE_BITS)
-    order, starts = _size_order(bits)
+    order = np.argsort(sizes[: 1 << bits], kind="stable")
+    starts = [0, *accumulate(comb(bits, j) for j in range(bits))]
     rows = boundary.reshape(-1, 1 << bits)
     if rows.shape[0] == 1:
         runs = boundary[order]
@@ -254,17 +247,21 @@ class Analysis(Hypergraph):
         # A scanned mask of size s is a minimiser when its boundary is
         # direct[s], and its complement is one when it is flipped[s].  No
         # mask of size s has a boundary below least[s], so only the values
-        # that least reaches are searched for.
+        # that least reaches are searched for, on the sides that reach them.
         direct, flipped = need[:n], need[n:0:-1]
-        reached = {b for b, d, f in zip(least, direct, flipped) if b in (d, f)}
+        on_direct = {b for b, d in zip(least, direct) if b == d}
+        on_flipped = {b for b, f in zip(least, flipped) if b == f}
         direct, flipped = np.array(direct), np.array(flipped)
         boundary, sizes = self.scan
         full = (1 << n) - 1
         sides = []
-        for b in reached:
+        for b in on_direct | on_flipped:
             hits = np.flatnonzero(boundary == b)
             s = sizes[hits]
-            sides += [hits[direct[s] == b], full ^ hits[flipped[s] == b]]
+            if b in on_direct:
+                sides.append(hits[direct[s] == b])
+            if b in on_flipped:
+                sides.append(full ^ hits[flipped[s] == b])
         return value, _lex_least(np.concatenate(sides))
 
 
