@@ -91,8 +91,9 @@ def _size_profile(boundary: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
     of size, each run of a row's masks has one size.  The rows whose high
     parts have size c are first reduced, column by column, to one row,
     whose runs then hold the masks of sizes c..c+bits.  The order is made
-    afresh for each scan: kept for the process, its small arrays held the
-    heap's top and raised a later peak by up to 1 MiB."""
+    for each scan, not cached for the process: a cache's small arrays hold
+    the heap's top in place, which raised the peak of later, unrelated
+    inputs by up to 1 MiB."""
     bits = min(n - 1, _PROFILE_BITS)
     order = np.argsort(sizes[: 1 << bits], kind="stable")
     starts = [0, *accumulate(comb(bits, j) for j in range(bits))]
