@@ -152,8 +152,15 @@ _SPLIT_TOL = 16 * _EPS
 # divide it by 2**54, more than the 2**51 (1 + 2n eps) needed.
 _SHIFTS = 7
 _PASSES = 18
-# Multisection computes the Sturm recurrence's d_i - x for at most this many
-# rows in one numpy call.
+# The warm start's two row loops, inverse iteration over eigenvalues and
+# multisection over the rows of T, take all n at once when their working
+# arrays fit in this many bytes: the five (n, B, n) float64 factors and
+# iterates, or the (n, _SHIFTS, n, B) float64 pivots.  Below it a solve's
+# time is set by how many numpy calls it makes, not by its arithmetic.
+# Otherwise they keep the sizes that bound the solve's memory at large n
+# (core.dense_bytes): half of the eigenvalues a pass, and n // 8 rows, 1 to
+# _STURM_ROWS, a chunk.
+_CHUNK_BYTES = 64 << 10
 _STURM_ROWS = 32
 # Inverse iteration: solves per eigenvalue, the size (times ||T||) below
 # which a pivot of the factorisation is replaced, and the gap between
@@ -162,6 +169,17 @@ _STURM_ROWS = 32
 _SOLVES = 2
 _PIVOT_TOL = _EPS
 _CLUSTER_GAP = 1e-3
+
+
+def _chunks(n, b):
+    """(eigenvalues per inverse-iteration pass, rows per multisection chunk)
+    for a stack of b n-by-n matrices, each at least 1.  Every operation of
+    both loops is elementwise across eigenvalues and shifts, and the vector
+    norms add rows in order, so the chunking does not change a bit."""
+    plane = 8 * n * n * b  # bytes of one float64 array of n * n * b entries
+    per_pass = n if 5 * plane <= _CHUNK_BYTES else (n + 1) // 2
+    rows = n if _SHIFTS * plane <= _CHUNK_BYTES else min(_STURM_ROWS, n // 8)
+    return max(per_pass, 1), max(rows, 1)
 
 
 def _tridiagonalize(h):
@@ -264,12 +282,13 @@ def _multisection(d, e, lo, hi, start, stop):
 
     Every array is laid out (shift, eigenvalue, matrix), so each numpy call
     runs over all 7 n B shifts of one row.  A pass takes the rows in chunks
-    of n // 8 (1 to _STURM_ROWS): one call computes d_i - x for the whole
+    (:func:`_chunks`): all n while their float pivots fit in _CHUNK_BYTES,
+    else n // 8 (1 to _STURM_ROWS).  One call computes d_i - x for the whole
     chunk, two per row (a division and a subtraction, in place) finish its
     pivots, and one marks the negative ones in an (n, 7, n, B) bool array,
-    which is counted once per pass.  So the chunk's float pivots take no
-    more bytes than that array; with it, the (n, n, B) block mask and a few
-    (7, n, B) arrays they are the working set."""
+    which is counted once per pass.  Beyond _CHUNK_BYTES the chunk's float
+    pivots take no more bytes than that array; with it, the (n, n, B) block
+    mask and a few (7, n, B) arrays they are the working set."""
     b, n = d.shape
     ends = np.empty((_SHIFTS + 2, n, b))
     ends[0] = lo
@@ -289,7 +308,7 @@ def _multisection(d, e, lo, hi, start, stop):
              for x in (e2 != 0.0)]
     shifts = np.empty((_SHIFTS, n, b))
     ratio = np.empty((_SHIFTS, n, b))
-    rows = max(1, min(_STURM_ROWS, n // 8))
+    rows = _chunks(n, b)[1]
     q = np.empty((rows, _SHIFTS, n, b))
     pivots = list(q)
     negative = np.empty((n, _SHIFTS, n, b), dtype=bool)
@@ -452,7 +471,8 @@ def warm_start(a):
     left unmodified: Householder tridiagonalisation, multisection for every
     eigenvalue of T, inverse iteration for every eigenvector, Gram-Schmidt
     within clusters, then back through the reflectors.  Inverse iteration
-    takes half of the eigenvalues at a time, so its factors and iterates
+    takes every eigenvalue in one pass while its factors and iterates fit in
+    _CHUNK_BYTES, and half of them a pass beyond that, so at large n they
     hold about 2.5 n-by-n float64 arrays at once (``core.dense_bytes``)."""
     b, n = a.shape[0], a.shape[1]
     # Scaled by a power of two to entries below 1, so no square overflows.
@@ -464,9 +484,9 @@ def warm_start(a):
     lam = _multisection(d, e, lo, hi, start, stop)
     unit = np.where(norm > 0.0, norm, 1.0)
     w = np.empty((b, n, n))
-    half = max((n + 1) // 2, 1)
-    for first in range(0, n, half):
-        cols = slice(first, first + half)
+    per_pass = _chunks(n, b)[0]
+    for first in range(0, n, per_pass):
+        cols = slice(first, first + per_pass)
         rows = np.arange(n)[cols]
         w[:, cols] = _inverse_iteration(
             d, e, lam[:, cols], rows, start[:, cols], stop[:, cols], _PIVOT_TOL * unit

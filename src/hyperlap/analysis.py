@@ -279,9 +279,9 @@ def analyze(h: Hypergraph) -> Analysis:
 def _chunk_size(n: int) -> int:
     """How many n-vertex inputs one stacked solve takes: B with
     B * dense_bytes(max(n, 4)) <= dense_bytes(64), and at least one.  The
-    solve peaks above that price at small n, at up to 2 dense_bytes(64)
-    (measured, :func:`hyperlap.core.dense_bytes`); below n=4 the per-row
-    arrays outweigh n**2, so a chunk is no longer than at n=4."""
+    solve peaks above that price at small n, at up to 1.78 dense_bytes(64)
+    at n=4 (measured, :func:`hyperlap.core.dense_bytes`); below n=4 the
+    per-row arrays outweigh n**2, so a chunk is no longer than at n=4."""
     return max(1, dense_bytes(64) // dense_bytes(max(n, 4)))
 
 

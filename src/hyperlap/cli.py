@@ -7,6 +7,7 @@ verification battery found a violated hard invariant.
 """
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -149,7 +150,10 @@ def _cmd_verify(args) -> tuple:
     return report.verify_payload(rep), 0 if rep.passed else 2
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built at the first :func:`run` of a process and
+    kept, since parsing does not change it; nothing is built at import."""
     parser = _Parser(
         prog="hyperlap",
         description="Laplacian spectra, eigenvalue bounds, and cut bounds "

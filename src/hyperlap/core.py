@@ -202,15 +202,19 @@ def dense_bytes(n: int) -> int:
     solver's float copy, its Householder reflectors, the basis it builds,
     and the pivoted factors and iterates of half of the eigenvalues at a
     time (about two and a half arrays).  Jacobi, which then rotates the
-    float copy and the basis in place, holds less.  A battery takes at most
-    dense_bytes(64) // dense_bytes(max(n, 4)) inputs a stack
-    (:func:`hyperlap.analysis.analyze_stream`), but a stacked solve holds
-    more than its inputs' share at small n, where the solver's per-row
-    arrays and numpy's ufunc buffers outweigh n**2: measured by
-    tracemalloc, one stack's solve peaks at 0.65 dense_bytes(64) at n=64,
-    0.79 at n=12, 1.04 at n=8 and 1.78 at n=4.  Below n=4 a stack is no
-    longer than at n=4, and peaks at 1.29 at n=3 and 0.85 at n=2, so at
-    most 2 dense_bytes(64) for n from 2 to 64 (tests/test_analysis.py)."""
+    float copy and the basis in place, holds less.  Where the warm start's
+    working arrays fit in 64 KiB (``_kernels._CHUNK_BYTES``: n <= 40 for
+    one matrix) it takes all eigenvalues and rows at once, and a solve may
+    hold up to that much more: measured by tracemalloc, one matrix's solve
+    peaks at 3.05 dense_bytes(n) at n=16, 2.91 at n=19 and 1.02 at n=40.
+    A battery takes at most dense_bytes(64) // dense_bytes(max(n, 4))
+    inputs a stack (:func:`hyperlap.analysis.analyze_stream`), but a
+    stacked solve holds more than its inputs' share at small n, where the
+    solver's per-row arrays and numpy's ufunc buffers outweigh n**2: one
+    stack's solve peaks at 0.65 dense_bytes(64) at n=64, 0.79 at n=12,
+    1.04 at n=8 and 1.78 at n=4.  Below n=4 a stack is no longer than at
+    n=4, and peaks at 1.29 at n=3 and 1.08 at n=2, so at most
+    2 dense_bytes(64) for n from 2 to 64 (tests/test_analysis.py)."""
     return 10 * 8 * n * n
 
 

@@ -139,8 +139,9 @@ def test_a_chunk_is_priced_like_one_n64_solve(n):
 @pytest.mark.parametrize("n", range(2, 65))
 def test_a_chunk_solve_peaks_within_two_n64_prices(n):
     # A chunk costs more than its share of dense_bytes at small n: the
-    # solver's per-row arrays and numpy's ufunc buffers outweigh n**2.
-    # Measured peaks, as a share of dense_bytes(64): 0.85 at n=2, 1.29 at
+    # solver's per-row arrays and numpy's ufunc buffers outweigh n**2, and
+    # at n=2 the warm start takes all eigenvalues and rows at once.
+    # Measured peaks, as a share of dense_bytes(64): 1.08 at n=2, 1.29 at
     # n=3, 1.78 at n=4, 1.04 at n=8, 0.79 at n=12 and 0.65 at n=64.  Below
     # n=4 only 2**n - n - 1 edges of at most n vertices exist.
     m, k_max = min(2 * n, 2**n - n - 1), min(4, n)

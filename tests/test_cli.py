@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 from math import comb
 
@@ -335,6 +337,29 @@ class TestTopLevel:
         code, stdout, _ = _run(capsys, "--help")
         assert code == 0
         assert "spectrum" in stdout
+
+
+class TestParserIsBuiltOnce:
+    # `run` keeps the parser it built first; each call must print what a
+    # freshly built parser gives.
+    def test_calls_match_a_fresh_parser(self, capsys, mixed_file):
+        calls = [["spectrum", mixed_file], ["cuts", mixed_file, "--exact"],
+                 ["cuts", mixed_file, "--sweep", "--exact"], ["--help"],
+                 ["spectrum", mixed_file]]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(_run(capsys, *argv))
+        cli._build_parser.cache_clear()
+        kept = [_run(capsys, *argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert kept == fresh
+        assert [code for code, _, _ in kept] == [0, 0, 1, 0, 0]
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = ("import hyperlap.cli as cli; "
+                "assert cli._build_parser.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestInputEdgeCases:

@@ -452,9 +452,9 @@ def _assert_loops_match_oracles(stack):
     lam = _kernels._multisection(d, e, lo, hi, start, stop)
     _assert_same_bits(lam, _multisection_by_rows(d, e, lo, hi, start, stop))
     pivot_tol = _kernels._PIVOT_TOL * np.where(norm > 0.0, norm, 1.0)
-    half = max((n + 1) // 2, 1)
-    for first in range(0, n, half):
-        cols = slice(first, first + half)
+    per_pass = _kernels._chunks(n, b)[0]
+    for first in range(0, n, per_pass):
+        cols = slice(first, first + per_pass)
         args = (d, e, lam[:, cols], np.arange(n)[cols], start[:, cols], stop[:, cols],
                 pivot_tol)
         _assert_same_bits(_kernels._inverse_iteration(*args),
@@ -477,6 +477,63 @@ class TestRewrittenLoopsMatchOracles:
         ids=["wilkinson21", "two-k6", "zero"])
     def test_hard_cases(self, matrix):
         _assert_loops_match_oracles([matrix])
+
+
+def _solo_and_stack(n):
+    """A seeded random symmetric matrix and a stack of three seeded
+    Laplacians (zeros at n <= 1), all n-by-n."""
+    solo = _random_symmetric(np.random.default_rng(n), n)
+    if n < 2:
+        return solo, np.zeros((3, n, n))
+    m, k_max = min(2 * n, 2**n - n - 1), min(4, n)
+    return solo, [hl.analyze(h).laplacian
+                  for _, h in hl.random_battery(n, m, 2, k_max, 3, n)]
+
+
+class TestChunking:
+    # The warm start's loops take all eigenvalues and rows at once below
+    # _CHUNK_BYTES and the large-n sizes above it; every spectrum must be the
+    # same bits either way.
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 19, 40, 64, 65])
+    def test_spectra_do_not_depend_on_the_chunking(self, monkeypatch, n):
+        solo, stack = _solo_and_stack(n)
+        solved = []
+        for cap in (0, 2**40):
+            monkeypatch.setattr(_kernels, "_CHUNK_BYTES", cap)
+            solved.append([hl.eigendecompose(solo)] + hl.eigendecompose_stack(stack))
+        small, whole = solved
+        assert len(small) == len(whole) == 4
+        for x, y in zip(small, whole):
+            _assert_same_bits(x.eigenvalues, y.eigenvalues)
+            _assert_same_bits(x.eigenvectors, y.eigenvectors)
+            assert x.sweeps == y.sweeps
+
+    @pytest.mark.parametrize("n, b, chunks", [
+        (0, 1, (1, 1)), (1, 1, (1, 1)), (19, 1, (19, 19)), (34, 1, (34, 34)),
+        (35, 1, (35, 4)), (40, 1, (40, 5)), (41, 1, (21, 5)), (64, 1, (32, 8)),
+        (128, 1, (64, 16)), (2, 256, (2, 2)), (3, 256, (2, 1)), (4, 256, (2, 1)),
+    ])
+    def test_chunks_are_whole_at_small_n_and_keep_the_large_n_sizes(self, n, b, chunks):
+        # (eigenvalues per pass, Sturm rows per chunk); README names the
+        # largest n whose loops are whole for one matrix, 34 and 40.
+        assert _kernels._chunks(n, b) == chunks
+
+    def test_a_small_solve_takes_one_inverse_iteration_pass(self, monkeypatch):
+        passes = []
+        real = _kernels._inverse_iteration
+
+        def count(d, e, lam, *args):
+            passes.append(lam.shape[1])
+            return real(d, e, lam, *args)
+
+        monkeypatch.setattr(_kernels, "_inverse_iteration", count)
+        for n in (2, 16, 19):
+            passes.clear()
+            hl.eigendecompose(_random_symmetric(np.random.default_rng(n), n))
+            assert passes == [n]
+        passes.clear()
+        hl.eigendecompose(_random_symmetric(np.random.default_rng(0), 64))
+        assert passes == [32, 32]
 
     # Edgeless and disconnected batteries: T splits in some matrices of the
     # stack and not in others, and in every matrix of the edgeless one.
