@@ -159,7 +159,9 @@ _PASSES = 18
 # time is set by how many numpy calls it makes, not by its arithmetic.
 # Otherwise they keep the sizes that bound the solve's memory at large n
 # (core.dense_bytes): half of the eigenvalues a pass, and n // 8 rows, 1 to
-# _STURM_ROWS, a chunk.
+# _STURM_ROWS, a chunk.  At 64 KiB one matrix takes whole loops up to n=34
+# and n=40, while a battery stack (analysis._chunk_size) keeps the large-n
+# sizes from n=3 up, so its peak stays where it was.
 _CHUNK_BYTES = 64 << 10
 _STURM_ROWS = 32
 # Inverse iteration: solves per eigenvalue, the size (times ||T||) below
@@ -265,7 +267,7 @@ def _blocks(e, n):
     return start, stop
 
 
-def _multisection(d, e, lo, hi, start, stop):
+def _multisection(d, e, lo, hi, start, stop, rows):
     """All eigenvalues of each T, (B, n): index i of a block
     [start, stop) holds the block's (i - start)-th smallest.  Each
     eigenvalue has its own interval, starting from [lo, hi] (B,); a
@@ -282,13 +284,14 @@ def _multisection(d, e, lo, hi, start, stop):
 
     Every array is laid out (shift, eigenvalue, matrix), so each numpy call
     runs over all 7 n B shifts of one row.  A pass takes the rows in chunks
-    (:func:`_chunks`): all n while their float pivots fit in _CHUNK_BYTES,
-    else n // 8 (1 to _STURM_ROWS).  One call computes d_i - x for the whole
-    chunk, two per row (a division and a subtraction, in place) finish its
-    pivots, and one marks the negative ones in an (n, 7, n, B) bool array,
-    which is counted once per pass.  Beyond _CHUNK_BYTES the chunk's float
-    pivots take no more bytes than that array; with it, the (n, n, B) block
-    mask and a few (7, n, B) arrays they are the working set."""
+    of ``rows`` (:func:`_chunks`): all n while their float pivots fit in
+    _CHUNK_BYTES, else n // 8 (1 to _STURM_ROWS).  One call computes
+    d_i - x for the whole chunk, two per row (a division and a subtraction,
+    in place) finish its pivots, and one marks the negative ones in an
+    (n, 7, n, B) bool array, which is counted once per pass.  Beyond
+    _CHUNK_BYTES the chunk's float pivots take no more bytes than that
+    array; with it, the (n, n, B) block mask and a few (7, n, B) arrays
+    they are the working set."""
     b, n = d.shape
     ends = np.empty((_SHIFTS + 2, n, b))
     ends[0] = lo
@@ -308,7 +311,6 @@ def _multisection(d, e, lo, hi, start, stop):
              for x in (e2 != 0.0)]
     shifts = np.empty((_SHIFTS, n, b))
     ratio = np.empty((_SHIFTS, n, b))
-    rows = _chunks(n, b)[1]
     q = np.empty((rows, _SHIFTS, n, b))
     pivots = list(q)
     negative = np.empty((n, _SHIFTS, n, b), dtype=bool)
@@ -481,10 +483,10 @@ def warm_start(a):
     d, e, tau = _tridiagonalize(h)
     norm, lo, hi = _split_tridiagonal(d, e)
     start, stop = _blocks(e, n)
-    lam = _multisection(d, e, lo, hi, start, stop)
+    per_pass, sturm_rows = _chunks(n, b)
+    lam = _multisection(d, e, lo, hi, start, stop, sturm_rows)
     unit = np.where(norm > 0.0, norm, 1.0)
     w = np.empty((b, n, n))
-    per_pass = _chunks(n, b)[0]
     for first in range(0, n, per_pass):
         cols = slice(first, first + per_pass)
         rows = np.arange(n)[cols]

@@ -449,10 +449,10 @@ def _assert_loops_match_oracles(stack):
     d, e, _ = _kernels._tridiagonalize(h)
     norm, lo, hi = _kernels._split_tridiagonal(d, e)
     start, stop = _kernels._blocks(e, n)
-    lam = _kernels._multisection(d, e, lo, hi, start, stop)
+    per_pass, rows = _kernels._chunks(n, b)
+    lam = _kernels._multisection(d, e, lo, hi, start, stop, rows)
     _assert_same_bits(lam, _multisection_by_rows(d, e, lo, hi, start, stop))
     pivot_tol = _kernels._PIVOT_TOL * np.where(norm > 0.0, norm, 1.0)
-    per_pass = _kernels._chunks(n, b)[0]
     for first in range(0, n, per_pass):
         cols = slice(first, first + per_pass)
         args = (d, e, lam[:, cols], np.arange(n)[cols], start[:, cols], stop[:, cols],
@@ -518,22 +518,28 @@ class TestChunking:
         # largest n whose loops are whole for one matrix, 34 and 40.
         assert _kernels._chunks(n, b) == chunks
 
-    def test_a_small_solve_takes_one_inverse_iteration_pass(self, monkeypatch):
-        passes = []
-        real = _kernels._inverse_iteration
+    def test_a_small_solve_takes_one_pass_and_one_chunk(self, monkeypatch):
+        # The eigenvalues of each inverse-iteration pass, then the Sturm
+        # rows of each multisection chunk.
+        passes, chunks = [], []
+        inverse_iteration, multisection = _kernels._inverse_iteration, _kernels._multisection
 
-        def count(d, e, lam, *args):
+        def count_passes(d, e, lam, *args):
             passes.append(lam.shape[1])
-            return real(d, e, lam, *args)
+            return inverse_iteration(d, e, lam, *args)
 
-        monkeypatch.setattr(_kernels, "_inverse_iteration", count)
-        for n in (2, 16, 19):
+        def count_chunks(*args):
+            chunks.append(args[-1])
+            return multisection(*args)
+
+        monkeypatch.setattr(_kernels, "_inverse_iteration", count_passes)
+        monkeypatch.setattr(_kernels, "_multisection", count_chunks)
+        for n, want in ((2, [2]), (16, [16]), (19, [19]), (64, [32, 32])):
             passes.clear()
+            chunks.clear()
             hl.eigendecompose(_random_symmetric(np.random.default_rng(n), n))
-            assert passes == [n]
-        passes.clear()
-        hl.eigendecompose(_random_symmetric(np.random.default_rng(0), 64))
-        assert passes == [32, 32]
+            assert passes == want
+            assert chunks == [n if n <= 19 else n // 8]
 
     # Edgeless and disconnected batteries: T splits in some matrices of the
     # stack and not in others, and in every matrix of the edgeless one.

@@ -9,8 +9,7 @@ PARENT and CHANGE are checkouts of this repository.  Each tree's
 name, so both import side by side.  The round is the workload's list of CLI
 calls from ``perfbench/workloads.py`` of the repository holding this script,
 with its inputs written once and shared.  After one untimed warm-up round per
-tree, rounds alternate: odd rounds run the parent first, even rounds the
-change first.  Every call's (exit code, stdout, stderr) must be equal in the
+tree, rounds alternate which tree runs first, starting with the parent.  Every call's (exit code, stdout, stderr) must be equal in the
 two trees, or the script exits 1.  Alternating in one process cancels most of
 a shared host's drift, which separate runs in fresh directories do not.
 
@@ -123,7 +122,6 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "rounds": args.rounds,
         "calls_per_round": len(ops),
-        "outputs_equal": True,
         "median_s": {name: median(times[name]) for name in TREES},
         "median_s_by_first": {f"{lead}_first": {name: by_first(name, lead) for name in TREES}
                               for lead in TREES},
