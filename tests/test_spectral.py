@@ -478,6 +478,15 @@ class TestRewrittenLoopsMatchOracles:
     def test_hard_cases(self, matrix):
         _assert_loops_match_oracles([matrix])
 
+    # Edgeless and disconnected batteries: T splits in some matrices of the
+    # stack and not in others, and in every matrix of the edgeless one.
+    @pytest.mark.parametrize("shape", [(7, 0, 2, 4, 6, 1), (9, 5, 2, 4, 30, 8)],
+                             ids=["edgeless", "disconnected"])
+    def test_split_batteries(self, shape):
+        e = _assert_loops_match_oracles(
+            [hl.analyze(h).laplacian for _, h in hl.random_battery(*shape)])
+        assert np.any(e == 0.0)
+
 
 def _solo_and_stack(n):
     """A seeded random symmetric matrix and a stack of three seeded
@@ -540,15 +549,6 @@ class TestChunking:
             hl.eigendecompose(_random_symmetric(np.random.default_rng(n), n))
             assert passes == want
             assert chunks == [n if n <= 19 else n // 8]
-
-    # Edgeless and disconnected batteries: T splits in some matrices of the
-    # stack and not in others, and in every matrix of the edgeless one.
-    @pytest.mark.parametrize("shape", [(7, 0, 2, 4, 6, 1), (9, 5, 2, 4, 30, 8)],
-                             ids=["edgeless", "disconnected"])
-    def test_split_batteries(self, shape):
-        e = _assert_loops_match_oracles(
-            [hl.analyze(h).laplacian for _, h in hl.random_battery(*shape)])
-        assert np.any(e == 0.0)
 
 
 @settings(max_examples=100, deadline=None)
