@@ -204,10 +204,12 @@ def dense_bytes(n: int) -> int:
     time (about two and a half arrays).  Jacobi, which then rotates the
     float copy and the basis in place, holds less.  Where the warm start's
     working arrays fit in 64 KiB (``_kernels._CHUNK_BYTES``; one matrix up
-    to n=34 or 40) it takes all rows or all eigenvalues at once, and a
-    solve may hold up to that much more: measured by tracemalloc, one
-    matrix's solve peaks at 3.05 dense_bytes(n) at n=16, 2.91 at n=19 and
-    1.02 at n=40.
+    to n=34 or 40) it takes all rows or all eigenvalues at once, and its
+    temporaries hold about 2.4 times that: measured by tracemalloc, one
+    matrix's solve then holds at most 154.5 KiB more than at the large-n
+    sizes (at n=34), and peaks at most 147 KiB above dense_bytes(n): 3.05
+    dense_bytes(n) at n=16, 2.91 at n=19, 2.63 at n=34 and 1.02 at n=40
+    (tests/test_spectral.py).
     A battery takes at most dense_bytes(64) // dense_bytes(max(n, 4))
     inputs a stack (:func:`hyperlap.analysis.analyze_stream`), but a
     stacked solve holds more than its inputs' share at small n, where the

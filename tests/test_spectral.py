@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hyperlap as hl
-from hyperlap import _kernels, spectral
+from hyperlap import _kernels, core, spectral
 
 
 def _random_symmetric(rng, n):
@@ -549,6 +550,32 @@ class TestChunking:
             hl.eigendecompose(_random_symmetric(np.random.default_rng(n), n))
             assert passes == want
             assert chunks == [n if n <= 19 else n // 8]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 19, 24, 30, 34, 35, 40, 41, 64])
+    def test_whole_loops_hold_at_most_160_kib_more(self, monkeypatch, n):
+        # One matrix's solve, by tracemalloc, at the large-n sizes
+        # (_CHUNK_BYTES = 0) and as the solver runs.  Measured: whole loops
+        # hold at most 154.5 KiB more, at n=34, where both are whole, and
+        # peak at most 147 KiB above dense_bytes(n), which is 3.05
+        # dense_bytes(n) at n=16, 2.91 at n=19 and 2.63 at n=34; from n=41
+        # the two solves are the same.  A larger _CHUNK_BYTES makes whole
+        # loops at larger n and fails the first bound (96 KiB: 179 KiB at
+        # n=40).
+        solo = _random_symmetric(np.random.default_rng(n), n)
+        peaks = []
+        for cap in (0, _kernels._CHUNK_BYTES):
+            monkeypatch.setattr(_kernels, "_CHUNK_BYTES", cap)
+            hl.eigendecompose(solo)  # keeps first-call allocations out
+            tracemalloc.start()
+            try:
+                hl.eigendecompose(solo)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        split, whole = peaks
+        assert whole - split <= 160 << 10, f"{(whole - split) / 1024:.1f} KiB"
+        assert whole <= core.dense_bytes(n) + (160 << 10), f"{whole / core.dense_bytes(n):.2f}"
 
 
 @settings(max_examples=100, deadline=None)

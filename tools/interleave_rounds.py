@@ -7,11 +7,13 @@ process.
 PARENT and CHANGE are checkouts of this repository.  Each tree's
 ``src/hyperlap`` is copied into a temporary directory under its own package
 name, so both import side by side.  The round is the workload's list of CLI
-calls from ``perfbench/workloads.py`` of the repository holding this script,
-with its inputs written once and shared.  After one untimed warm-up round per
-tree, rounds alternate which tree runs first, starting with the parent.  Every call's (exit code, stdout, stderr) must be equal in the
-two trees, or the script exits 1.  Alternating in one process cancels most of
-a shared host's drift, which separate runs in fresh directories do not.
+calls, at seed 1, from ``perfbench/workloads.py`` of the repository holding
+this script, with its inputs written once and shared.  After one untimed
+warm-up round per tree, rounds alternate which tree runs first, starting
+with the parent.  Every call's (exit code, stdout, stderr) must be equal in
+the two trees, or the script exits 1.  Alternating in one process cancels
+most of a shared host's drift, which separate runs in fresh directories do
+not.
 
 The last stdout line is JSON: the median round seconds of each tree, overall
 and by which tree ran first, and the median of the per-round ratios
@@ -85,7 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the changed tree")
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--rounds", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
         packages = {name: load_tree(root.resolve(), f"hyperlap_{name}", tmp / "pkgs")
                     for name, root in zip(TREES, (args.parent, args.change))}
         warm = workloads.warm_up_ops(tmp)
-        ops = workloads.build_ops(args.workload, args.seed, tmp)
+        ops = workloads.build_ops(args.workload, 1, tmp)
         for name in TREES:
             run_round(packages[name], warm)
 
@@ -119,7 +120,6 @@ def main(argv=None) -> int:
 
     result = {
         "workload": args.workload,
-        "seed": args.seed,
         "rounds": args.rounds,
         "calls_per_round": len(ops),
         "median_s": {name: median(times[name]) for name in TREES},
