@@ -6,7 +6,8 @@ behind every spectrum, and the scan over all vertex subsets behind exact
 max cut and the isoperimetric number.  Each has one numpy build.  The warm
 start works on a stack of same-size matrices, (B, n, n), giving each matrix
 the arithmetic it would get alone: :func:`warm_start` reduces each matrix
-to a tridiagonal T by Householder reflections, finds every eigenvalue of T
+to a tridiagonal T by Householder reflections (for a lone matrix, with
+each reflector's scalars as Python floats), finds every eigenvalue of T
 by Sturm-count multisection and every eigenvector by inverse iteration,
 and maps them back: a basis in which the matrix is diagonal to rounding.
 :func:`jacobi_sweeps` then confirms it on one (n, n) matrix at a time,
@@ -17,8 +18,11 @@ inside it with a subset-sum (zeta) transform: its b low-bit passes run on a
 block of at most m rows of 2**b entries, one row per distinct high part of
 an edge, unless there are as many edges as high parts, and the n - b
 passes that follow run on the whole table, so the cost is
-O(b m 2**b + (n - b) 2**n).
+O(b m 2**b + (n - b) 2**n).  Its counts are held in the narrowest signed
+integer type that holds m.
 """
+
+import math
 
 import numpy as np
 
@@ -171,6 +175,13 @@ _STURM_ROWS = 32
 _SOLVES = 2
 _PIVOT_TOL = _EPS
 _CLUSTER_GAP = 1e-3
+# A clustered vector of which the first Gram-Schmidt pass leaves less than
+# this norm lies in the span of its cluster's earlier vectors up to
+# rounding, and normalising the rest would lose about eps / 4 divided by
+# that norm of orthogonality to every other vector.  It is computed again
+# from its start vector, orthogonalised against those vectors before each
+# solve, as dstein does within a cluster.
+_RESTART_TOL = 1e-5
 
 
 def _chunks(n, b):
@@ -194,33 +205,64 @@ def _tridiagonalize(h):
     b, n = h.shape[0], h.shape[1]
     tau = np.zeros((b, max(n - 2, 0)))
     e = np.zeros((b, max(n - 1, 0)))
-    for k in range(n - 2):
-        x = h[:, k + 1 :, k]
-        alpha = x[:, 0].copy()
-        tail = x[:, 1:]
-        sigma = np.add.reduce(tail * tail, axis=1)
-        norm = np.sqrt(alpha * alpha + sigma)
-        beta = np.where(alpha >= 0.0, -norm, norm)
-        # A column already zero below the subdiagonal needs no reflection.
-        reflect = sigma != 0.0
-        head = np.where(reflect, alpha - beta, 1.0)
-        t = np.where(reflect, (beta - alpha) / np.where(reflect, beta, 1.0), 0.0)
-        v = x / head[:, None]
-        v[:, 0] = 1.0
-        e[:, k] = np.where(reflect, beta, alpha)
-        tau[:, k] = t
-        # Two-sided update of the trailing block: A -= v w^T + w v^T with
-        # p = tau A v and w = p - (tau/2)(p.v) v.
-        block = h[:, k + 1 :, k + 1 :]
-        p = t[:, None] * np.add.reduce(block * v[:, None, :], axis=2)
-        w = p - (0.5 * t * np.add.reduce(p * v, axis=1))[:, None] * v
-        block -= v[:, :, None] * w[:, None, :]
-        block -= w[:, :, None] * v[:, None, :]
-        x[...] = v
+    if b == 1:
+        _tridiagonalize_one(h[0], e[0], tau[0])
+    else:
+        for k in range(n - 2):
+            x = h[:, k + 1 :, k]
+            alpha = x[:, 0].copy()
+            tail = x[:, 1:]
+            sigma = np.add.reduce(tail * tail, axis=1)
+            norm = np.sqrt(alpha * alpha + sigma)
+            beta = np.where(alpha >= 0.0, -norm, norm)
+            # A column already zero below the subdiagonal needs no reflection.
+            reflect = sigma != 0.0
+            head = np.where(reflect, alpha - beta, 1.0)
+            t = np.where(reflect, (beta - alpha) / np.where(reflect, beta, 1.0), 0.0)
+            v = x / head[:, None]
+            v[:, 0] = 1.0
+            e[:, k] = np.where(reflect, beta, alpha)
+            tau[:, k] = t
+            # Two-sided update of the trailing block: A -= v w^T + w v^T with
+            # p = tau A v and w = p - (tau/2)(p.v) v.
+            block = h[:, k + 1 :, k + 1 :]
+            p = t[:, None] * np.add.reduce(block * v[:, None, :], axis=2)
+            w = p - (0.5 * t * np.add.reduce(p * v, axis=1))[:, None] * v
+            block -= v[:, :, None] * w[:, None, :]
+            block -= w[:, :, None] * v[:, None, :]
+            x[...] = v
     if n > 1:
         e[:, n - 2] = h[:, n - 1, n - 2]
     d = np.diagonal(h, axis1=1, axis2=2).copy()
     return d, e, tau
+
+
+def _tridiagonalize_one(g, e, tau):
+    """The reflections of :func:`_tridiagonalize` for one matrix ``g``
+    (n, n), writing ``e`` and ``tau`` in place.  Each reflector's scalars
+    are Python floats: the same IEEE operations on the same operands as the
+    stack's (B,) arrays, without a numpy call each."""
+    n = g.shape[0]
+    for k in range(n - 2):
+        x = g[k + 1 :, k]
+        alpha = float(x[0])
+        tail = x[1:]
+        sigma = float(np.add.reduce(tail * tail))
+        norm = math.sqrt(alpha * alpha + sigma)
+        beta = -norm if alpha >= 0.0 else norm
+        if sigma != 0.0:
+            head, t, e[k] = alpha - beta, (beta - alpha) / beta, beta
+        else:
+            head, t, e[k] = 1.0, 0.0, alpha
+        v = x / head
+        v[0] = 1.0
+        tau[k] = t
+        block = g[k + 1 :, k + 1 :]
+        p = t * np.add.reduce(block * v, axis=1)
+        w = p - 0.5 * t * float(np.add.reduce(p * v)) * v
+        block -= v[:, None] * w
+        block -= w[:, None] * v
+        x[...] = v
 
 
 def _back_transform(h, tau, w):
@@ -288,38 +330,47 @@ def _multisection(d, e, lo, hi, start, stop, rows):
     _CHUNK_BYTES, else n // 8 (1 to _STURM_ROWS).  One call computes
     d_i - x for the whole chunk, two per row (a division and a subtraction,
     in place) finish its pivots, and one marks the negative ones in an
-    (n, 7, n, B) bool array, which is counted once per pass.  Beyond
-    _CHUNK_BYTES the chunk's float pivots take no more bytes than that
-    array; with it, the (n, n, B) block mask and a few (7, n, B) arrays
-    they are the working set."""
+    (n, 7, n, B) bool array, which is counted once per pass, after the
+    block mask clears the rows outside each eigenvalue's block if any T
+    splits.  The shifts are written into the intervals' ends in place, and
+    both new ends are gathered with one index.  Beyond _CHUNK_BYTES the
+    chunk's float pivots take no more bytes than that array; with it, the
+    (n, n, B) block mask and a few (7, n, B) arrays they are the working
+    set."""
     b, n = d.shape
     ends = np.empty((_SHIFTS + 2, n, b))
     ends[0] = lo
     ends[-1] = hi
     flat = ends.reshape(-1)
-    base = np.arange(n * b).reshape(n, b)
+    # The flat index of each interval's lower end in ends[0], and of its
+    # upper end in ends[-1]; a pass moves both by the same count of planes.
+    base = np.arange(n * b).reshape(n, b) + np.array([0, n * b])[:, None, None]
     rank = np.arange(n)[:, None] - start.T
     frac = np.arange(1, _SHIFTS + 1)[:, None, None] / (_SHIFTS + 1)
 
     idx = np.arange(n)[:, None, None]
     inside = ((start.T <= idx) & (idx < stop.T))[:, None]  # row i in j's block
+    if inside.all():
+        inside = None  # no T splits
     rows_d = d.T[:, None, None]
     e2 = (e * e).T
     # Where T splits, q_i is d_i - x afresh: for each row, None where no
     # matrix splits, True where all do, else the indices of those that do.
     split = [None if x.all() else True if not x.any() else np.flatnonzero(~x)
              for x in (e2 != 0.0)]
-    shifts = np.empty((_SHIFTS, n, b))
+    if b == 1:
+        # A Python float divides one matrix's pivots faster than a (1,)
+        # array broadcast across them, with the same quotients.
+        e2 = e2[:, 0].tolist()
+    shifts = ends[1:-1]
     ratio = np.empty((_SHIFTS, n, b))
     q = np.empty((rows, _SHIFTS, n, b))
     pivots = list(q)
     negative = np.empty((n, _SHIFTS, n, b), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_PASSES):
-            lo, hi = ends[0], ends[-1]
-            np.multiply(hi - lo, frac, out=shifts)
-            shifts += lo
-            ends[1:-1] = shifts
+            np.multiply(ends[-1] - ends[0], frac, out=shifts)
+            shifts += ends[0]
             for first in range(0, n, rows):
                 last = min(first + rows, n)
                 for i in range(first, last):
@@ -335,11 +386,11 @@ def _multisection(d, e, lo, hi, start, stop, rows):
                     if joined:
                         np.subtract(pivots[i - first], ratio, out=pivots[i - first])
                 np.less(q[: last - first], 0.0, out=negative[first:last])
-            negative &= inside
+            if inside is not None:
+                negative &= inside
             # Summed as uint8 into int32: numpy adds bools several times slower.
             count = np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.int32)
-            below = base + (count <= rank).sum(axis=0) * (n * b)
-            ends[0], ends[-1] = flat[below], flat[below + n * b]
+            ends[:: _SHIFTS + 1] = flat[base + (count <= rank).sum(axis=0) * (n * b)]
     return (0.5 * (ends[0] + ends[-1])).T.copy()
 
 
@@ -372,14 +423,23 @@ def _eliminate(x0, x1, swap, mult, tmp):
     return x1
 
 
-def _inverse_iteration(d, e, lam, rows, start, stop, pivot_tol):
+def _project_out(x, basis):
+    """``x`` (B, c, n) less its components along the rows of ``basis``
+    (B, k, n), orthonormal or zero: one Gram-Schmidt pass, in place."""
+    coef = np.sum(basis[:, None] * x[:, :, None], axis=3)
+    x -= np.sum(coef[..., None] * basis[:, None], axis=2)
+
+
+def _inverse_iteration(d, e, lam, rows, start, stop, pivot_tol, basis=None):
     """Eigenvectors of each T for the eigenvalues ``lam`` (B, c) of
     its blocks [start, stop) (B, c), as unit rows (B, c, n): _SOLVES solves
     with T - lam, factored once by Gaussian elimination with partial
     pivoting, from the :func:`_start_vectors` of ``rows`` cut to each
     eigenvalue's block.  The factors of T - lam split where T does, so each
     vector stays in its block.  A pivot smaller than its matrix's
-    ``pivot_tol`` (B,) is replaced by that size, keeping its sign.
+    ``pivot_tol`` (B,) is replaced by that size, keeping its sign.  Given
+    ``basis`` (B, k, n), each iterate is made orthogonal to its rows
+    (:func:`_project_out`) before each solve.
 
     The factors (three bands, the multipliers and the swaps) and the iterate
     are (n, B, c) arrays, so each row is one (B, c) view: d - lam of every
@@ -392,6 +452,8 @@ def _inverse_iteration(d, e, lam, rows, start, stop, pivot_tol):
     # that is alive beside them.
     idx = np.arange(n)[:, None, None]
     x = np.where((start <= idx) & (idx < stop), _start_vectors(rows, n)[:, None, :], 0.0)
+    if basis is not None:
+        _project_out(x.transpose(1, 2, 0), basis)
     # d_i - lam for every row, in the pivots' slots: row i+1's is read at
     # step i, before step i+1 writes pivot i+1 over it.
     u0 = np.subtract(d.T[:, :, None], lam)  # the pivots
@@ -425,6 +487,8 @@ def _inverse_iteration(d, e, lam, rows, start, stop, pivot_tol):
 
     for solve in range(_SOLVES):
         if solve:
+            if basis is not None:
+                _project_out(x.transpose(1, 2, 0), basis)
             xi = x[0]
             for i in range(n - 1):
                 xi = _eliminate(xi, x[i + 1], swap[i], mult[i], tmp)
@@ -443,13 +507,16 @@ def _inverse_iteration(d, e, lam, rows, start, stop, pivot_tol):
     return x.transpose(1, 2, 0)
 
 
-def _orthogonalize_clusters(w, lam, start, gap):
+def _orthogonalize_clusters(w, lam, start, gap, restart):
     """Gram-Schmidt, twice, on the unit rows of ``w`` (B, n, n) within each
     cluster: a run of consecutive eigenvalues ``lam`` (B, n) of one block
     (``start``, (B, n)) whose gaps are at most ``gap``.  Each row is
     orthogonalised against all earlier rows of its cluster, read through one
     product over every earlier row, so a matrix's arithmetic does not depend
-    on the clusters of the others."""
+    on the clusters of the others.  A row that the first pass leaves
+    shorter than _RESTART_TOL is replaced, before the second pass, by
+    ``restart(j, basis)``: row j computed afresh orthogonal to ``basis``
+    (B, j, n), its cluster's earlier rows and zero rows."""
     b, n = lam.shape
     idx = np.arange(n)
     close = np.zeros((b, n), dtype=bool)
@@ -460,9 +527,16 @@ def _orthogonalize_clusters(w, lam, start, gap):
         member = idx[:j] >= first[:, j, None]
         earlier = w[:, :j]
         row = w[:, j]
-        for _ in range(2):
+        for k in range(2):
             coef = np.where(member, np.sum(earlier * row[:, None, :], axis=2), 0.0)
             row = row - np.sum(coef[:, :, None] * earlier, axis=1)
+            if k == 0:
+                redo = joined & (np.sqrt(np.sum(row * row, axis=1)) < _RESTART_TOL)
+                if redo.any():
+                    basis = np.where(member[:, :, None], earlier, 0.0)
+                    fresh = restart(j, basis)
+                    _project_out(fresh[:, None], basis)
+                    row = np.where(redo[:, None], fresh, row)
         row = row / np.sqrt(np.sum(row * row, axis=1))[:, None]
         w[:, j] = np.where(joined[:, None], row, w[:, j])
 
@@ -493,7 +567,14 @@ def warm_start(a):
         w[:, cols] = _inverse_iteration(
             d, e, lam[:, cols], rows, start[:, cols], stop[:, cols], _PIVOT_TOL * unit
         )
-    _orthogonalize_clusters(w, lam, start, _CLUSTER_GAP * unit[:, None])
+
+    def restart(j, basis):
+        cols = slice(j, j + 1)
+        return _inverse_iteration(
+            d, e, lam[:, cols], [j], start[:, cols], stop[:, cols], _PIVOT_TOL * unit, basis
+        )[:, 0]
+
+    _orthogonalize_clusters(w, lam, start, _CLUSTER_GAP * unit[:, None], restart)
     _back_transform(h, tau, w)
     del h  # freed before the transpose's temporary
     w[...] = w.transpose(0, 2, 1)
@@ -541,16 +622,29 @@ def similarity(a, v):
 _LOW_BITS = 8
 
 
+def _count_dtype(m):
+    """The narrowest signed integer type that holds every count of a scan
+    of m edges: each is at most m."""
+    for dtype in (np.int8, np.int16):
+        if m <= np.iinfo(dtype).max:
+            return dtype
+    return np.int32
+
+
 def subset_scan(edge_masks, edge_sizes, p):
     """The boundary edge count of each subset bitmask in [0, 2**p), for
     edges given as distinct vertex bitmasks over n = p + 1 vertices, in the
-    table's int32: every count is at most m < 2**n.  ``edge_sizes`` is not
-    read; it stays because the benchmark's tracer unpacks three arguments."""
+    narrowest signed type that holds m, the edge count (int8 up to m = 127,
+    int16 up to 32767, else int32): every count, of the table and of the
+    boundary, is at most m.  ``edge_sizes`` is not read; it stays because
+    the benchmark's tracer unpacks three arguments."""
     n = p + 1
     half = 1 << p
     b = min(_LOW_BITS, n)
-    inside = np.zeros(2 * half, dtype=np.int32)
-    if len(edge_masks) >= 1 << (n - b):
+    m = len(edge_masks)
+    dtype = _count_dtype(m)
+    inside = np.zeros(2 * half, dtype=dtype)
+    if m >= 1 << (n - b):
         # The block could hold every row: all passes run on the table.
         b = 0
         inside[edge_masks] = 1
@@ -560,7 +654,7 @@ def subset_scan(edge_masks, edge_sizes, p):
         present = np.zeros(1 << (n - b), dtype=bool)
         present[high] = True
         rows = np.flatnonzero(present)
-        block = np.zeros((rows.size, width), dtype=np.int32)
+        block = np.zeros((rows.size, width), dtype=dtype)
         block[np.searchsorted(rows, high), edge_masks & (width - 1)] = 1
         for i in range(b):
             v = block.reshape(rows.size, width >> (i + 1), 2, 1 << i)
@@ -573,9 +667,15 @@ def subset_scan(edge_masks, edge_sizes, p):
         v = inside.reshape(-1, 2, 1 << i)
         upper = v[:, 1]
         upper += v[:, 0]
-    # Entry S of the reversed upper half is g of the complement of S.
-    boundary = len(edge_masks) - inside[:half]
-    boundary -= inside[: half - 1 : -1]
+    # Entry S of the reversed upper half is g of the complement of S.  An
+    # int8 half is reversed a word of 8 counts at a time, each word's bytes
+    # then swapped, several times faster than a count at a time.
+    if dtype is np.int8 and half >= 8:
+        boundary = inside[half:].view(np.uint64)[::-1].byteswap().view(np.int8)
+    else:
+        boundary = inside[: half - 1 : -1].copy()
+    np.subtract(m, boundary, out=boundary)
+    boundary -= inside[:half]
     return boundary
 
 

@@ -85,8 +85,9 @@ _PROFILE_BITS = 12
 
 
 def _size_profile(boundary: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
-    """(least, most): the least and most of the int32 ``boundary`` among the
-    scanned masks of each size 0..n-1, ``sizes`` being each mask's size.
+    """(least, most): the least and most of ``boundary`` among the scanned
+    masks of each size 0..n-1, in the boundary's type, ``sizes`` being
+    each mask's size.
     The masks of one row of 2**bits share their high part; taken in order
     of size, each run of a row's masks has one size.  The rows whose high
     parts have size c are first reduced, column by column, to one row,
@@ -102,8 +103,8 @@ def _size_profile(boundary: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
         runs = boundary[order]
         return np.minimum.reduceat(runs, starts), np.maximum.reduceat(runs, starts)
     row_sizes = sizes[:: 1 << bits]
-    least = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
-    most = np.full(n, -1, dtype=np.int32)
+    least = np.full(n, np.iinfo(boundary.dtype).max, dtype=boundary.dtype)
+    most = np.full(n, -1, dtype=boundary.dtype)
     for c in range(n - bits):
         block = rows[row_sizes == c]
         window = slice(c, c + bits + 1)
@@ -191,19 +192,27 @@ class Analysis(Hypergraph):
     @cached_property
     def scan(self) -> tuple:
         """Kernel scan over all subsets of {0..n-2}: (boundary, sizes), the
-        int32 boundary edge count and uint8 size of each subset, indexed by
-        subset bitmask.  Raises TooLargeError, through :attr:`edge_masks`
-        and before the table is allocated, when the scan is over budget."""
+        boundary edge count, in the narrowest signed type that holds m
+        (:func:`~hyperlap._kernels.subset_scan`), and the uint8 size of each
+        subset, indexed by subset bitmask.  The sizes are built by doubling,
+        with no wider temporary.  Raises TooLargeError, through
+        :attr:`edge_masks` and before the table is allocated, when the scan
+        is over budget."""
         p = self.n - 1
         boundary = subset_scan(self.edge_masks, self.edge_sizes, p)
-        return boundary, np.bitwise_count(np.arange(1 << p, dtype=np.int32))
+        # Setting bit i adds one to the size of each mask below 2**i.
+        sizes = np.zeros(1 << p, dtype=np.uint8)
+        for i in range(p):
+            np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
+        return boundary, sizes
 
     @property
     def profile(self) -> tuple:
-        """(least, most): the int32 least and most boundary among the scanned
-        masks of each size 0..n-1 (:func:`_size_profile`).  Computed once
-        per scan: it is kept beside the scan it was read from, and a scan
-        stored in its place gets a profile of its own."""
+        """(least, most): the least and most boundary among the scanned
+        masks of each size 0..n-1, in the boundary's type
+        (:func:`_size_profile`).  Computed once per scan: it is kept beside
+        the scan it was read from, and a scan stored in its place gets a
+        profile of its own."""
         scan = self.scan
         kept = vars(self).get("_profile")
         if kept is None or kept[0] is not scan:
@@ -279,7 +288,7 @@ def analyze(h: Hypergraph) -> Analysis:
 def _chunk_size(n: int) -> int:
     """How many n-vertex inputs one stacked solve takes: B with
     B * dense_bytes(max(n, 4)) <= dense_bytes(64), and at least one.  The
-    solve peaks above that price at small n, at up to 1.78 dense_bytes(64)
+    solve peaks above that price at small n, at up to 1.61 dense_bytes(64)
     at n=4 (measured, :func:`hyperlap.core.dense_bytes`); below n=4 the
     per-row arrays outweigh n**2, so a chunk is no longer than at n=4."""
     return max(1, dense_bytes(64) // dense_bytes(max(n, 4)))

@@ -50,7 +50,8 @@ from .errors import (
 
 # Budget for each priced stage of one input, a constant so that a refusal
 # does not depend on the machine.  It admits subset scans up to n = 28, so
-# the scan's int32 counts (at most m < 2**n) and int64 masks cannot overflow.
+# the scan's counts (at most m < 2**n, in at most int32) and int64 masks
+# cannot overflow.
 MAX_DENSE_BYTES = 4 * 2**30
 
 LABEL_RULE = "a nonempty string without whitespace, not starting with '#' or '!'"
@@ -207,28 +208,33 @@ def dense_bytes(n: int) -> int:
     to n=34 or 40) it takes all rows or all eigenvalues at once, and its
     temporaries hold about 2.4 times that: measured by tracemalloc, one
     matrix's solve then holds at most 154.5 KiB more than at the large-n
-    sizes (at n=34), and peaks at most 147 KiB above dense_bytes(n): 3.05
-    dense_bytes(n) at n=16, 2.91 at n=19, 2.63 at n=34 and 1.02 at n=40
+    sizes (at n=34), and peaks at most 144 KiB above dense_bytes(n): 2.96
+    dense_bytes(n) at n=16, 2.84 at n=19, 2.59 at n=34 and 1.02 at n=40
     (tests/test_spectral.py).
     A battery takes at most dense_bytes(64) // dense_bytes(max(n, 4))
     inputs a stack (:func:`hyperlap.analysis.analyze_stream`), but a
     stacked solve holds more than its inputs' share at small n, where the
     solver's per-row arrays and numpy's ufunc buffers outweigh n**2: one
-    stack's solve peaks at 0.65 dense_bytes(64) at n=64, 0.79 at n=12,
-    1.04 at n=8 and 1.78 at n=4.  Below n=4 a stack is no longer than at
-    n=4, and peaks at 1.29 at n=3 and 1.08 at n=2, so at most
+    stack's solve peaks at 0.65 dense_bytes(64) at n=64, 0.75 at n=12,
+    0.95 at n=8 and 1.61 at n=4.  Below n=4 a stack is no longer than at
+    n=4, and peaks at 1.16 at n=3 and 1.01 at n=2, so at most
     2 dense_bytes(64) for n from 2 to 64 (tests/test_analysis.py)."""
     return 10 * 8 * n * n
 
 
 def scan_bytes(n: int) -> int:
     """Predicted peak bytes of the subset scan of an n-vertex input and of
-    its readers: 20 bytes for each of the 2**(n-1) scanned subsets.  The
-    scan holds the int32 table of 2**n counts (8) and the int32 boundary (4)
-    at its end; the boundary then stays with the uint8 sizes (1).  The
-    readers work on the per-size profile, and search the scan only for
+    its readers: 20 bytes for each of the 2**(n-1) scanned subsets, priced
+    at the widest count type.  The scan holds its table of 2**n counts and
+    the boundary at its end, both in the narrowest signed type that holds
+    m (``_kernels.subset_scan``): 8 and 4 bytes in int32, 2 and 1 in the
+    int8 of m <= 127.  The boundary then stays with the uint8 sizes (1).
+    The readers work on the per-size profile, and search the scan only for
     witnesses (a bool per subset) or, when the sandwich check fails, for
-    its first offending subset (a float64 bound and a bool per subset)."""
+    its first offending subset (a float64 bound and a bool per subset).
+    The price does not depend on m, so every input is admitted or refused
+    as it was when every count was int32; with int8 counts the scan and
+    its profile peak at about 3 bytes per subset (tests/test_analysis.py)."""
     return 20 << (n - 1)
 
 

@@ -17,6 +17,7 @@ from .core import Hypergraph
 from .errors import BadParametersError, UnsatisfiableError
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 # Largest total member count sum |e| a generator builds, and largest n of a
 # random hypergraph (its !vertices line holds n labels).  Larger families
@@ -42,11 +43,25 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of :meth:`next_u64`, as a uint64 array
+        computed with numpy's wrapping arithmetic."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
 
     def randrange(self, bound: int) -> int:
         """Uniform draw from [0, bound); rejection keeps it unbiased."""

@@ -202,6 +202,16 @@ def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
     return None
 
 
+def _sampled_masks(index: int, p: int) -> np.ndarray:
+    """The distinct masks, ascending, of _QUAD_SAMPLES draws of
+    ``SplitMix64(0xA5C3 + index).randrange(1 << p)``.  A draw from a power
+    of two is never rejected, since its limit is 2**64, so draw k is the
+    low p bits of output k."""
+    draws = SplitMix64(0xA5C3 + index).next_u64s(_QUAD_SAMPLES)
+    draws &= np.uint64((1 << p) - 1)
+    return np.array(sorted(set(draws.tolist())), dtype=np.int64)
+
+
 def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
     if not an.enumerable:
         return None
@@ -210,11 +220,7 @@ def _check_quadratic_identity(an: Analysis, index: int) -> Optional[str]:
     if n <= _FULL_QUAD_N:
         masks = np.arange(1 << p, dtype=np.int64)
     else:
-        rng = SplitMix64(0xA5C3 + index)
-        masks = np.array(
-            sorted({rng.randrange(1 << p) for _ in range(_QUAD_SAMPLES)}),
-            dtype=np.int64,
-        )
+        masks = _sampled_masks(index, p)
     # Each edge adds t (|e| - t) for the t of its vertices in the mask.  All
     # edges are counted against all masks at once, n edges at a time, so the
     # int64 temporary is no larger than chi below; t <= |e| <= n <= 28, so

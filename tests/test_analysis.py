@@ -141,8 +141,8 @@ def test_a_chunk_solve_peaks_within_two_n64_prices(n):
     # A chunk costs more than its share of dense_bytes at small n: the
     # solver's per-row arrays and numpy's ufunc buffers outweigh n**2, and
     # at n=2 the warm start takes all eigenvalues and rows at once.
-    # Measured peaks, as a share of dense_bytes(64): 1.08 at n=2, 1.29 at
-    # n=3, 1.78 at n=4, 1.04 at n=8, 0.79 at n=12 and 0.65 at n=64.  Below
+    # Measured peaks, as a share of dense_bytes(64): 1.01 at n=2, 1.16 at
+    # n=3, 1.61 at n=4, 0.95 at n=8, 0.75 at n=12 and 0.65 at n=64.  Below
     # n=4 only 2**n - n - 1 edges of at most n vertices exist.
     m, k_max = min(2 * n, 2**n - n - 1), min(4, n)
     laplacians = [hl.analyze(h).laplacian
@@ -279,6 +279,11 @@ def test_scan_is_capped():
         an.edge_masks
 
 
+def _count_type(m):
+    """The scan's count type: the narrowest signed integer type holding m."""
+    return next(t for t in (np.int8, np.int16, np.int32) if m <= np.iinfo(t).max)
+
+
 def _recount(h, mask):
     """(boundary, size) of one subset bitmask, counted edge by edge."""
     bits = [v for v in range(h.n) if (mask >> v) & 1]
@@ -288,7 +293,7 @@ def _recount(h, mask):
 def test_scan_matches_per_mask_recount():
     h = hl.random_hypergraph(12, 30, 2, 5, 11)
     boundary, sizes = hl.analyze(h).scan
-    assert boundary.dtype == np.int32 and sizes.dtype == np.uint8
+    assert boundary.dtype == _count_type(30) == np.int8 and sizes.dtype == np.uint8
     assert boundary.size == 1 << 11
     for mask in range(boundary.size):
         got = (int(boundary[mask]), int(sizes[mask]))
@@ -332,7 +337,7 @@ def _kernel_scan(h):
 @given(h=_scan_inputs())
 def test_subset_scan_matches_per_mask_recount(h):
     boundary = _kernel_scan(h)
-    assert boundary.dtype == np.int32 and boundary.shape == (1 << (h.n - 1),)
+    assert boundary.dtype == _count_type(h.m) and boundary.shape == (1 << (h.n - 1),)
     assert [int(b) for b in boundary] == [
         _recount(h, mask)[0] for mask in range(boundary.size)
     ]
@@ -353,7 +358,7 @@ _B = _kernels._LOW_BITS
 def test_subset_scan_around_the_low_bits_matches_recount(n, m):
     h = hl.random_hypergraph(n, m, 2, min(n, 6), n + m) if m else hl.Hypergraph.from_edges([], n=n)
     boundary = _kernel_scan(h)
-    assert boundary.dtype == np.int32 and boundary.shape == (1 << (n - 1),)
+    assert boundary.dtype == _count_type(m) and boundary.shape == (1 << (n - 1),)
     if m == 0:
         assert not boundary.any()
         return
@@ -405,7 +410,7 @@ def test_profile_matches_per_mask_recount(h, bits):
     # scan, so that rows are reduced per high-part size and also not.
     with patch.object(analysis, "_PROFILE_BITS", bits):
         least, most = hl.analyze(h).profile
-    assert least.dtype == most.dtype == np.int32
+    assert least.dtype == most.dtype == _count_type(h.m)
     assert (least.tolist(), most.tolist()) == _brute_profile(h)
 
 
@@ -427,7 +432,7 @@ def test_a_stored_scan_gets_a_profile_of_its_own():
     an = hl.analyze(hl.random_hypergraph(10, 20, 2, 4, 4))
     assert an.profile is an.profile
     boundary, sizes = an.scan
-    boundary = boundary.copy()
+    boundary = boundary.astype(np.int32)  # a copy wide enough for 10**6
     boundary[77] = 10**6
     vars(an)["scan"] = (boundary, sizes)  # replace the cached scan
     _, most = an.profile
@@ -443,4 +448,45 @@ def test_subset_scan_of_the_smallest_inputs(n, edges, want):
     # At n = 1 only the empty subset is scanned, and the reversed complement
     # slice is the single entry of V.
     boundary = _kernel_scan(hl.Hypergraph.from_edges(edges, n=n))
-    assert boundary.dtype == np.int32 and boundary.tolist() == want
+    assert boundary.dtype == np.int8 and boundary.tolist() == want
+
+
+# Distinct nonempty masks drawn at random, m = 0 to 32768, with the table
+# path (m at least the 2**(n - 8) high parts) and the block path (n=16,
+# m=200) both taken; the type steps up past m = 127 and past m = 32767.
+@pytest.mark.parametrize(
+    "n, m, dtype",
+    [(4, 0, np.int8), (8, 127, np.int8), (8, 128, np.int16), (16, 200, np.int16),
+     (16, 32767, np.int16), (16, 32768, np.int32)],
+)
+def test_subset_scan_counts_in_the_narrowest_type_holding_m(n, m, dtype):
+    rng = np.random.default_rng(m)
+    masks = np.sort(rng.choice(np.arange(1, 1 << n, dtype=np.int64), m, replace=False))
+    boundary = _kernels.subset_scan(masks, np.zeros(m, dtype=np.int64), n - 1)
+    assert boundary.dtype == dtype == _count_type(m)
+    assert boundary.shape == (1 << (n - 1),)
+    # An int64 recount of each sampled mask: the edges neither inside S nor
+    # inside its complement.
+    sample = np.unique(np.concatenate([[0, boundary.size - 1],
+                                       rng.integers(0, boundary.size, 300)]))
+    inside = (masks[None, :] & ~sample[:, None]) == 0
+    outside = (masks[None, :] & sample[:, None]) == 0
+    want = m - inside.sum(axis=1, dtype=np.int64) - outside.sum(axis=1, dtype=np.int64)
+    assert boundary[sample].astype(np.int64).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n, m", [(19, 44), (24, 72)])
+def test_scan_and_profile_peak_at_a_quarter_of_the_scan_price(n, m):
+    # With m <= 127 the table and the boundary are int8, so the scan and its
+    # profile hold about 3 bytes per scanned subset, against the 20 of
+    # core.scan_bytes: the int32 table alone takes 8.
+    an = hl.analyze(hl.random_hypergraph(n, m, 2, 4, 3))
+    an.edge_masks
+    tracemalloc.start()
+    try:
+        an.profile
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert an.scan[0].dtype == np.int8
+    assert peak <= hl.core.scan_bytes(n) // 4, f"{peak / 2**20:.2f} MiB"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hyperlap as hl
+from hyperlap import bounds
 
 
 def test_neighborhood_profile_distinct_vs_weighted(g_triple_overlap):
@@ -357,6 +358,33 @@ def test_vectorised_pair_bounds_match_loops():
             rep = hl.zhu_generic_bound(h, _generic_weight, strict_exclusion=strict)
             assert rep.value == value and rep.witness == pair
             assert all(type(v) is int for v in rep.witness)
+
+
+def _zhu_bracket_by_rows(h, iu, ju, weighted):
+    """The bracket's common-neighbour sums one row i at a time."""
+    w, d, sums = bounds._neighbor_sums(h, weighted)
+    cut = np.searchsorted(iu, np.arange(h.n + 1))
+    common = np.empty(iu.size)
+    for i in range(h.n):
+        row = slice(cut[i], cut[i + 1])
+        common[row] = np.minimum(w[i], w[ju[row]]) @ d
+    di, dj = d[iu], d[ju]
+    num = di * di + sums[iu] + dj * dj + sums[ju] - 2.0 * common
+    return bounds._argmax_pair(num / (di + dj), iu, ju)
+
+
+def test_bracket_blocks_of_pairs_match_the_row_loop():
+    # Pair counts below n, between multiples of n and far above them (the
+    # dense inputs, where every pair is adjacent).
+    cases = [hl.random_hypergraph(n=n, m=m, k_min=2, k_max=k, seed=n + m)
+             for n, m, k in ((3, 1, 2), (9, 4, 3), (12, 30, 4), (20, 60, 5), (33, 40, 12))]
+    for h in cases:
+        an = hl.analyze(h)
+        iu, ju = bounds._adjacent_pairs(an)
+        for weighted in (False, True):
+            got = bounds._zhu_bracket_max(an, iu, ju, weighted)
+            want = _zhu_bracket_by_rows(an, iu, ju, weighted)
+            assert got == want and type(got[0]) is type(want[0]), (h.n, h.m, weighted)
 
 
 def _edge_degree_sum_loops(h):

@@ -290,6 +290,17 @@ class TestVerify:
         _, second, _ = _run(capsys, *args)
         assert first == second
 
+    def test_battery_with_a_near_double_zero_eigenvalue_passes(self, capsys):
+        # Instance 18 has an isolated vertex, so 0 is a double eigenvalue of
+        # its Laplacian, but T does not split there: inverse iteration gives
+        # both vectors of the cluster alike, and the second is recomputed
+        # orthogonal to the first (_kernels._RESTART_TOL).
+        code, stdout, _ = _run(capsys, "verify", "--random", "8", "6", "2", "4", "40",
+                               "1359169625")
+        report = json.loads(stdout)
+        assert code == 0 and report["passed"] is True
+        assert report["instances"] == 40
+
     def test_file_and_random_conflict(self, capsys, mixed_file):
         code, _, err = _run(capsys, "verify", mixed_file, "--random",
                             "5", "3", "2", "3", "2", "0")

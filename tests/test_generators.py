@@ -25,6 +25,15 @@ class TestSplitMix64:
         b = hl.SplitMix64(123456789)
         assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
 
+    @pytest.mark.parametrize("seed", [0, 123456789, (1 << 64) - 1])
+    def test_next_u64s_is_the_stream_in_numpy(self, seed):
+        # The state wraps past 2**64 within the first draws from the top seed.
+        a, b = hl.SplitMix64(seed), hl.SplitMix64(seed)
+        got = a.next_u64s(300)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [b.next_u64() for _ in range(300)]
+        assert a.next_u64() == b.next_u64()
+
     def test_randrange_hits_full_range(self):
         rng = hl.SplitMix64(42)
         seen = {rng.randrange(5) for _ in range(200)}

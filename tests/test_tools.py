@@ -24,6 +24,12 @@ def test_interleave_rounds_runs_a_tree_against_itself():
     assert result["calls_per_round"] == 7
     assert result["median_s"]["parent"] > 0 and result["median_s"]["change"] > 0
     assert result["median_s_by_first"]["change_first"]["parent"] is None
+    labels = ["verify-n16", "verify-n17", "cuts-exact-n17", "verify-n18", "cuts-exact-n18",
+              "verify-n19", "cuts-exact-n19"]
+    assert list(result["op_median_s"]) == labels
+    for label in labels:
+        medians = result["op_median_s"][label]
+        assert set(medians) == {"parent", "change"} and min(medians.values()) > 0
 
 
 def test_interleave_rounds_fails_when_outputs_differ(tmp_path):

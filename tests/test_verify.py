@@ -107,6 +107,16 @@ class TestVerifyInstances:
         report = hl.verify_instances([("big", h)], source="unit")
         assert report.passed
 
+    def test_sampled_masks_are_the_randrange_draws(self):
+        # The sampler reads SplitMix64 outputs in numpy; the draws it stands
+        # for are randrange(2**p), one stream per instance index.
+        for index in range(64):
+            for p in range(12, 28):
+                rng = hl.SplitMix64(0xA5C3 + index)
+                want = sorted({rng.randrange(1 << p) for _ in range(verify._QUAD_SAMPLES)})
+                got = verify._sampled_masks(index, p)
+                assert got.dtype == np.int64 and got.tolist() == want, (index, p)
+
     # n=10 checks every mask; n=16 checks the 256 sampled ones.
     @pytest.mark.parametrize("n", [10, 16])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "pair"])
@@ -129,7 +139,7 @@ class TestVerifyInstances:
         an = hl.analyze(hl.random_hypergraph(n=10, m=20, k_min=2, k_max=4, seed=4))
         assert verify._check_subset_sandwich(an, 0) is None
         boundary, sizes = an.scan
-        boundary = boundary.copy()
+        boundary = boundary.astype(np.int32)  # a copy wide enough for 10**6
         boundary[[300, 77]] = -1 if side == "below" else 10**6
         vars(an)["scan"] = (boundary, sizes)  # replace the cached scan
         lower, upper = sandwich_bounds(an, int(sizes[77]))
@@ -333,9 +343,9 @@ class TestBatteries:
 @pytest.mark.parametrize("n, m", [(19, 44), (22, 66)])
 def test_exact_layer_peak_memory_per_scanned_subset(n, m):
     # The exact checks keep each per-subset array in the scan's own narrow
-    # types (int32 boundaries, uint8 sizes), so they trace at most 20 bytes
-    # per scanned subset, 2**(n-1) of them: the price core.scan_bytes puts
-    # on the scan.
+    # types (boundaries in the narrowest signed type holding m, uint8
+    # sizes), so they trace at most 20 bytes per scanned subset, 2**(n-1)
+    # of them: the price core.scan_bytes puts on the scan.
     an = hl.analyze(hl.random_hypergraph(n, m, 2, 4, 3))
     tracemalloc.start()
     try:

@@ -16,8 +16,9 @@ most of a shared host's drift, which separate runs in fresh directories do
 not.
 
 The last stdout line is JSON: the median round seconds of each tree, overall
-and by which tree ran first, and the median of the per-round ratios
-parent / change (above 1 when the change is faster).
+and by which tree ran first, the median of the per-round ratios
+parent / change (above 1 when the change is faster), and each operation's
+median seconds in each tree, keyed by the operation's label.
 """
 
 import os
@@ -68,12 +69,12 @@ def call(package, argv) -> tuple:
 
 
 def run_round(package, ops) -> tuple:
-    """(wall seconds of all calls, outputs) of one round."""
-    outputs, seconds = [], 0.0
+    """(wall seconds of each call, outputs) of one round."""
+    outputs, seconds = [], []
     for op in ops:
         start = time.perf_counter()
         outputs.append(call(package, op.argv))
-        seconds += time.perf_counter() - start
+        seconds.append(time.perf_counter() - start)
     return seconds, outputs
 
 
@@ -101,13 +102,16 @@ def main(argv=None) -> int:
             run_round(packages[name], warm)
 
         times = {name: [] for name in TREES}
+        op_times = {op.label: {name: [] for name in TREES} for op in ops}
         first = []
         for r in range(args.rounds):
             order = TREES if r % 2 == 0 else TREES[::-1]
             outputs = {}
             for name in order:
                 seconds, outputs[name] = run_round(packages[name], ops)
-                times[name].append(seconds)
+                times[name].append(sum(seconds))
+                for op, s in zip(ops, seconds):
+                    op_times[op.label][name].append(s)
             first.append(order[0])
             for op, p, c in zip(ops, outputs["parent"], outputs["change"]):
                 if p != c:
@@ -126,6 +130,8 @@ def main(argv=None) -> int:
         "median_s_by_first": {f"{lead}_first": {name: by_first(name, lead) for name in TREES}
                               for lead in TREES},
         "ratio_median": median([p / c for p, c in zip(times["parent"], times["change"])]),
+        "op_median_s": {label: {name: median(t[name]) for name in TREES}
+                        for label, t in op_times.items()},
     }
     print(json.dumps(result))
     return 0
