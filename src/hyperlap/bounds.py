@@ -179,11 +179,10 @@ def bound_zhu_nonuniform(h: Hypergraph, weighted: bool = False) -> BoundReport:
 
 def _zhu_bracket_max(h: Analysis, iu: np.ndarray, ju: np.ndarray, weighted: bool) -> tuple:
     w, d, sums = _neighbor_sums(h, weighted)
-    # min(w_il, w_jl) summed against d_l, n pairs at a time, so the rows of
-    # a block take twice the bytes of w, as one row i of the first pairs
-    # did; on the 0/1 weights of distinct neighbours the minimum is the
-    # product.  Every term is an integer far below 2**53, so the sums are
-    # exact in any order.
+    # min(w_il, w_jl) summed against d_l, n pairs at a time, so a block's
+    # two gathers hold 2 n**2 entries; on the 0/1 weights of distinct
+    # neighbours the minimum is the product.  Every term is an integer far
+    # below 2**53, so the sums are exact in any order.
     common = np.empty(iu.size)
     for first in range(0, iu.size, h.n):
         block = slice(first, first + h.n)
