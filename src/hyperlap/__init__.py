@@ -12,15 +12,7 @@ from .analysis import Analysis, analyze, analyze_stream
 from .bounds import (
     BoundReport,
     EdgeDegreeSumCheck,
-    NeighborhoodProfile,
-    all_bounds,
-    bound_delta_pair_sum,
-    bound_twice_max_delta,
-    bound_zhu_nonuniform,
-    bound_zhu_uniform,
     check_edge_degree_sum,
-    neighborhood_profile,
-    zhu_generic_bound,
 )
 from .core import (
     DegreeProfile,
@@ -32,21 +24,16 @@ from .core import (
 from .cuts import (
     ConnectivitySummary,
     CutReport,
-    boundary_quadratic,
     boundary_sandwich,
     connectivity_summary,
     edge_boundary,
-    edge_contribution,
-    edge_density_bounds,
     fiedler_sweep,
     isoperimetric,
     max_cut,
 )
 from .errors import (
     BadParametersError,
-    BadWeightFunctionError,
     ConvergenceFailureError,
-    DegenerateSubsetError,
     DisconnectedError,
     DuplicateEdgeError,
     DuplicateVertexError,
@@ -54,7 +41,6 @@ from .errors import (
     HyperlapError,
     InvalidHypergraphError,
     NoEdgesError,
-    NotUniformError,
     SingletonEdgeError,
     TooLargeError,
     TooSmallError,
@@ -74,15 +60,7 @@ from .generators import (
     star_kgraph_spectrum,
 )
 from .hgio import dump, dumps, load, loads
-from .spectral import (
-    Spectrum,
-    eigendecompose,
-    eigendecompose_stack,
-    fiedler_vector,
-    lambda2,
-    lambda_n,
-    spectral_component_count,
-)
+from .spectral import Spectrum, eigendecompose, eigendecompose_stack
 from .verify import (
     CheckResult,
     RecordedClaim,

@@ -54,14 +54,7 @@ from .core import (
     scan_bytes,
 )
 from .errors import TooSmallError
-from .spectral import (
-    ZERO_EIGENVALUE_TOL,
-    Spectrum,
-    eigendecompose,
-    eigendecompose_stack,
-    lambda2,
-    lambda_n,
-)
+from .spectral import ZERO_EIGENVALUE_TOL, Spectrum, eigendecompose, eigendecompose_stack
 
 
 def _lex_least(sides: np.ndarray) -> tuple:
@@ -146,13 +139,18 @@ class Analysis(Hypergraph):
 
     @property
     def lambda2(self) -> float:
-        """Raises TooSmallError below two vertices."""
-        return lambda2(self.spectrum)
+        """The second-smallest eigenvalue (algebraic connectivity).  Raises
+        TooSmallError below two vertices."""
+        if self.n < 2:
+            raise TooSmallError("lambda_2 needs at least two vertices")
+        return float(self.spectrum.eigenvalues[1])
 
     @property
     def lambda_n(self) -> float:
-        """Raises TooSmallError below two vertices."""
-        return lambda_n(self.spectrum)
+        """The largest eigenvalue.  Raises TooSmallError below two vertices."""
+        if self.n < 2:
+            raise TooSmallError("lambda_n needs at least two vertices")
+        return float(self.spectrum.eigenvalues[-1])
 
     @cached_property
     def bounds(self) -> dict:

@@ -5,28 +5,21 @@ number are read from ``analyze(h)``; the exact searches are refused when
 the subset scan's predicted bytes exceed the budget (``core.scan_bytes``
 against ``core.MAX_DENSE_BYTES``).  Each spectral cut bound is stated once:
 the sandwich in :func:`sandwich_bounds`, the max-cut and isoperimetric
-bounds in :func:`connectivity_summary`.  Boundaries, the quadratic identity
-and the Fiedler sweep are per-edge reductions (``Hypergraph.edge_reduce``),
-so each is O(sum |e|) numpy work; the sweep gets the boundary of every
-prefix from one difference array.
+bounds in :func:`connectivity_summary`.  Boundaries and the Fiedler sweep
+are per-edge reductions (``Hypergraph.edge_reduce``), so each is O(sum |e|)
+numpy work; the sweep gets the boundary of every prefix from one
+difference array.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .analysis import analyze
 from .core import Hypergraph, vertex_index
-from .errors import (
-    DegenerateSubsetError,
-    DisconnectedError,
-    DuplicateVertexError,
-    NoEdgesError,
-    TooSmallError,
-)
-from .spectral import fiedler_vector
+from .errors import DisconnectedError, DuplicateVertexError, NoEdgesError, TooSmallError
 
 
 @dataclass(frozen=True)
@@ -76,39 +69,14 @@ def _clean_subset(h: Hypergraph, subset: Iterable[int]) -> tuple:
     return tuple(sorted(out))
 
 
-def edge_contribution(edge: Sequence[int], subset) -> int:
-    """t * (|e| - t) where t = |e & S|: this edge's share of chi^T L chi."""
-    inside = set(subset)
-    t = sum(1 for v in edge if v in inside)
-    return t * (len(edge) - t)
-
-
-def _members_inside(h: Hypergraph, subset: tuple) -> np.ndarray:
-    """Each edge's member count in the subset, in edge order."""
-    inside = np.zeros(h.n, dtype=np.int64)
-    inside[list(subset)] = 1
-    return h.edge_reduce(np.add, inside)
-
-
 def edge_boundary(h: Hypergraph, subset: Iterable[int]) -> tuple:
     """(count, edges) of hyperedges split by the subset, canonical order."""
-    t = _members_inside(h, _clean_subset(h, subset))
+    inside = np.zeros(h.n, dtype=np.int64)
+    inside[list(_clean_subset(h, subset))] = 1
+    t = h.edge_reduce(np.add, inside)  # each edge's members in the subset
     split = np.flatnonzero((t > 0) & (t < h.edge_sizes))
     crossing = [h.edges[p] for p in split.tolist()]
     return len(crossing), crossing
-
-
-def boundary_quadratic(h: Hypergraph, subset: Iterable[int]) -> tuple:
-    """Both sides of the exact identity
-    sum_e t_e(|e| - t_e) == chi_S^T L chi_S, as integers."""
-    h = analyze(h)
-    s = _clean_subset(h, subset)
-    t = _members_inside(h, s)
-    per_edge = int((t * (h.edge_sizes - t)).sum())
-    chi = np.zeros(h.n, dtype=np.int64)
-    chi[list(s)] = 1
-    quad = int(chi @ h.laplacian @ chi)
-    return per_edge, quad
 
 
 def sandwich_bounds(h: Hypergraph, size):
@@ -147,17 +115,6 @@ def boundary_sandwich(h: Hypergraph, subset: Iterable[int]) -> CutReport:
     )
 
 
-def edge_density_bounds(h: Hypergraph, subset: Iterable[int]) -> tuple:
-    """(density, lower, upper) with the sandwich divided through by
-    s*(n-s); the bounds no longer depend on the subset."""
-    s = _clean_subset(h, subset)
-    if len(s) == 0 or len(s) == h.n:
-        raise DegenerateSubsetError("density needs a proper nonempty subset")
-    report = boundary_sandwich(h, s)
-    pairs = len(s) * (h.n - len(s))
-    return report.density, report.lower / pairs, report.upper / pairs
-
-
 def max_cut(h: Hypergraph) -> tuple:
     """(value, witness): max boundary size over all subsets; the witness is
     the lexicographically least sorted tuple attaining it.  Computed once
@@ -193,7 +150,7 @@ def fiedler_sweep(h: Hypergraph) -> tuple:
     if not h.connected:
         raise DisconnectedError("sweep cut needs a connected hypergraph")
     n = h.n
-    order = np.argsort(-fiedler_vector(h.spectrum), kind="stable")
+    order = np.argsort(-h.spectrum.eigenvectors[:, 1], kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     # counts[t] = #edges with minrank < t <= maxrank, from a difference array.

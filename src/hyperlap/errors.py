@@ -49,18 +49,6 @@ class NoEdgesError(HyperlapError, ValueError):
     """Operation requires at least one edge."""
 
 
-class BadWeightFunctionError(HyperlapError, ValueError):
-    """Edge weight function is not positive on an edge."""
-
-
-class NotUniformError(HyperlapError, ValueError):
-    """Operation requires all edges to have the same size."""
-
-
-class DegenerateSubsetError(HyperlapError, ValueError):
-    """Subset is empty or the full vertex set."""
-
-
 class TooLargeError(HyperlapError, ValueError):
     """An input whose predicted bytes for a stage (its n-by-n matrices or
     its subset scan) exceed the budget ``core.MAX_DENSE_BYTES``."""

@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .analysis import analyze
-from .bounds import all_bounds
 from .core import Hypergraph
 from .cuts import ConnectivitySummary, CutReport
 from .verify import VerifyReport
@@ -139,7 +138,7 @@ def bounds_payload(h: Hypergraph) -> list:
             "holds": rep.holds,
             "witness": _labels(names, rep.witness),
         }
-        for rep in all_bounds(h)
+        for rep in analyze(h).bounds.values()
     ]
 
 

@@ -1,4 +1,4 @@
-"""Symmetric eigensolver and readings of its spectrum.
+"""Symmetric eigensolver.
 
 The solver is self-contained (kernels in :mod:`hyperlap._kernels`) and
 works on one float64 copy of its input, so the int64 Laplacian stays
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import jacobi_sweeps, similarity, warm_start
-from .errors import ConvergenceFailureError, TooSmallError
+from .errors import ConvergenceFailureError
 
 # Convergence: off-diagonal Frobenius mass must drop below this times the
 # input norm.  100 sweeps is far beyond what desk-scale matrices need: from
@@ -110,30 +110,3 @@ def _solve(a: np.ndarray) -> list:
         flip = large.any(axis=1, keepdims=True) & (first < 0.0)
         np.negative(vectors, out=vectors, where=flip)
     return [Spectrum(x, y, s) for x, y, s in zip(values, vectors, sweeps)]
-
-
-def lambda2(spectrum: Spectrum) -> float:
-    """Second-smallest eigenvalue (algebraic connectivity)."""
-    if spectrum.n < 2:
-        raise TooSmallError("lambda_2 needs at least two vertices")
-    return float(spectrum.eigenvalues[1])
-
-
-def lambda_n(spectrum: Spectrum) -> float:
-    """Largest eigenvalue."""
-    if spectrum.n < 2:
-        raise TooSmallError("lambda_n needs at least two vertices")
-    return float(spectrum.eigenvalues[-1])
-
-
-def fiedler_vector(spectrum: Spectrum) -> np.ndarray:
-    """Eigenvector paired with lambda_2 (sign-normalized)."""
-    if spectrum.n < 2:
-        raise TooSmallError("Fiedler vector needs at least two vertices")
-    return spectrum.eigenvectors[:, 1].copy()
-
-
-def spectral_component_count(spectrum: Spectrum, threshold: float) -> int:
-    """Multiplicity of the zero eigenvalue at the given threshold."""
-    return int(np.count_nonzero(np.abs(spectrum.eigenvalues) <= threshold))
-

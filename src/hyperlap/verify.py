@@ -19,7 +19,6 @@ from .core import connected_components, degree_profile
 from .cuts import connectivity_summary, fiedler_sweep, isoperimetric, sandwich_bounds
 from .errors import BadParametersError
 from .generators import SplitMix64, random_hypergraph
-from .spectral import spectral_component_count
 
 _WITNESS_CAP = 5
 _FAILURE_CAP = 5
@@ -138,7 +137,7 @@ def _check_spectrum_certificates(an: Analysis, index: int) -> Optional[str]:
 
 def _check_connectivity_agreement(an: Analysis, index: int) -> Optional[str]:
     thr = an.zero_threshold
-    count = spectral_component_count(an.spectrum, thr)
+    count = int(np.count_nonzero(np.abs(an.spectrum.eigenvalues) <= thr))
     if count != len(an.components):
         return (
             f"zero multiplicity {count} != component count {len(an.components)}"

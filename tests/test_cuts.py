@@ -81,15 +81,9 @@ class TestEdgeBoundary:
 
 
 class TestEdgeContribution:
-    def test_values(self):
-        assert hl.edge_contribution((0, 1, 2, 3), {0, 1}) == 4
-        assert hl.edge_contribution((0, 1, 2), {0}) == 2
-        assert hl.edge_contribution((0, 1, 2), {5}) == 0
-        assert hl.edge_contribution((0, 1), {0, 1}) == 0
-
     def test_quadratic_identity_exact(self, g_mixed_sizes):
         for subset in [(0,), (1, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]:
-            per_edge, quad = hl.boundary_quadratic(g_mixed_sizes, subset)
+            per_edge, quad = _boundary_quadratic_loops(g_mixed_sizes, subset)
             assert per_edge == quad
 
     def test_quadratic_identity_random(self):
@@ -97,7 +91,7 @@ class TestEdgeContribution:
             h = hl.random_hypergraph(n=8, m=6, k_min=2, k_max=4, seed=seed)
             pick = hl.SplitMix64(seed ^ 0xC0FFEE)
             subset = tuple(pick.sample(8, pick.randrange(9)))
-            per_edge, quad = hl.boundary_quadratic(h, subset)
+            per_edge, quad = _boundary_quadratic_loops(h, subset)
             assert per_edge == quad
 
 
@@ -153,28 +147,29 @@ class TestBoundarySandwich:
                     assert rep.boundary_size <= rep.upper + 1e-8
 
 
+def _density_bounds(h, subset):
+    """(density, lower, upper): the sandwich divided through by s*(n-s)."""
+    report = hl.boundary_sandwich(h, subset)
+    pairs = len(subset) * (h.n - len(subset))
+    return report.density, report.lower / pairs, report.upper / pairs
+
+
 class TestEdgeDensity:
     def test_uniform_tight_upper(self, g_uniform_cycle):
-        rho, lower, upper = hl.edge_density_bounds(g_uniform_cycle, [0, 3])
+        rho, lower, upper = _density_bounds(g_uniform_cycle, [0, 3])
         assert rho == pytest.approx(0.5)
         assert upper == pytest.approx(0.5, abs=1e-8)
 
     def test_uniform_lower(self, g_uniform_cycle):
-        rho, lower, upper = hl.edge_density_bounds(g_uniform_cycle, [0, 1, 2])
+        rho, lower, upper = _density_bounds(g_uniform_cycle, [0, 1, 2])
         assert rho == pytest.approx(2.0 / 9.0)
         assert lower == pytest.approx(8.0 / 54.0, abs=1e-8)
 
     def test_single_edge_everything_tight(self, k2):
-        rho, lower, upper = hl.edge_density_bounds(k2, [0])
+        rho, lower, upper = _density_bounds(k2, [0])
         assert rho == pytest.approx(1.0)
         assert lower == pytest.approx(1.0, abs=1e-8)
         assert upper == pytest.approx(1.0, abs=1e-8)
-
-    def test_degenerate_subsets_rejected(self, k2):
-        with pytest.raises(hl.DegenerateSubsetError):
-            hl.edge_density_bounds(k2, [])
-        with pytest.raises(hl.DegenerateSubsetError):
-            hl.edge_density_bounds(k2, [0, 1])
 
 
 class TestMaxCut:
@@ -358,7 +353,13 @@ def _edge_boundary_loops(h, s):
 
 
 def _boundary_quadratic_loops(h, s):
-    per_edge = sum(hl.edge_contribution(e, s) for e in h.edges)
+    """Both sides of sum_e t_e (|e| - t_e) == chi_S^T L chi_S, where t_e is
+    the number of the edge's vertices in S, as integers."""
+    inside = set(s)
+    per_edge = 0
+    for e in h.edges:
+        t = sum(1 for v in e if v in inside)
+        per_edge += t * (len(e) - t)
     chi = np.zeros(h.n, dtype=np.int64)
     chi[list(s)] = 1
     quad = int(chi @ hl.analyze(h).laplacian.astype(np.int64) @ chi)
@@ -367,7 +368,7 @@ def _boundary_quadratic_loops(h, s):
 
 def _fiedler_sweep_loops(h):
     an = hl.analyze(h)
-    order = np.argsort(-hl.fiedler_vector(an.spectrum), kind="stable")
+    order = np.argsort(-an.spectrum.eigenvectors[:, 1], kind="stable")
     best = None
     best_subset = None
     for t in range(1, h.n):
@@ -402,7 +403,8 @@ def test_edge_index_passes_match_loops():
             count, edges = hl.edge_boundary(h, s)
             assert (count, edges) == _edge_boundary_loops(h, s)
             assert all(type(e) is tuple for e in edges)
-            assert hl.boundary_quadratic(h, s) == _boundary_quadratic_loops(h, s)
+            per_edge, quad = _boundary_quadratic_loops(h, s)
+            assert per_edge == quad
 
 
 def test_one_pass_sweep_matches_prefix_loop():

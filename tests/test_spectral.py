@@ -79,12 +79,12 @@ class TestKnownSpectra:
 
     def test_overlap_heavy_top_eigenvalue(self, g_overlap_heavy):
         # frozen: agrees with an independent dense solver to 12 digits
-        s = hl.analyze(g_overlap_heavy).spectrum
-        assert hl.lambda_n(s) == pytest.approx(8.236067977499792, abs=1e-8)
+        an = hl.analyze(g_overlap_heavy)
+        assert an.lambda_n == pytest.approx(8.236067977499792, abs=1e-8)
 
     def test_path_lambda2(self, path4):
-        s = hl.analyze(path4).spectrum
-        assert hl.lambda2(s) == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)
+        an = hl.analyze(path4)
+        assert an.lambda2 == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)
 
 
 class TestEigendecompose:
@@ -185,8 +185,8 @@ def test_fiedler_variational_bound():
     rng = np.random.default_rng(31)
     for h in _connected_instances(100, start_seed=1000):
         a = hl.adjacency_matrix(h)
-        s = hl.analyze(h).spectrum
-        lo, hi = hl.lambda2(s), hl.lambda_n(s)
+        an = hl.analyze(h)
+        lo, hi = an.lambda2, an.lambda_n
         tol = 1e-8 * max(1.0, hi)
         w = rng.normal(size=(50, h.n))
         diff2 = (w[:, :, None] - w[:, None, :]) ** 2
@@ -200,18 +200,22 @@ def test_fiedler_variational_bound():
 
 def test_fiedler_vector_shape_and_sign():
     h = hl.Hypergraph.from_edges([(0, 1), (0, 2)], n=3)
-    s = hl.analyze(h).spectrum
-    f = hl.fiedler_vector(s)
+    f = hl.analyze(h).spectrum.eigenvectors[:, 1]
     assert f.shape == (3,)
     assert f[0] == pytest.approx(0.0, abs=1e-10)
     assert f[1] > 0.0 > f[2]  # sign rule: first non-negligible entry positive
 
 
 def test_small_spectrum_errors():
-    s = hl.eigendecompose(np.zeros((1, 1)))
-    for fn in (hl.lambda2, hl.lambda_n, hl.fiedler_vector):
-        with pytest.raises(hl.TooSmallError):
-            fn(s)
+    an = hl.analyze(hl.Hypergraph.from_edges([], n=1))
+    for name, message in (("lambda2", "lambda_2 needs at least two vertices"),
+                          ("lambda_n", "lambda_n needs at least two vertices")):
+        with pytest.raises(hl.TooSmallError) as exc:
+            getattr(an, name)
+        assert str(exc.value) == message
+    with pytest.raises(hl.TooSmallError) as exc:
+        hl.fiedler_sweep(an)
+    assert str(exc.value) == "sweep cut needs at least two vertices"
 
 
 def test_zero_multiplicity_counts_components():
@@ -219,7 +223,7 @@ def test_zero_multiplicity_counts_components():
         n = 4 + seed % 6
         h = hl.random_hypergraph(n=n, m=2 + seed % 4, k_min=2, k_max=4, seed=seed)
         an = hl.analyze(h)
-        k = hl.spectral_component_count(an.spectrum, an.zero_threshold)
+        k = np.count_nonzero(np.abs(an.spectrum.eigenvalues) <= an.zero_threshold)
         assert k == len(hl.connected_components(h))
         assert (an.lambda2 > an.zero_threshold) == an.connected
 
@@ -227,7 +231,7 @@ def test_zero_multiplicity_counts_components():
 def test_single_vertex_connected():
     an = hl.analyze(hl.Hypergraph.from_edges([], n=1))
     assert an.connected
-    assert hl.spectral_component_count(an.spectrum, an.zero_threshold) == 1
+    assert np.count_nonzero(np.abs(an.spectrum.eigenvalues) <= an.zero_threshold) == 1
 
 
 # The golden inputs (tests/test_golden.py) as generator calls.

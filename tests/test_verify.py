@@ -254,6 +254,27 @@ def test_sweep_ratio_against_a_seeded_isoperimetric_number(excess):
     assert verify._check_sweep_ratio(an, 0) == want
 
 
+# Pair multiplicities are exact integers, so the cap has no margin: a pair
+# one above min(d_i, d_j) must fail with the cap's text, and a pair exactly
+# at it must not (the row sums then no longer match delta instead).
+@pytest.mark.parametrize("excess", [1, 0], ids=["past", "at"])
+def test_pair_multiplicity_cap(excess):
+    an = _margin_input()
+    assert verify._check_laplacian_structure(an, 0) is None
+    a = an.adjacency.copy()
+    d = an.degrees.d
+    cap = np.minimum.outer(d, d)
+    i, j = (int(x[0]) for x in np.nonzero(np.triu(a < cap, 1)))  # first pair below its cap
+    a[i, j] = a[j, i] = cap[i, j] + excess
+    vars(an)["adjacency"] = a  # replace the cached adjacency
+    message = verify._check_laplacian_structure(an, 0)
+    text = "pair multiplicity exceeds min(d_i, d_j)"
+    if excess:
+        assert message == text
+    else:
+        assert message is not None and message != text
+
+
 # Each hard check's tolerance, and the recorded max-cut claim's, named once
 # beside the check that reads it.  A loosened or tightened value fails here.
 @pytest.mark.parametrize(
