@@ -72,4 +72,63 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Analysis",
+    "AnalyticSpectrum",
+    "BadParametersError",
+    "BoundReport",
+    "CheckResult",
+    "ConnectivitySummary",
+    "ConvergenceFailureError",
+    "CutReport",
+    "DegreeProfile",
+    "DisconnectedError",
+    "DuplicateEdgeError",
+    "DuplicateVertexError",
+    "EdgeDegreeSumCheck",
+    "HgParseError",
+    "Hypergraph",
+    "HyperlapError",
+    "InvalidHypergraphError",
+    "NoEdgesError",
+    "RecordedClaim",
+    "SingletonEdgeError",
+    "Spectrum",
+    "SplitMix64",
+    "TooLargeError",
+    "TooSmallError",
+    "UnsatisfiableError",
+    "VerifyReport",
+    "VertexOutOfRangeError",
+    "adjacency_matrix",
+    "analyze",
+    "analyze_stream",
+    "backend",
+    "boundary_sandwich",
+    "check_edge_degree_sum",
+    "complete_kgraph",
+    "complete_kgraph_spectrum",
+    "complete_kpartite",
+    "complete_kpartite_spectrum",
+    "connected_components",
+    "connectivity_summary",
+    "degree_profile",
+    "dump",
+    "dumps",
+    "edge_boundary",
+    "eigendecompose",
+    "eigendecompose_stack",
+    "fiedler_sweep",
+    "isoperimetric",
+    "load",
+    "loads",
+    "max_cut",
+    "random_battery",
+    "random_hypergraph",
+    "star_eigenvector_basis",
+    "star_kgraph",
+    "star_kgraph_spectrum",
+    "varied_battery",
+    "verify_instances",
+    "warm_up",
+]

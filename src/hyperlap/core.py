@@ -268,7 +268,9 @@ def edge_blocks(incidence: tuple) -> Iterator:
     however the sizes are spread."""
     members, starts, sizes = incidence
     counts = np.bincount(sizes)
-    by_size = np.argsort(sizes, kind="stable")
+    # numpy's stable sort of 16-bit keys is a radix sort.
+    keys = sizes.astype(np.uint16) if counts.size <= 2**16 else sizes
+    by_size = np.argsort(keys, kind="stable")
     ends = np.cumsum(counts)
     for k in np.flatnonzero(counts).tolist():
         at = by_size[ends[k] - counts[k] : ends[k]]
@@ -287,21 +289,32 @@ def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     # size, column x and column x + g give vertices i < j: count the upper
     # triangle as flat indices i*n + j, one offset g at a time, then mirror
     # it.  The pairs are counted once they reach the larger of the member
-    # count and n*n, so they hold O(sum |e| + n**2) entries at any time.
-    limit = max(members.size, n * n)
-    upper = np.zeros(n * n, dtype=np.int64)
-    batch, held = [], 0
+    # count and n*n/4, so they hold O(sum |e| + n**2) entries at any time,
+    # at most a quarter of the counts' own n*n beyond the members.
+    limit = max(members.size, n * n // 4)
+    upper, batch, held = None, [], 0
     for _, rows in edge_blocks(h._incidence):
         for g in range(1, rows.shape[1]):
             batch.append((rows[:, :-g] * n + rows[:, g:]).ravel())
             held += batch[-1].size
             if held >= limit:
-                upper += np.bincount(np.concatenate(batch), minlength=n * n)
+                upper = _tally(upper, batch, n * n)
                 batch, held = [], 0
-    if batch:
-        upper += np.bincount(np.concatenate(batch), minlength=n * n)
-    upper = upper.reshape(n, n)
+    upper = _tally(upper, batch, n * n).reshape(n, n)
     return upper + upper.T
+
+
+def _tally(upper, batch: list, size: int) -> np.ndarray:
+    """``upper`` plus the counts of the flat indices in ``batch``, added in
+    place; the counts alone while ``upper`` is None, so that the first
+    batch needs no array of zeros beside its counts."""
+    if not batch:
+        return np.zeros(size, dtype=np.int64) if upper is None else upper
+    counts = np.bincount(np.concatenate(batch), minlength=size)
+    if upper is None:
+        return counts
+    upper += counts
+    return upper
 
 
 def degree_profile(h: Hypergraph) -> DegreeProfile:

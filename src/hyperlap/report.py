@@ -11,11 +11,14 @@ and encodes each value: two-space indentation, ``","`` between items and
 ``": "`` after keys, ASCII-only strings through the standard library's C
 string encoder, and each number as its ``repr``.  Vertex labels are looked
 up by index, with one table per input, and each list of labels is written
-with one ``join``.
+with one ``join``.  A list of edges, such as a cut's boundary, is held as
+the label table and the edge tuples (``_Rows``), and written with one
+``join`` of pieces that each hold one quoted label, three per vertex.
 """
 
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 from typing import Optional
@@ -44,6 +47,46 @@ class _Labels(list):
     __slots__ = ()  # as small as a plain list
 
 
+class _Rows:
+    """Edges as rows of vertex labels: ``names``, each vertex's label by
+    index, and ``edges``, tuples of two or more vertex indices.
+    :func:`dumps` writes them as an array of arrays of strings with one
+    ``join``: each member's text is one of three pieces per vertex, the
+    quoted label with what precedes it as an edge's first or a later
+    member, and as an edge's last member with what follows it too."""
+
+    __slots__ = ("names", "edges")
+
+    def __init__(self, names: tuple, edges) -> None:
+        self.names, self.edges = names, edges
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def encode(self, pad: str) -> str:
+        if not self.edges:
+            return "[]"
+        inner = pad + "  "
+        cell = inner + "  "
+        quoted = list(map(_string, self.names))
+        n = len(quoted)
+        pieces = np.array(
+            ["[" + cell + q for q in quoted]
+            + ["," + cell + q for q in quoted]
+            + ["," + cell + q + inner + "]," + inner for q in quoted],
+            dtype=object,
+        )
+        sizes = np.fromiter(map(len, self.edges), dtype=np.int64, count=len(self.edges))
+        ends = np.cumsum(sizes)
+        piece = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=int(ends[-1]))
+        piece += n
+        piece[ends - sizes] -= n  # each edge's first member
+        piece[ends - 1] += n  # and its last
+        parts = pieces[piece].tolist()
+        parts[-1] = parts[-1][: -len("," + inner)]  # no edge follows the last
+        return "".join(chain(["[" + inner], parts, [pad + "]"]))
+
+
 def dumps(payload) -> str:
     """The JSON text of ``payload``, ending in a newline.  Floats (numpy's
     too) are rounded to 10 places and non-finite ones become null; numpy
@@ -59,6 +102,8 @@ def _encode(obj, pad: str) -> str:
     inner = pad + "  "
     if type(obj) is _Labels:  # first, as most nodes of a large report are
         items = map(_string, obj)
+    elif type(obj) is _Rows:
+        return obj.encode(pad)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = [_encode(v, inner) for v in obj]
     elif isinstance(obj, str):
@@ -152,7 +197,7 @@ def cut_payload(h: Hypergraph, report: CutReport, source: str) -> dict:
             "lower": report.lower,
             "upper": report.upper,
             "density": report.density,
-            "boundary_edges": [_labels(names, e) for e in report.edges],
+            "boundary_edges": _Rows(names, report.edges),
         }
     )
     return payload

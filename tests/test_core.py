@@ -6,6 +6,7 @@ import functools
 import math
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,30 @@ def test_vectorised_construction_matches_loops():
         assert np.array_equal(dp.d, d) and np.array_equal(dp.delta, delta)
         sizes = [len(e) for e in h.edges]
         assert (dp.k_min, dp.k_max) == (min(sizes, default=0), max(sizes, default=0))
+
+
+def test_adjacency_batches_hold_a_quarter_of_n_squared_pairs():
+    # Sixty edges of half the vertices: about 2.7 million vertex pairs, many
+    # times n*n and the members.  The counts (n*n) and the result (n*n)
+    # are held at once; batches of n*n/4 pairs, held twice while they are
+    # joined, add half of n*n.  Batches of n*n pairs peaked at 4.1 n*n.
+    n, rng = 600, random.Random(5)
+    edges = {tuple(sorted(rng.sample(range(n), n // 2))) for _ in range(60)}
+    h = hl.Hypergraph.from_edges(edges, n=n)
+    h._incidence  # built before the trace, as a reader leaves it
+    tracemalloc.start()
+    try:
+        a = hl.adjacency_matrix(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    b = np.zeros((n, len(h.edges)), dtype=np.int64)
+    for j, edge in enumerate(h.edges):
+        b[list(edge), j] = 1
+    want = b @ b.T
+    np.fill_diagonal(want, 0)
+    assert np.array_equal(a, want)
+    assert peak <= 3 * 8 * n * n, f"{peak / (8 * n * n):.2f} n*n int64 arrays"
 
 
 @st.composite

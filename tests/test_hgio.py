@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperlap as hl
+from hyperlap import hgio
 
 
 SAMPLE = """\
@@ -272,8 +273,10 @@ def _loads_loops(text):
 
 
 _PIECES = ["a", "b", "c", "d", "#", "!vertices", "!other", "\n", "\n\n",
-           "\t", "\x0b", "\x1c", " ", "\r\n", "\r", "\x1d", "\x1e", "\x85",
-           "\u2028", "\u2029", _BOM, "a a", "a b c", "c a b"]
+           "\t", "\x0b", "\x0c", "\x1c", "\x1f", " ", "\r\n", "\r", "\x1d",
+           "\x1e", "\x85", "\xa0", "\u1680", "\u2000", "\u202f", "\u3000",
+           "\u2028", "\u2029", _BOM, "a a", "a b c", "c a b", "a\x00", "\xe9",
+           "\xfc", "vertex_0001", "vertex_0002"]
 
 
 def _outcome(parse, text):
@@ -283,12 +286,85 @@ def _outcome(parse, text):
         return (str(exc), exc.line)
 
 
+def _loads_units(text):
+    """``loads`` through the code-unit reader, however short the text, in
+    chunks of a few tokens."""
+    short, chunk = hgio._SHORT, hgio._CHUNK
+    hgio._SHORT, hgio._CHUNK = 0, 5
+    try:
+        return hl.loads(text)
+    finally:
+        hgio._SHORT, hgio._CHUNK = short, chunk
+
+
+def _assert_readers_match(text):
+    """Both readers give what the two-pass parser gives: the same
+    Hypergraph (labels included), or the same error and line."""
+    want = _outcome(_loads_loops, text)
+    assert _outcome(hl.loads, text) == want
+    assert _outcome(_loads_units, text) == want
+
+
 @settings(max_examples=400, deadline=None)
 @given(pieces=st.lists(st.sampled_from(_PIECES), max_size=40))
 def test_loads_matches_two_pass_parser(pieces):
-    # The same Hypergraph (labels included), or the same error and line.
-    text = "".join(pieces)
-    assert _outcome(hl.loads, text) == _outcome(_loads_loops, text)
+    _assert_readers_match("".join(pieces))
+
+
+def test_reader_whitespace_and_line_breaks_are_those_of_str():
+    chars = [chr(c) for c in range(0x110000)]
+    assert hgio._SPACE == "".join(c for c in chars if c.isspace())
+    breaks = "".join(c for c in chars if len(("x" + c + "x").splitlines()) == 2)
+    assert hgio._BREAKS == breaks
+    units = np.arange(0x110000, dtype=np.uint32)
+    assert np.array_equal(hgio._among(units, hgio._SPACE), [c.isspace() for c in chars])
+    assert np.array_equal(hgio._among(units, hgio._BREAKS), [c in breaks for c in chars])
+    ascii_units = np.arange(256, dtype=np.uint8)
+    assert np.array_equal(hgio._among(ascii_units, hgio._SPACE),
+                          [c.isspace() for c in chars[:128]] + [False] * 128)
+
+
+@pytest.mark.parametrize("text", [
+    "!vertices a b vertex_0001 vertex_0002 \xe9\n"
+    "a vertex_0001\nvertex_0002 \xe9 b\nb a\n",
+    "x vertex_0001\nvertex_0002 y x\n# c\nz\xfc a\x00 y\n",
+    "!vertices a b c\na b\nb d\n",
+    "p q\nq r #s\n",
+    "p q\nq r\nr p q\nq p\n",
+])
+def test_a_hash_that_every_token_shares_gives_no_wrong_vertex(monkeypatch, text):
+    # With zero multipliers every token hashes alike, so every match goes
+    # through the collision path.
+    want = _outcome(_loads_loops, text)
+    monkeypatch.setattr(hgio, "_MIX", np.uint64(0))
+    monkeypatch.setattr(hgio, "_MIX_LENGTH", np.uint64(0))
+    assert _outcome(_loads_units, text) == want
+
+
+def _hash_by_length(monkeypatch):
+    """Make a token's hash its length in bytes."""
+    monkeypatch.setattr(hgio, "_MIX", np.uint64(0))
+    monkeypatch.setattr(hgio, "_MIX_LENGTH", np.uint64(1 << 32))
+
+
+def test_a_label_found_after_a_collision_takes_its_first_appearance_place(monkeypatch):
+    # 'cd' shares the hash of 'ab', so only the dict finds it, yet it
+    # appears before 'x' and takes the index before x's.
+    _hash_by_length(monkeypatch)
+    text = "ab cd\nx ef\nef cd x\n"
+    assert _loads_units(text) == _loads_loops(text)
+    assert _loads_units(text).labels == ("ab", "cd", "x", "ef")
+
+
+def test_labels_that_share_a_table_slot_are_told_apart_by_their_hashes(monkeypatch):
+    # Hashes 1, 2 and 3 all fall in slot 0; a search of the sorted hashes
+    # still finds each label, and a token that equals none gets -1.
+    _hash_by_length(monkeypatch)
+    text = "a bb ccc dd ccc"
+    buf, units, width = hgio._code_units(text)
+    starts, ends, _, _ = hgio._lines(units)
+    matcher = hgio._Matcher(buf, width, starts[:3], ends[:3])
+    assert matcher.match(starts, ends).tolist() == [0, 1, 2, -1, 2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -302,7 +378,7 @@ def test_loads_matches_two_pass_parser_on_edge_lines(lines, pin):
     text = ("!vertices a b c d e\n" if pin else "") + "".join(
         " ".join(tokens) + "\n" for tokens in lines
     )
-    assert _outcome(hl.loads, text) == _outcome(_loads_loops, text)
+    _assert_readers_match(text)
 
 
 _WIDE = "!vertices " + " ".join(f"v{v}" for v in range(3000)) + "\n"
@@ -327,7 +403,7 @@ def test_loads_matches_two_pass_parser_on_long_shared_prefixes(edges, again, rnd
     for line in lines:
         rnd.shuffle(line)
     text = _WIDE + "".join(" ".join(line) + "\n" for line in lines)
-    assert _outcome(hl.loads, text) == _outcome(_loads_loops, text)
+    _assert_readers_match(text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,6 +418,7 @@ def test_loads_on_arbitrary_text_parses_or_raises_parse_error(text):
         assert exc.line >= 1
     else:
         assert isinstance(h, hl.Hypergraph)
+    assert _outcome(_loads_units, text) == _outcome(hl.loads, text)
 
 
 def _one_token(label: str) -> bool:
@@ -377,9 +454,10 @@ def _hypergraphs(draw):
 def test_dumps_then_loads_round_trips(h):
     if h is None:
         return
-    back = hl.loads(hl.dumps(h))
     labels = h.labels if h.labels is not None else tuple(map(str, range(h.n)))
-    assert back == hl.Hypergraph(n=h.n, edges=h.edges, labels=labels)
+    for read in (hl.loads, _loads_units):
+        back = read(hl.dumps(h))
+        assert back == hl.Hypergraph(n=h.n, edges=h.edges, labels=labels)
 
 
 def _incidence_of_edges(h):

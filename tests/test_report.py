@@ -33,6 +33,8 @@ def _jsonable(obj):
         }
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, report._Rows):
+        return [[obj.names[v] for v in edge] for edge in obj.edges]
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
     return obj
@@ -54,6 +56,10 @@ _LEAVES = st.one_of(
     st.fractions(min_value=-(10**9), max_value=10**9),
     _TEXT,
     st.lists(_TEXT, max_size=4).map(report._Labels),
+    st.lists(_TEXT, min_size=1, max_size=5).flatmap(lambda names: st.lists(
+        st.lists(st.integers(0, len(names) - 1), min_size=2, max_size=4).map(tuple),
+        max_size=4,
+    ).map(lambda edges: report._Rows(tuple(names), edges))),
     st.lists(st.floats(), max_size=4).map(np.array),
 )
 _PAYLOADS = st.recursive(

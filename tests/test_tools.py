@@ -9,10 +9,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _interleave(parent, change, check=True):
+def _interleave(parent, change, *extra, check=True):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "interleave_rounds.py"), str(parent),
-         str(change), "--workload", "exact", "--rounds", "1"],
+         str(change), "--workload", "exact", "--rounds", "1", *extra],
         capture_output=True, text=True, check=check, timeout=300,
     )
 
@@ -30,6 +30,14 @@ def test_interleave_rounds_runs_a_tree_against_itself():
     for label in labels:
         medians = result["op_median_s"][label]
         assert set(medians) == {"parent", "change"} and min(medians.values()) > 0
+    assert "op_peak_mib" not in result
+
+
+def test_interleave_rounds_reports_each_calls_peak():
+    result = json.loads(_interleave(ROOT, ROOT, "--peaks").stdout.splitlines()[-1])
+    assert len(result["op_peak_mib"]) == result["calls_per_round"] == 7
+    for peaks in result["op_peak_mib"].values():
+        assert set(peaks) == {"parent", "change"} and min(peaks.values()) > 0
 
 
 def test_interleave_rounds_fails_when_outputs_differ(tmp_path):

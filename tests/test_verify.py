@@ -240,6 +240,47 @@ def test_isoperimetric_margin(margins):
     assert verify._check_maxcut_iso_bounds(an, 0) == (want if margins > 1 else None)
 
 
+# The spectrum certificates and the zero eigenvalue compare an exact zero
+# (a residual, the distance of V^T V from I, the least eigenvalue of a
+# connected input) with a tolerance: a fault of 2 tolerances fails with the
+# check's exact text, and a fault of half a tolerance passes.
+_PAST_OR_WITHIN = pytest.mark.parametrize("margins", [2.0, 0.5], ids=["past", "inside"])
+
+
+@_PAST_OR_WITHIN
+def test_eigen_residual_margin(margins):
+    an = _margin_input()
+    assert verify._check_spectrum_certificates(an, 0) is None
+    # Moving lambda_n by x leaves its vector's residual at about |x|.
+    tol = verify.RESIDUAL_TOL * max(1.0, an.frobenius)
+    _seed_eigenvalue(an, -1, float(an.spectrum.eigenvalues[-1]) + margins * tol)
+    lam, vec = an.spectrum.eigenvalues, an.spectrum.eigenvectors
+    residual = float(np.max(np.linalg.norm(an.laplacian @ vec - vec * lam, axis=0)))
+    want = f"eigen residual {residual:.3e}" if margins > 1 else None
+    assert verify._check_spectrum_certificates(an, 0) == want
+
+
+@_PAST_OR_WITHIN
+def test_orthonormality_margin(margins):
+    an = _margin_input()
+    # The last vector's squared norm grows by `margins` tolerances.
+    vec = an.spectrum.eigenvectors.copy()
+    vec[:, -1] *= np.sqrt(1 + margins * verify.ORTHONORMAL_TOL)
+    vars(an)["spectrum"] = dataclasses.replace(an.spectrum, eigenvectors=vec)
+    ortho = float(np.max(np.abs(vec.T @ vec - np.eye(an.n))))
+    want = f"eigenvectors not orthonormal ({ortho:.3e})" if margins > 1 else None
+    assert verify._check_spectrum_certificates(an, 0) == want
+
+
+@_PAST_OR_WITHIN
+def test_zero_eigenvalue_margin(margins):
+    an = _margin_input()
+    assert verify._check_connectivity_agreement(an, 0) is None
+    _seed_eigenvalue(an, 0, margins * an.zero_threshold)
+    want = "zero multiplicity 0 != component count 1" if margins > 1 else None
+    assert verify._check_connectivity_agreement(an, 0) == want
+
+
 # The sweep ratio and the isoperimetric number are exact Fractions, so the
 # check has no margin: an isoperimetric number between the sweep ratio and
 # the ratio plus one must fail it, and one equal to the ratio must not.

@@ -19,6 +19,12 @@ The last stdout line is JSON: the median round seconds of each tree, overall
 and by which tree ran first, the median of the per-round ratios
 parent / change (above 1 when the change is faster), and each operation's
 median seconds in each tree, keyed by the operation's label.
+
+With ``--peaks``, one more untimed round per tree, after the timed ones,
+traces each call with ``tracemalloc``, and the JSON gains each operation's
+peak in MiB in each tree (``op_peak_mib``): the memory the program itself
+allocates, without the interpreter, the compiled code or the allocator's
+layout that a resident-set figure includes.
 """
 
 import os
@@ -37,6 +43,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -78,6 +85,19 @@ def run_round(package, ops) -> tuple:
     return seconds, outputs
 
 
+def peak_round(package, ops) -> list:
+    """The tracemalloc peak, in MiB, of each call of one round."""
+    peaks = []
+    for op in ops:
+        tracemalloc.start()
+        try:
+            call(package, op.argv)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def median(values):
     return statistics.median(values) if values else None
 
@@ -88,6 +108,9 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the changed tree")
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--rounds", type=int, required=True)
+    parser.add_argument("--peaks", action="store_true",
+                        help="add an untimed round per tree that reports each call's "
+                             "tracemalloc peak")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
@@ -118,6 +141,7 @@ def main(argv=None) -> int:
                     print(f"error: round {r}, call {op.label}: outputs differ",
                           file=sys.stderr)
                     return 1
+        peaks = {name: peak_round(packages[name], ops) for name in TREES} if args.peaks else None
 
     def by_first(name, lead):
         return median([t for t, f in zip(times[name], first) if f == lead])
@@ -133,6 +157,9 @@ def main(argv=None) -> int:
         "op_median_s": {label: {name: median(t[name]) for name in TREES}
                         for label, t in op_times.items()},
     }
+    if peaks is not None:
+        result["op_peak_mib"] = {op.label: {name: peaks[name][i] for name in TREES}
+                                 for i, op in enumerate(ops)}
     print(json.dumps(result))
     return 0
 
