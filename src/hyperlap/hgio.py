@@ -444,10 +444,11 @@ def _canonical(n: int, members, sizes) -> tuple:
 
     ``incidence`` is the canonical edges' ``Hypergraph._incidence``.
     ``bad`` is None when every line is a distinct edge of two or more
-    distinct vertices.  Otherwise it is the first bad line: (line, -1) for one that repeats a label or has fewer
-    than two, or (line, first) for one that repeats the set of line
-    ``first``, the first line with that set.  Every step works on the flat
-    runs, so it costs O(sum |e|) bytes however the edge sizes are spread."""
+    distinct vertices.  Otherwise it is the first bad line: (line, -1) for
+    one that repeats a label or has fewer than two, or (line, first) for
+    one that repeats the set of line ``first``, the first line with that
+    set.  Every step works on the flat runs, so it costs O(sum |e|) bytes
+    however the edge sizes are spread."""
     m = sizes.size
     starts = np.cumsum(sizes) - sizes
     # Offset by line * n, all the indices sort as one array, and each
@@ -529,6 +530,7 @@ def _ranks(n: int, members, starts, sizes) -> np.ndarray:
             column[size <= j] = 0
             key *= base
             key += column
+        del begin, last, column
         sort = _argsort(key)
         live, key = live[sort], key[sort]
         # Sorted by key is sorted by rank: a group of equal rank splits at
