@@ -374,7 +374,7 @@ def _first_appearances(buf: bytes, width: int, units, starts, ends) -> np.ndarra
     Chunk by chunk, the tokens are sorted stably by hash, so each hash's
     first token leads its run, and a hash not seen in an earlier chunk
     appears first there."""
-    seen = np.empty(0, dtype=np.uint32)  # sorted
+    seen = np.empty(0, dtype=np.uint32)
     first = []
     for part in _chunks(starts.size):
         keys = _keys(*_words(buf, width, starts[part], ends[part]))
@@ -383,10 +383,9 @@ def _first_appearances(buf: bytes, width: int, units, starts, ends) -> np.ndarra
         lead = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=lead[1:])
         keys, order = keys[lead], order[lead]
-        at = np.minimum(np.searchsorted(seen, keys), max(seen.size - 1, 0))
-        new = seen[at] != keys if seen.size else np.ones(keys.size, dtype=bool)
+        new = ~np.isin(keys, seen, assume_unique=True)
         first.append(order[new] + part.start)
-        seen = np.sort(np.concatenate((seen, keys[new])), kind="stable")
+        seen = np.concatenate((seen, keys[new]))
     first = np.sort(np.concatenate(first), kind="stable") if first else np.empty(0, np.int64)
     unit = units[starts[first]]
     return first[(unit != ord("#")) & (unit != ord("!"))]
