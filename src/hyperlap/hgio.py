@@ -23,11 +23,13 @@ code unit of its first token; the directive, of which a valid text has at
 most one, is split and checked in Python.  Each label token is matched to
 its vertex by its code units, read as 8-byte words masked to the token's
 length: by a hash of the words, then a comparison word by word with the
-label's own, so that a hash collision falls back to a dict for the tokens
-it involves and never gives a wrong vertex.  A short text, below a few
-thousand code units, is read line by line in Python instead, which costs
-less than those numpy calls' fixed overhead; both readers give the same
-universe, vertex indices and errors.
+label's own, so that a hash collision never gives a wrong vertex.  The
+tokens a collision involves fall back to a dict; in the rare text without
+the directive where a collision hides a label's first appearance, the
+text is read again line by line.  A short text, below 5000 code units, is
+read line by line in Python from the start, which costs less there than
+those numpy calls' fixed overhead; both readers give the same universe,
+vertex indices and errors.
 
 The per-edge work that follows, sorting each edge, finding repeated labels
 and duplicate sets, and ordering the edges, is a few numpy calls over the
@@ -61,9 +63,11 @@ _ONES = np.uint64(2**64 - 1)
 # Odd multipliers of the token hash (Knuth's multiplicative hashing).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _MIX_LENGTH = np.uint64(0xC2B2AE3D27D4EB4F)
-# Below this many code units the reader goes line by line in Python, which
-# costs less than the fixed numpy calls of the code-unit reader.
-_SHORT = 1 << 13
+# Below this many code units the reader goes line by line in Python.  The
+# code-unit reader's numpy calls cost about 0.3 ms whatever the text, twice
+# the line reader's time on a 500-character text; the two readers cost the
+# same at about 5000 to 6000 characters of edge lines.
+_SHORT = 5000
 # Tokens hashed and matched at a time, so that the words and keys of a
 # large text are never all held at once.
 _CHUNK = 1 << 13
@@ -105,7 +109,8 @@ def loads(text: str) -> Hypergraph:
     del linenos
     if not universe:
         raise HgParseError("no vertices defined", 1)
-    h = Hypergraph(n=len(universe), edges=_edge_tuples(incidence), labels=tuple(universe))
+    n = len(universe)
+    h = Hypergraph(n=n, edges=_edge_tuples(n, incidence), labels=tuple(universe))
     vars(h)["_incidence"] = incidence  # the cached_property's slot
     return h
 
@@ -187,7 +192,8 @@ def _read_units(text: str) -> tuple:
     else the edge lines' distinct labels in first-appearance order
     (:func:`_first_appearances`).  Every edge token is matched to its
     vertex (:class:`_Matcher`), and a dict resolves the few that the
-    matcher leaves."""
+    matcher leaves.  A label that only the dict finds, in a text without
+    the directive, has the whole text read by :func:`_read_lines`."""
     buf, units, width = _code_units(text)
     starts, ends, heads, linenos = _lines(units)
     counts = np.diff(heads, append=starts.size)
@@ -225,26 +231,17 @@ def _read_units(text: str) -> tuple:
     # The matcher leaves a token outside the universe, or one whose hash
     # collides; a dict tells them apart, up to the first token outside.
     outside = None
-    found = {}  # label -> its first token, for labels that only the dict found
     for i in np.flatnonzero(index < 0).tolist():
         label = text[starts[i] : ends[i]]
         v = universe.get(label)
         if v is None and not pinned and is_label(label):
-            v = universe[label] = len(universe)
-            found[label] = i
+            # A label whose hash collides with an earlier token's, which
+            # _first_appearances dropped: rare enough to read the text again.
+            return _read_lines(text)
         if v is None:
             outside = i
             break
         index[i] = v
-    if found:
-        # Put each label the dict found at its place in first-appearance order.
-        appears = np.concatenate((first, list(found.values())))
-        rank = np.empty(appears.size, dtype=index.dtype)
-        rank[np.argsort(appears, kind="stable")] = np.arange(appears.size)
-        stop = index.size if outside is None else outside
-        index[:stop] = rank[index[:stop]]
-        universe = dict(zip(sorted(universe, key=lambda label: appears[universe[label]]),
-                            range(appears.size)))
     del starts, ends
 
     # Edge lines up to the first with a label outside the universe.
@@ -490,12 +487,18 @@ def _canonical(n: int, members, sizes) -> tuple:
     return (members, moved, sizes), None
 
 
-def _edge_tuples(incidence: tuple) -> tuple:
-    """The edge tuples of an incidence table: the rows of each size class
-    in one zip, each put at its edges' places."""
+def _edge_tuples(n: int, incidence: tuple) -> tuple:
+    """The edge tuples of an incidence table over ``n`` vertices: the rows
+    of each size class in one zip, each put at its edges' places.  The
+    tuples share one int object per vertex.  CPython shares the ints up to
+    256 itself; above, ``tolist`` of the indices would make one per member,
+    about 32 bytes each for the Hypergraph's life, so the rows are gathered
+    from one object array of the vertices."""
+    vertices = np.arange(n).astype(object) if n > 257 else None
     edges = np.empty(incidence[2].size, dtype=object)
     for at, block in edge_blocks(incidence):
-        edges[at] = np.fromiter(zip(*block.T.tolist()), dtype=object, count=at.size)
+        rows = block if vertices is None else vertices[block]
+        edges[at] = np.fromiter(zip(*rows.T.tolist()), dtype=object, count=at.size)
     return tuple(edges.tolist())
 
 

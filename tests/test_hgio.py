@@ -348,8 +348,9 @@ def _hash_by_length(monkeypatch):
 
 
 def test_a_label_found_after_a_collision_takes_its_first_appearance_place(monkeypatch):
-    # 'cd' shares the hash of 'ab', so only the dict finds it, yet it
-    # appears before 'x' and takes the index before x's.
+    # 'cd' shares the hash of 'ab', so the first appearances leave it out
+    # and the text is read again line by line: 'cd' appears before 'x' and
+    # takes the index before x's.
     _hash_by_length(monkeypatch)
     text = "ab cd\nx ef\nef cd x\n"
     assert _loads_units(text) == _loads_loops(text)
@@ -527,3 +528,17 @@ def test_loads_peak_memory_is_linear_in_the_members():
         tracemalloc.stop()
     assert h.edges == tuple(sorted([tuple(range(n)), tuple(sorted(big)), *pairs]))
     assert peak <= 250 * members, f"{peak / members:.0f} bytes per member"
+
+
+@pytest.mark.parametrize("n", [257, 258, 600])
+def test_edge_tuples_share_one_int_per_vertex(n):
+    # Indices above 256 are not ints that CPython shares by itself; the
+    # edges of a large vertex set must still hold one int object per vertex,
+    # not one per member, in both readers.  Vertex n - 1 is in every edge.
+    text = "!vertices " + " ".join(f"v{v}" for v in range(n)) + "\n" + "".join(
+        f"v{v} v{v + 1} v{n - 1}\n" for v in range(n - 2)
+    )
+    for read in (hl.loads, _loads_units):
+        h = read(text)
+        held = [v for edge in h.edges for v in edge]
+        assert len({id(v) for v in held}) == len(set(held)) == n
