@@ -2,9 +2,10 @@
 
 A hypergraph on [0, n) is represented through its weighted clique
 expansion; the Laplacian is L = diag(delta) - A.  The package computes the
-spectrum with a self-contained Jacobi solver, evaluates the classical
-eigenvalue bounds and the cut sandwich bounds, and can batch-verify all of
-them on generated families and seeded random instances.
+spectrum with a self-contained solver (eigenvalues by Sturm multisection,
+eigenvectors on demand), evaluates the classical eigenvalue bounds and the
+cut sandwich bounds, and can batch-verify all of them on generated
+families and seeded random instances.
 """
 
 from ._kernels import backend, warm_up

@@ -1,15 +1,16 @@
-"""Hot numeric kernels: the eigensolver's warm start, round-robin Jacobi
+"""Hot numeric kernels: the eigensolver's two stages, round-robin Jacobi
 sweeps and the subset-boundary scan.
 
 These loops do nearly all of the package's numeric work: the eigensolve
 behind every spectrum, and the scan over all vertex subsets behind exact
-max cut and the isoperimetric number.  Each has one numpy build.  The warm
-start works on a stack of same-size matrices, (B, n, n), giving each matrix
-the arithmetic it would get alone: :func:`warm_start` reduces each matrix
-to a tridiagonal T by Householder reflections (for a lone matrix, with
-each reflector's scalars as Python floats), finds every eigenvalue of T
-by Sturm-count multisection and every eigenvector by inverse iteration,
-and maps them back: a basis in which the matrix is diagonal to rounding.
+max cut and the isoperimetric number.  Each has one numpy build.  The
+eigensolver works on a stack of same-size matrices, (B, n, n), giving each
+matrix the arithmetic it would get alone: :func:`tridiagonal_eigenvalues`
+reduces each to a tridiagonal T by Householder reflections (for a lone
+matrix, with each reflector's scalars as Python floats) and finds every
+eigenvalue of T by Sturm-count multisection; :func:`warm_start` finds
+every eigenvector by inverse iteration and maps them back: a basis in
+which the matrix is diagonal to rounding.
 :func:`jacobi_sweeps` then confirms it on one (n, n) matrix at a time,
 which from a good warm start costs one off-diagonal norm; otherwise it
 applies the n/2 disjoint rotations of each round-robin step at once, as
@@ -541,15 +542,12 @@ def _orthogonalize_clusters(w, lam, start, gap, restart):
         w[:, j] = np.where(joined[:, None], row, w[:, j])
 
 
-def warm_start(a):
-    """An orthonormal basis (B, n, n) of approximate eigenvectors, one per
-    column, for each symmetric matrix of the float64 stack ``a``, which is
-    left unmodified: Householder tridiagonalisation, multisection for every
-    eigenvalue of T, inverse iteration for every eigenvector, Gram-Schmidt
-    within clusters, then back through the reflectors.  Inverse iteration
-    takes every eigenvalue in one pass while its factors and iterates fit in
-    _CHUNK_BYTES, and half of them a pass beyond that, so at large n they
-    hold about 2.5 n-by-n float64 arrays at once (``core.dense_bytes``)."""
+def tridiagonal_eigenvalues(a):
+    """The eigenvalues (B, n) of each symmetric matrix of the float64 stack
+    ``a``, left unmodified, and the reduction for :func:`warm_start`, whose
+    first array holds the reflectors below the diagonal and ``a`` on and
+    above it.  Sturm counts in floating point need not be monotone, so the
+    midpoints can descend at a multiple eigenvalue: sorted, as in dstebz."""
     b, n = a.shape[0], a.shape[1]
     # Scaled by a power of two to entries below 1, so no square overflows.
     _, exp = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))
@@ -557,8 +555,23 @@ def warm_start(a):
     d, e, tau = _tridiagonalize(h)
     norm, lo, hi = _split_tridiagonal(d, e)
     start, stop = _blocks(e, n)
-    per_pass, sturm_rows = _chunks(n, b)
-    lam = _multisection(d, e, lo, hi, start, stop, sturm_rows)
+    lam = _multisection(d, e, lo, hi, start, stop, _chunks(n, b)[1])
+    upper = np.triu_indices(n)
+    h[:, upper[0], upper[1]] = a[:, upper[0], upper[1]]
+    return np.ldexp(np.sort(lam, axis=1), exp[:, None]), (h, tau, d, e, norm, start, stop, lam)
+
+
+def warm_start(reduction):
+    """An orthonormal basis (B, n, n) of approximate eigenvectors, one per
+    column, from a :func:`tridiagonal_eigenvalues` reduction: inverse
+    iteration, Gram-Schmidt within clusters, then back through the
+    reflectors.  Inverse iteration takes every eigenvalue in one pass while
+    its factors and iterates fit in _CHUNK_BYTES, and half of them a pass
+    beyond that, so at large n they hold about 2.5 n-by-n float64 arrays at
+    once (``core.dense_bytes``)."""
+    h, tau, d, e, norm, start, stop, lam = reduction
+    b, n = d.shape
+    per_pass = _chunks(n, b)[0]
     unit = np.where(norm > 0.0, norm, 1.0)
     w = np.empty((b, n, n))
     for first in range(0, n, per_pass):
@@ -576,24 +589,25 @@ def warm_start(a):
 
     _orthogonalize_clusters(w, lam, start, _CLUSTER_GAP * unit[:, None], restart)
     _back_transform(h, tau, w)
-    del h  # freed before the transpose's temporary
     w[...] = w.transpose(0, 2, 1)
     return w
 
 
 def similarity(a, v):
-    """Overwrite each matrix of the symmetric stack ``a`` with V^T a V for
-    the stack ``v``, made exactly symmetric by mirroring its upper triangle.
-    It is built a row at a time, so every entry is one numpy sum of
-    products, whose rounding does not depend on the machine."""
+    """Overwrite each matrix of the stack ``a``, read from its upper
+    triangle, with V^T a V for the stack ``v``, made exactly symmetric by
+    mirroring its upper triangle.  It is built a row at a time, so every
+    entry is one numpy sum of products, whose rounding does not depend on
+    the machine."""
     n = a.shape[1]
+    lower = np.tril_indices(n, -1)
+    a[:, lower[0], lower[1]] = a[:, lower[1], lower[0]]
     w = v.transpose(0, 2, 1)
     wa = np.empty_like(a)
     for i in range(n):
         np.add.reduce(w[:, i, None, :] * a, axis=2, out=wa[:, i])
     for i in range(n):
         np.add.reduce(w[:, i, None, :] * wa[:, i:], axis=2, out=a[:, i, i:])
-    lower = np.tril_indices(n, -1)
     a[:, lower[0], lower[1]] = a[:, lower[1], lower[0]]
 
 

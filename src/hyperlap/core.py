@@ -197,27 +197,29 @@ class DegreeProfile:
 def dense_bytes(n: int) -> int:
     """Predicted peak bytes of the n-by-n matrices of an n-vertex input: ten
     arrays of 8-byte entries.  This bounds what the adjacency, the
-    Laplacian, the eigensolve, the bounds and the hard checks hold at once;
-    the eigensolve holds the most, about eight and a half such arrays, in
-    its warm start's inverse iteration: the adjacency and the Laplacian, the
-    solver's float copy, its Householder reflectors, the basis it builds,
-    and the pivoted factors and iterates of half of the eigenvalues at a
-    time (about two and a half arrays).  Jacobi, which then rotates the
-    float copy and the basis in place, holds less.  Where the warm start's
-    working arrays fit in 64 KiB (``_kernels._CHUNK_BYTES``; one matrix up
-    to n=34 or 40) it takes all rows or all eigenvalues at once, and its
-    temporaries hold about 2.4 times that: measured by tracemalloc, one
-    matrix's solve then holds at most 154.5 KiB more than at the large-n
-    sizes (at n=34), and peaks at most 144 KiB above dense_bytes(n): 2.96
-    dense_bytes(n) at n=16, 2.84 at n=19, 2.59 at n=34 and 1.02 at n=40
-    (tests/test_spectral.py).
+    Laplacian, the eigensolve, the bounds and the hard checks hold at once.
+    The eigenvalues take the adjacency and the Laplacian, the solver's float
+    copy and its Householder reduction, which the spectrum keeps (the matrix
+    above its reflectors) until its eigenvectors are first read.  Building
+    them holds the solve's most, about six and a half arrays: the adjacency,
+    the Laplacian, the reduction, the basis, and the pivoted factors and
+    iterates of half of the eigenvalues at a time (about two and a half).
+    The bounds can hold more: with edges of a quarter to half of the
+    vertices, 0.90 dense_bytes(n) at n=128 and 200 (tests/test_verify.py).
+    Where the warm start's working arrays fit in 64 KiB
+    (``_kernels._CHUNK_BYTES``; one matrix up to n=34 or 40) it takes all
+    rows or all eigenvalues at once, and its temporaries hold about 2.4
+    times that: by tracemalloc, one matrix's solve then holds at most 154.5
+    KiB more than at the large-n sizes (at n=34), and peaks at most 144 KiB
+    above dense_bytes(n): 2.95 dense_bytes(n) at n=16, 2.83 at n=19, 2.59
+    at n=34 and 0.92 at n=40 (tests/test_spectral.py).
     A battery takes at most dense_bytes(64) // dense_bytes(max(n, 4))
     inputs a stack (:func:`hyperlap.analysis.analyze_stream`), but a
     stacked solve holds more than its inputs' share at small n, where the
     solver's per-row arrays and numpy's ufunc buffers outweigh n**2: one
-    stack's solve peaks at 0.65 dense_bytes(64) at n=64, 0.75 at n=12,
+    stack's solve peaks at 0.62 dense_bytes(64) at n=64, 0.72 at n=12,
     0.95 at n=8 and 1.61 at n=4.  Below n=4 a stack is no longer than at
-    n=4, and peaks at 1.16 at n=3 and 1.01 at n=2, so at most
+    n=4, and peaks at 1.15 at n=3 and 1.01 at n=2, so at most
     2 dense_bytes(64) for n from 2 to 64 (tests/test_analysis.py)."""
     return 10 * 8 * n * n
 

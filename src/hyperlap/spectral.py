@@ -2,29 +2,25 @@
 
 The solver is self-contained (kernels in :mod:`hyperlap._kernels`) and
 works on one float64 copy of its input, so the int64 Laplacian stays
-exact; it never calls LAPACK, so test oracles can cross-check it.  A warm
-start (Householder tridiagonalisation, Sturm multisection and inverse
-iteration, with Gram-Schmidt within clusters) gives a basis V of
-approximate eigenvectors; the round-robin Jacobi iteration then starts from
-V^T A V (made exactly symmetric) and V, and decides when V^T A V is
-diagonal enough.  From a good warm start it takes 0 sweeps, and the
-eigenvalues are the Rayleigh quotients on the diagonal; from a poor one it
-rotates until V^T A V is diagonal.  Its rotations are orthogonal, so they
-leave V^T V as it is: the eigenvectors are orthonormal only because the
-warm start's V is, which Jacobi does not check (tests/test_spectral.py
-asserts it beside each 0-sweep solve).
-:func:`eigendecompose_stack` runs the warm start and V^T A V on a stack of
-same-size matrices in one pass, then Jacobi on each matrix of the stack in
-turn, so each matrix gets the same result, bit for bit, as solving it
-alone.  The spectrum, connectivity and zero threshold of a hypergraph's
-Laplacian are cached on its :class:`hyperlap.analysis.Analysis`.
+exact; it never calls LAPACK, so test oracles can cross-check it.  The
+eigenvalues are the sorted midpoints of Sturm multisection on the
+Householder tridiagonal form.  The eigenvectors, which only the Fiedler
+sweep and ``verify`` read, are built on first read: inverse iteration
+gives a basis V (the warm start), and round-robin Jacobi, from V^T A V
+(made exactly symmetric) and V, rotates until V^T A V is diagonal enough
+(0 sweeps from a good V); its diagonal orders the vectors.  Its rotations
+leave V^T V as it is, which Jacobi does not check (tests/test_spectral.py
+asserts it beside each 0-sweep solve).  A stack of same-size matrices
+(:func:`eigendecompose_stack`) runs each stage at once, and Jacobi on each
+matrix in turn, so each matrix gets the same bits as it would alone.  An
+:class:`hyperlap.analysis.Analysis` caches its Laplacian's spectrum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import jacobi_sweeps, similarity, warm_start
+from ._kernels import jacobi_sweeps, similarity, tridiagonal_eigenvalues, warm_start
 from .errors import ConvergenceFailureError
 
 # Convergence: off-diagonal Frobenius mass must drop below this times the
@@ -44,24 +40,33 @@ class Spectrum:
     """Eigenvalues ascending; ``eigenvectors[:, i]`` pairs with
     ``eigenvalues[i]``.  Columns are unit vectors whose first component
     larger than 1e-12 in magnitude is positive.  ``sweeps`` is the number
-    of Jacobi sweeps the solve took after its warm start."""
+    of Jacobi sweeps the solve took after its warm start.  Both are built
+    on first read, for every matrix of the solve (:class:`_Basis`)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    sweeps: int
+    _basis: "_Basis" = field(repr=False, compare=False)
+    _index: int
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._basis.built()[0][self._index]
+
+    @property
+    def sweeps(self) -> int:
+        return self._basis.built()[1][self._index]
 
 
 def eigendecompose(matrix: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a real symmetric matrix, which may be of
     any real dtype and is left unmodified.
 
-    Raises ValueError on a non-finite entry, and ConvergenceFailureError if
-    MAX_SWEEPS sweeps run out before the off-diagonal norm reaches the
-    tolerance.
+    Raises ValueError on a non-finite entry; a read of its eigenvectors or
+    sweeps raises ConvergenceFailureError if MAX_SWEEPS sweeps run out
+    before the off-diagonal norm reaches the tolerance.
     """
     a = np.array(matrix, dtype=np.float64)  # the kernel's working copy
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -72,7 +77,7 @@ def eigendecompose(matrix: np.ndarray) -> Spectrum:
 def eigendecompose_stack(matrices: np.ndarray) -> list:
     """:func:`eigendecompose` of each matrix of a (B, n, n) stack, as a list
     of B Spectra equal bit for bit to solving each matrix alone, with the
-    same errors; the solve fails as a whole if any matrix fails."""
+    same errors; the vectors fail as a whole if any matrix fails."""
     a = np.array(matrices, dtype=np.float64)  # the kernel's working copy
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
@@ -80,33 +85,46 @@ def eigendecompose_stack(matrices: np.ndarray) -> list:
 
 
 def _solve(a: np.ndarray) -> list:
-    """Spectra of the float64 stack ``a``, which the kernels overwrite: the
-    warm start and V^T A V for the whole stack, then Jacobi on each matrix."""
+    """Spectra of the float64 stack ``a``: its eigenvalues now, and a
+    :class:`_Basis` that builds their vectors on first read."""
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     if not np.array_equal(a, a.transpose(0, 2, 1)):
         raise ValueError("matrix is not symmetric")
-    n = a.shape[1]
-
     off_tol = [OFF_DIAGONAL_TOL * float(np.linalg.norm(x, "fro")) for x in a]
-    v = warm_start(a)
-    similarity(a, v)  # nearly diagonal when V is good
-    sweeps = [jacobi_sweeps(x, y, MAX_SWEEPS, t) for x, y, t in zip(a, v, off_tol)]
-    if any(s < 0 for s in sweeps):
-        raise ConvergenceFailureError(
-            f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
-        )
+    values, reduction = tridiagonal_eigenvalues(a)
+    basis = _Basis(reduction, off_tol)
+    return [Spectrum(x, basis, i) for i, x in enumerate(values)]
 
-    values = np.diagonal(a, axis1=1, axis2=2)
-    order = np.argsort(values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    vectors = np.take_along_axis(v, order[:, None, :], axis=2)
-    if n > 0:  # argmax has nothing to reduce over an empty column
-        # Flip each column whose first entry above _SIGN_TOL in magnitude is
-        # negative; a column with no such entry stays as it is.
-        large = np.abs(vectors) > _SIGN_TOL
-        lead = np.argmax(large, axis=1)[:, None, :]
-        first = np.take_along_axis(vectors, lead, axis=1)
-        flip = large.any(axis=1, keepdims=True) & (first < 0.0)
-        np.negative(vectors, out=vectors, where=flip)
-    return [Spectrum(x, y, s) for x, y, s in zip(values, vectors, sweeps)]
+
+class _Basis:
+    """(eigenvectors, sweeps) of one solve's stack, built on the first
+    :meth:`built`: the warm start and V^T A V for the whole stack, then
+    Jacobi on each matrix, whose diagonal orders the vectors."""
+
+    def __init__(self, reduction: tuple, off_tol: list):
+        self._pending, self._built = (reduction, off_tol), None
+
+    def built(self) -> tuple:
+        if self._built is None:
+            (reduction, off_tol), self._pending = self._pending, None
+            v = warm_start(reduction)
+            a = reduction[0]  # the matrices above the reflectors; overwritten
+            similarity(a, v)  # nearly diagonal when V is good
+            sweeps = [jacobi_sweeps(x, y, MAX_SWEEPS, t) for x, y, t in zip(a, v, off_tol)]
+            order = np.argsort(np.diagonal(a, axis1=1, axis2=2), axis=1, kind="stable")
+            vectors = np.take_along_axis(v, order[:, None, :], axis=2)
+            if a.shape[1] > 0:  # argmax has nothing to reduce over an empty column
+                # Flip each column whose first entry above _SIGN_TOL in magnitude
+                # is negative; a column with no such entry stays as it is.
+                large = np.abs(vectors) > _SIGN_TOL
+                lead = np.argmax(large, axis=1)[:, None, :]
+                first = np.take_along_axis(vectors, lead, axis=1)
+                flip = large.any(axis=1, keepdims=True) & (first < 0.0)
+                np.negative(vectors, out=vectors, where=flip)
+            self._built = vectors, sweeps
+        if min(self._built[1]) < 0:  # so every read of a failed build raises
+            raise ConvergenceFailureError(
+                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
+            )
+        return self._built

@@ -90,7 +90,7 @@ def test_verify_file_computes_exact_cuts_once(monkeypatch, small_file, capsys):
 
 def test_cuts_exact_analyses_once(counts, small_file, capsys):
     assert cli.run(["cuts", small_file, "--exact"]) == 0
-    assert counts["scan"] == 1 and counts["jacobi"] == 1
+    assert counts["scan"] == 1 and counts["jacobi"] == 0
 
 
 def test_verify_over_the_scan_budget_scans_nothing(counts, tmp_path, capsys):
@@ -103,14 +103,46 @@ def test_verify_over_the_scan_budget_scans_nothing(counts, tmp_path, capsys):
 def solves(monkeypatch):
     """The stack size of every eigensolve, a single solve counted as 1."""
     sizes = []
-    real = spectral.warm_start
+    real = spectral.tridiagonal_eigenvalues
 
     def recorded(a):
         sizes.append(a.shape[0])
         return real(a)
 
+    monkeypatch.setattr(spectral, "tridiagonal_eigenvalues", recorded)
+    return sizes
+
+
+@pytest.fixture
+def vector_builds(monkeypatch):
+    """The stack size of every eigenvector build, through the ``spectral``
+    binding of the vectors stage, which the benchmark's tracer also wraps."""
+    sizes = []
+    real = spectral.warm_start
+
+    def recorded(reduction):
+        sizes.append(reduction[0].shape[0])
+        return real(reduction)
+
     monkeypatch.setattr(spectral, "warm_start", recorded)
     return sizes
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["spectrum"], 0), (["bounds"], 0), (["cuts", "--exact"], 0),
+    (["cuts", "--subset", "0,3,5"], 0), (["cuts", "--sweep"], 1), (["verify"], 1),
+])
+def test_only_the_sweep_and_verify_build_eigenvectors(vector_builds, small_file, capsys,
+                                                     argv, builds):
+    # The paper's bounds read eigenvalues only; the Fiedler sweep and the
+    # spectrum certificates read the vectors.
+    assert cli.run([argv[0], small_file, *argv[1:]]) == 0
+    assert vector_builds == [1] * builds
+
+
+def test_a_battery_chunk_builds_its_vectors_in_one_stacked_call(vector_builds, capsys):
+    assert cli.run(["verify", "--random", "12", "20", "2", "4", "28", "5"]) == 0
+    assert vector_builds == [analysis._chunk_size(12)] == [28]
 
 
 def test_battery_solves_each_instance_once_in_chunks(solves, capsys):
@@ -141,15 +173,16 @@ def test_a_chunk_solve_peaks_within_two_n64_prices(n):
     # A chunk costs more than its share of dense_bytes at small n: the
     # solver's per-row arrays and numpy's ufunc buffers outweigh n**2, and
     # at n=2 the warm start takes all eigenvalues and rows at once.
-    # Measured peaks, as a share of dense_bytes(64): 1.01 at n=2, 1.16 at
-    # n=3, 1.61 at n=4, 0.95 at n=8, 0.75 at n=12 and 0.65 at n=64.  Below
-    # n=4 only 2**n - n - 1 edges of at most n vertices exist.
+    # Measured peaks with the eigenvectors built, as a share of
+    # dense_bytes(64): 1.01 at n=2, 1.15 at n=3, 1.61 at n=4, 0.95 at n=8,
+    # 0.72 at n=12 and 0.62 at n=64.  Below n=4 only 2**n - n - 1 edges of
+    # at most n vertices exist.
     m, k_max = min(2 * n, 2**n - n - 1), min(4, n)
     laplacians = [hl.analyze(h).laplacian
                   for _, h in hl.random_battery(n, m, 2, k_max, analysis._chunk_size(n), 3)]
     tracemalloc.start()
     try:
-        hl.eigendecompose_stack(laplacians)
+        hl.eigendecompose_stack(laplacians)[0].eigenvectors
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hyperlap as hl
-from hyperlap import _kernels, core, spectral
+from hyperlap import _kernels, core, spectral, verify
 
 
 def _random_symmetric(rng, n):
@@ -27,11 +27,13 @@ def _random_symmetric(rng, n):
 
 
 def _start_cold(monkeypatch):
-    """Solve from the identity, as Jacobi did before the warm start: the
-    seam that the sweep-budget and sweep-count tests need, since a good warm
-    start leaves Jacobi no sweep to take."""
+    """Build the vectors from the identity, as Jacobi did before the warm
+    start: the seam that the sweep-budget and sweep-count tests need, since
+    a good warm start leaves Jacobi no sweep to take.  The reduction's
+    first array is the stack's reflectors, (B, n, n)."""
     monkeypatch.setattr(
-        spectral, "warm_start", lambda a: np.broadcast_to(np.eye(a.shape[1]), a.shape).copy()
+        spectral, "warm_start",
+        lambda reduction: np.broadcast_to(np.eye(reduction[0].shape[1]), reduction[0].shape).copy(),
     )
 
 
@@ -114,7 +116,7 @@ class TestEigendecompose:
         monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(hl.ConvergenceFailureError, match="0 sweeps"):
-            hl.eigendecompose(m)
+            hl.eigendecompose(m).eigenvectors
 
     def test_diagonal_needs_no_sweeps(self, monkeypatch):
         monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
@@ -584,28 +586,28 @@ class TestChunking:
         for n, want in ((2, [2]), (16, [16]), (19, [19]), (64, [32, 32])):
             passes.clear()
             chunks.clear()
-            hl.eigendecompose(_random_symmetric(np.random.default_rng(n), n))
+            hl.eigendecompose(_random_symmetric(np.random.default_rng(n), n)).eigenvectors
             assert passes == want
             assert chunks == [n if n <= 19 else n // 8]
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 19, 24, 30, 34, 35, 40, 41, 64])
     def test_whole_loops_hold_at_most_160_kib_more(self, monkeypatch, n):
-        # One matrix's solve, by tracemalloc, at the large-n sizes
-        # (_CHUNK_BYTES = 0) and as the solver runs.  Measured: whole loops
-        # hold at most 154.5 KiB more, at n=34, where both are whole, and
-        # peak at most 144 KiB above dense_bytes(n), which is 2.96
-        # dense_bytes(n) at n=16, 2.84 at n=19 and 2.59 at n=34; from n=41
+        # One matrix's solve with its eigenvectors, by tracemalloc, at the
+        # large-n sizes (_CHUNK_BYTES = 0) and as the solver runs.  Measured:
+        # whole loops hold at most 154.5 KiB more, at n=34, where both are
+        # whole, and peak at most 144 KiB above dense_bytes(n), which is 2.95
+        # dense_bytes(n) at n=16, 2.83 at n=19 and 2.59 at n=34; from n=41
         # the two solves are the same.  A larger _CHUNK_BYTES makes whole
-        # loops at larger n and fails the first bound (96 KiB: 179 KiB at
+        # loops at larger n and fails the first bound (96 KiB: 176 KiB at
         # n=40).
         solo = _random_symmetric(np.random.default_rng(n), n)
         peaks = []
         for cap in (0, _kernels._CHUNK_BYTES):
             monkeypatch.setattr(_kernels, "_CHUNK_BYTES", cap)
-            hl.eigendecompose(solo)  # keeps first-call allocations out
+            hl.eigendecompose(solo).eigenvectors  # keeps first-call allocations out
             tracemalloc.start()
             try:
-                hl.eigendecompose(solo)
+                hl.eigendecompose(solo).eigenvectors
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -638,6 +640,27 @@ def test_eigenvalues_match_a_40_digit_reference():
         got = hl.eigendecompose(lap).eigenvalues
         top = np.abs(want).max()
         assert np.abs(got - want).max() <= 16 * np.finfo(np.float64).eps * top
+
+
+def test_the_solve_sorts_the_multisection_midpoints(monkeypatch):
+    # Sturm counts in floating point need not be monotone in the shift, so
+    # the midpoints of a multiple eigenvalue can descend: on K16 three times,
+    # by up to 1.4e-14.  The midpoints of a split T follow its blocks, as on
+    # the star.  Unsorted, verify on K16 fails: "eigenvalues not ascending".
+    raw, multisection = [], _kernels._multisection
+
+    def record(*args):
+        raw.append(multisection(*args))
+        return raw[-1]
+
+    monkeypatch.setattr(_kernels, "_multisection", record)
+    k16 = hl.analyze(GOLDEN["k16"]())
+    assert verify._check_spectrum_certificates(k16, 0) is None
+    assert np.any(np.diff(raw[0][0]) < 0)
+    families = [hl.complete_kgraph(n, k) for n in range(4, 21, 4) for k in (2, 3)]
+    families += [hl.star_kgraph(k, r) for k in (2, 3, 4) for r in (2, 10, 20)]
+    for h in families:
+        assert np.all(np.diff(hl.analyze(h).spectrum.eigenvalues) >= 0)
 
 
 def _run_cli(argv, **env):
@@ -793,9 +816,9 @@ class TestStackedSolve:
         monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(hl.ConvergenceFailureError) as alone:
-            hl.eigendecompose(m)
+            hl.eigendecompose(m).eigenvectors
         with pytest.raises(hl.ConvergenceFailureError) as stacked:
-            hl.eigendecompose_stack([np.eye(2), m])
+            hl.eigendecompose_stack([np.eye(2), m])[0].eigenvectors
         assert str(stacked.value) == str(alone.value)
 
     def test_rejects_what_the_single_solve_rejects(self):

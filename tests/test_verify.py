@@ -261,12 +261,36 @@ def test_eigen_residual_margin(margins):
 
 
 @_PAST_OR_WITHIN
+def test_negative_eigenvalue_margin(margins):
+    an = _margin_input()
+    # Moving lambda_1 to -x moves its residual by about x, far inside
+    # RESIDUAL_TOL, and the trace by x, inside TRACE_TOL.
+    value = -margins * verify.NEGATIVE_EIGENVALUE_TOL * max(1.0, an.frobenius)
+    _seed_eigenvalue(an, 0, value)
+    want = f"negative eigenvalue {value:.3e}" if margins > 1 else None
+    assert verify._check_spectrum_certificates(an, 0) == want
+
+
+@_PAST_OR_WITHIN
+def test_trace_margin(margins):
+    an = _margin_input()
+    # Every eigenvalue moves up by 1/n of the fault, so each residual grows
+    # by at most 2e-8 trace / n, within RESIDUAL_TOL ||L||_F for n >= 4.
+    trace = float(np.trace(an.laplacian))
+    shift = margins * verify.TRACE_TOL * max(1.0, abs(trace)) / an.n
+    lam = an.spectrum.eigenvalues + shift
+    vars(an)["spectrum"] = dataclasses.replace(an.spectrum, eigenvalues=lam)
+    want = "eigenvalue sum differs from trace" if margins > 1 else None
+    assert verify._check_spectrum_certificates(an, 0) == want
+
+
+@_PAST_OR_WITHIN
 def test_orthonormality_margin(margins):
     an = _margin_input()
-    # The last vector's squared norm grows by `margins` tolerances.
-    vec = an.spectrum.eigenvectors.copy()
+    # The last vector's squared norm grows by `margins` tolerances, in the
+    # cached spectrum's own array.
+    vec = an.spectrum.eigenvectors
     vec[:, -1] *= np.sqrt(1 + margins * verify.ORTHONORMAL_TOL)
-    vars(an)["spectrum"] = dataclasses.replace(an.spectrum, eigenvectors=vec)
     ortho = float(np.max(np.abs(vec.T @ vec - np.eye(an.n))))
     want = f"eigenvectors not orthonormal ({ortho:.3e})" if margins > 1 else None
     assert verify._check_spectrum_certificates(an, 0) == want
