@@ -17,8 +17,8 @@ applies the n/2 disjoint rotations of each round-robin step at once, as
 fancy-indexed row updates.  The scan counts, for every subset, the edges
 inside it with a subset-sum (zeta) transform: its b low-bit passes run on a
 block of at most m rows of 2**b entries, one row per distinct high part of
-an edge, unless there are as many edges as high parts, and the n - b
-passes that follow run on the whole table, so the cost is
+an edge, and the n - b passes that follow run on the whole table, so the
+cost is
 O(b m 2**b + (n - b) 2**n).  Its counts are held in the narrowest signed
 integer type that holds m.
 """
@@ -395,6 +395,16 @@ def _multisection(d, e, lo, hi, start, stop, rows):
     return (0.5 * (ends[0] + ends[-1])).T.copy()
 
 
+def splitmix64_mix(z):
+    """SplitMix64's output mix (Steele, Lea & Flood 2014) of each entry of
+    the uint64 array ``z``, in place with numpy's wrapping arithmetic."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+
+
 def _start_vectors(rows, n):
     """Start vectors for inverse iteration, one per entry of ``rows``, as an
     (n, len(rows)) array of values in [-1, 1) hashed (splitmix64) from each
@@ -402,11 +412,7 @@ def _start_vectors(rows, n):
     z = (np.asarray(rows, dtype=np.uint64)[None, :] * np.uint64(n)
          + np.arange(n, dtype=np.uint64)[:, None])
     z += np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    splitmix64_mix(z)
     z >>= np.uint64(11)
     values = z.astype(np.float64)
     values *= 2.0**-52
@@ -623,13 +629,12 @@ def similarity(a, v):
 #
 # Passes 0..b-1 move counts only within a row of 2**b entries that share the
 # high part S >> b, and their inner runs of 1..2**(b-1) entries make them the
-# dearest per entry.  They run first, on a block with one row per distinct
-# high part of an edge, so at most m rows; every other row of the table is 0
-# and stays 0 under them.  The block is written into its rows of the table,
-# and passes b..n-1 run on the whole table, on inner runs of at least 2**b
+# dearest per entry.  They run first, on a block copied from the table's rows
+# that hold an edge, so at most m rows; every other row of the table is 0
+# and stays 0 under them.  The block is written back into its rows, and
+# passes b..n-1 run on the whole table, on inner runs of at least 2**b
 # entries.  Integer sums are exact, so the order of the passes does not
-# change the table.  With at least as many edges as high parts the block
-# could be the whole table, so then every pass runs on the table.
+# change the table.
 # ---------------------------------------------------------------------------
 
 # The low bits whose passes run on the block.
@@ -645,6 +650,17 @@ def _count_dtype(m):
     return np.int32
 
 
+def _zeta_passes(x, passes):
+    """Run each pass i of ``passes`` on the C-contiguous counts ``x``, in
+    place: every entry without bit i of its flat index is added into the
+    entry with it.  The halves are views: adding in place into one writes
+    ``x``, without the item assignment that `v[:, 1] += v[:, 0]` makes."""
+    for i in passes:
+        v = x.reshape(-1, 2, 1 << i)
+        upper = v[:, 1]
+        upper += v[:, 0]
+
+
 def subset_scan(edge_masks, edge_sizes, p):
     """The boundary edge count of each subset bitmask in [0, 2**p), for
     edges given as distinct vertex bitmasks over n = p + 1 vertices, in the
@@ -658,29 +674,16 @@ def subset_scan(edge_masks, edge_sizes, p):
     m = len(edge_masks)
     dtype = _count_dtype(m)
     inside = np.zeros(2 * half, dtype=dtype)
-    if m >= 1 << (n - b):
-        # The block could hold every row: all passes run on the table.
-        b = 0
-        inside[edge_masks] = 1
-    else:
-        width = 1 << b
-        high = edge_masks >> b
-        present = np.zeros(1 << (n - b), dtype=bool)
-        present[high] = True
-        rows = np.flatnonzero(present)
-        block = np.zeros((rows.size, width), dtype=dtype)
-        block[np.searchsorted(rows, high), edge_masks & (width - 1)] = 1
-        for i in range(b):
-            v = block.reshape(rows.size, width >> (i + 1), 2, 1 << i)
-            upper = v[:, :, 1]
-            upper += v[:, :, 0]
-        inside.reshape(-1, width)[rows] = block
-    for i in range(b, n):
-        # The halves are views: adding in place into one writes the table,
-        # without the item assignment that `v[:, 1] += v[:, 0]` makes.
-        v = inside.reshape(-1, 2, 1 << i)
-        upper = v[:, 1]
-        upper += v[:, 0]
+    inside[edge_masks] = 1
+    present = np.zeros(1 << (n - b), dtype=bool)
+    present[edge_masks >> b] = True
+    rows = np.flatnonzero(present)
+    table = inside.reshape(-1, 1 << b)
+    block = table[rows]
+    _zeta_passes(block, range(b))
+    table[rows] = block
+    del block  # up to the table's size, when the edges reach every high part
+    _zeta_passes(inside, range(b, n))
     # Entry S of the reversed upper half is g of the complement of S.  An
     # int8 half is reversed a word of 8 counts at a time, each word's bytes
     # then swapped, several times faster than a count at a time.

@@ -77,10 +77,9 @@ def _lex_least(sides: np.ndarray) -> tuple:
 _PROFILE_BITS = 12
 
 
-def _size_profile(boundary: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
+def _size_profile(boundary: np.ndarray, n: int) -> tuple:
     """(least, most): the least and most of ``boundary`` among the scanned
-    masks of each size 0..n-1, in the boundary's type, ``sizes`` being
-    each mask's size.
+    masks of each size 0..n-1, in the boundary's type.
     The masks of one row of 2**bits share their high part; taken in order
     of size, each run of a row's masks has one size.  The rows whose high
     parts have size c are first reduced, column by column, to one row,
@@ -89,13 +88,13 @@ def _size_profile(boundary: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
     the heap's top in place, which raised the peak of later, unrelated
     inputs by up to 1 MiB."""
     bits = min(n - 1, _PROFILE_BITS)
-    order = np.argsort(sizes[: 1 << bits], kind="stable")
+    order = np.argsort(np.bitwise_count(np.arange(1 << bits)), kind="stable")
     starts = [0, *accumulate(comb(bits, j) for j in range(bits))]
     rows = boundary.reshape(-1, 1 << bits)
     if rows.shape[0] == 1:
         runs = boundary[order]
         return np.minimum.reduceat(runs, starts), np.maximum.reduceat(runs, starts)
-    row_sizes = sizes[:: 1 << bits]
+    row_sizes = np.bitwise_count(np.arange(rows.shape[0]))
     least = np.full(n, np.iinfo(boundary.dtype).max, dtype=boundary.dtype)
     most = np.full(n, -1, dtype=boundary.dtype)
     for c in range(n - bits):
@@ -188,34 +187,23 @@ class Analysis(Hypergraph):
         return self.edge_reduce(np.bitwise_or, 1 << np.arange(self.n, dtype=np.int64))
 
     @cached_property
-    def scan(self) -> tuple:
-        """Kernel scan over all subsets of {0..n-2}: (boundary, sizes), the
-        boundary edge count, in the narrowest signed type that holds m
-        (:func:`~hyperlap._kernels.subset_scan`), and the uint8 size of each
-        subset, indexed by subset bitmask.  The sizes are built by doubling,
-        with no wider temporary.  Raises TooLargeError, through
+    def scan(self) -> np.ndarray:
+        """The boundary edge count of each subset of {0..n-2}, indexed by
+        subset bitmask, in the narrowest signed type that holds m
+        (:func:`~hyperlap._kernels.subset_scan`).  A subset's size is the
+        popcount of its bitmask, so no size is stored: the readers hold a
+        bool per subset and the indices they search, within the price
+        ``core.scan_bytes``.  Raises TooLargeError, through
         :attr:`edge_masks` and before the table is allocated, when the scan
         is over budget."""
-        p = self.n - 1
-        boundary = subset_scan(self.edge_masks, self.edge_sizes, p)
-        # Setting bit i adds one to the size of each mask below 2**i.
-        sizes = np.zeros(1 << p, dtype=np.uint8)
-        for i in range(p):
-            np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
-        return boundary, sizes
+        return subset_scan(self.edge_masks, self.edge_sizes, self.n - 1)
 
-    @property
+    @cached_property
     def profile(self) -> tuple:
         """(least, most): the least and most boundary among the scanned
         masks of each size 0..n-1, in the boundary's type
-        (:func:`_size_profile`).  Computed once per scan: it is kept beside
-        the scan it was read from, and a scan stored in its place gets a
-        profile of its own."""
-        scan = self.scan
-        kept = vars(self).get("_profile")
-        if kept is None or kept[0] is not scan:
-            kept = vars(self)["_profile"] = (scan, _size_profile(*scan, self.n))
-        return kept[1]
+        (:func:`_size_profile`)."""
+        return _size_profile(self.scan, self.n)
 
     @cached_property
     def max_cut(self) -> tuple:
@@ -224,8 +212,7 @@ class Analysis(Hypergraph):
         value = int(most.max())
         if value == 0:
             return 0, ()
-        boundary, _ = self.scan
-        best = np.flatnonzero(boundary == value)
+        best = np.flatnonzero(self.scan == value)
         full = (1 << self.n) - 1
         return value, _lex_least(np.concatenate([best, full ^ best]))
 
@@ -260,12 +247,11 @@ class Analysis(Hypergraph):
         on_direct = {b for b, d in zip(least, direct) if b == d}
         on_flipped = {b for b, f in zip(least, flipped) if b == f}
         direct, flipped = np.array(direct), np.array(flipped)
-        boundary, sizes = self.scan
         full = (1 << n) - 1
         sides = []
         for b in on_direct | on_flipped:
-            hits = np.flatnonzero(boundary == b)
-            s = sizes[hits]
+            hits = np.flatnonzero(self.scan == b)
+            s = np.bitwise_count(hits)
             if b in on_direct:
                 sides.append(hits[direct[s] == b])
             if b in on_flipped:

@@ -227,16 +227,15 @@ def dense_bytes(n: int) -> int:
 def scan_bytes(n: int) -> int:
     """Predicted peak bytes of the subset scan of an n-vertex input and of
     its readers: 20 bytes for each of the 2**(n-1) scanned subsets, priced
-    at the widest count type.  The scan holds its table of 2**n counts and
-    the boundary at its end, both in the narrowest signed type that holds
-    m (``_kernels.subset_scan``): 8 and 4 bytes in int32, 2 and 1 in the
-    int8 of m <= 127.  The boundary then stays with the uint8 sizes (1).
-    The readers work on the per-size profile, and search the scan only for
-    witnesses (a bool per subset) or, when the sandwich check fails, for
-    its first offending subset (a float64 bound and a bool per subset).
-    The price does not depend on m, so every input is admitted or refused
-    as it was when every count was int32; with int8 counts the scan and
-    its profile peak at about 3 bytes per subset (tests/test_analysis.py)."""
+    at the widest count type.  The scan holds its table of 2**n counts
+    beside a block of at most as many, then beside the boundary, all in
+    the narrowest signed type that holds m (``_kernels.subset_scan``): in
+    int32 8 + 8, then 8 + 4 bytes.  The readers keep no size per subset,
+    and search the scan only for witnesses (a bool per subset) or a failed
+    sandwich check's first offending subset (a few at a time).  The price
+    does not depend on m, so every input is admitted or refused as it was
+    when every count was int32; with int8 counts the scan and its profile
+    peak at about 3 bytes per subset (tests/test_analysis.py)."""
     return 20 << (n - 1)
 
 

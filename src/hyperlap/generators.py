@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._kernels import splitmix64_mix
 from .core import Hypergraph
 from .errors import BadParametersError, UnsatisfiableError
 
@@ -56,11 +57,7 @@ class SplitMix64:
         z *= np.uint64(_GAMMA)
         z += np.uint64(self._state)
         self._state = (self._state + count * _GAMMA) & _MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+        splitmix64_mix(z)
         return z
 
     def randrange(self, bound: int) -> int:

@@ -190,15 +190,28 @@ def _check_subset_sandwich(an: Analysis, index: int) -> Optional[str]:
     lower, upper = sandwich_bounds(an, np.arange(an.n, dtype=np.int64))
     low = lower - SANDWICH_LOWER_MARGIN
     high = upper + SANDWICH_UPPER_MARGIN
+    boundary = an.scan
     if (least < low).any():
-        boundary, sizes = an.scan
-        s = int(np.flatnonzero(boundary < low[sizes])[0])
-        return f"boundary {boundary[s]} below lower bound {lower[sizes[s]]:.6f} (mask {s})"
+        s = _first_offending(boundary, low, np.less)
+        return f"boundary {boundary[s]} below lower bound {lower[s.bit_count()]:.6f} (mask {s})"
     if (most > high).any():
-        boundary, sizes = an.scan
-        s = int(np.flatnonzero(boundary > high[sizes])[0])
-        return f"boundary {boundary[s]} above upper bound {upper[sizes[s]]:.6f} (mask {s})"
+        s = _first_offending(boundary, high, np.greater)
+        return f"boundary {boundary[s]} above upper bound {upper[s.bit_count()]:.6f} (mask {s})"
     return None
+
+
+_SEARCH_MASKS = 1 << 16  # masks compared at a time by _first_offending
+
+
+def _first_offending(boundary: np.ndarray, bound: np.ndarray, past) -> int:
+    """The least mask whose boundary is ``past`` (np.less or np.greater) the
+    ``bound`` of its size, the popcount of the mask, compared _SEARCH_MASKS
+    masks at a time so that no array has an entry per subset."""
+    for start in range(0, boundary.size, _SEARCH_MASKS):
+        masks = np.arange(start, min(start + _SEARCH_MASKS, boundary.size))
+        hits = np.flatnonzero(past(boundary[masks], bound[np.bitwise_count(masks)]))
+        if hits.size:
+            return start + int(hits[0])
 
 
 def _sampled_masks(index: int, p: int) -> np.ndarray:

@@ -325,11 +325,11 @@ def _recount(h, mask):
 
 def test_scan_matches_per_mask_recount():
     h = hl.random_hypergraph(12, 30, 2, 5, 11)
-    boundary, sizes = hl.analyze(h).scan
-    assert boundary.dtype == _count_type(30) == np.int8 and sizes.dtype == np.uint8
+    boundary = hl.analyze(h).scan
+    assert boundary.dtype == _count_type(30) == np.int8
     assert boundary.size == 1 << 11
     for mask in range(boundary.size):
-        got = (int(boundary[mask]), int(sizes[mask]))
+        got = (int(boundary[mask]), mask.bit_count())
         assert got == _recount(h, mask), mask
 
 
@@ -337,12 +337,12 @@ def test_scan_matches_per_mask_recount():
 @pytest.mark.parametrize("n, m", [(20, 40), (22, 44)])
 def test_scan_top_bit_masks_match_recount(n, m):
     h = hl.random_hypergraph(n, m, 2, 6, 5)
-    boundary, sizes = hl.analyze(h).scan
+    boundary = hl.analyze(h).scan
     top = 1 << (n - 2)
     masks = [top, top | 1, top | 0x2AAAA, (1 << (n - 1)) - 2, (1 << (n - 1)) - 1]
     assert boundary.size == 1 << (n - 1)
     for mask in masks:
-        got = (int(boundary[mask]), int(sizes[mask]))
+        got = (int(boundary[mask]), mask.bit_count())
         assert got == _recount(h, mask), mask
 
 
@@ -376,10 +376,10 @@ def test_subset_scan_matches_per_mask_recount(h):
     ]
 
 
-# The kernel runs its low-bit passes on a block of edge rows when there are
-# fewer edges than high parts (mask >> b), and on the whole table otherwise.
-# n runs from b - 1 to 20; at n = b + 1 only m <= 1 takes the block, and
-# m = 0 gives it no row at all.
+# The kernel runs its low-bit passes on a block with one row per distinct
+# high part (mask >> b) of an edge, up to every row of the table.  n runs
+# from b - 1 to 20; at n <= b the block is the whole table, at n = b + 1 it
+# has at most two rows, and m = 0 gives it no row at all.
 _B = _kernels._LOW_BITS
 
 
@@ -452,24 +452,14 @@ def test_profile_matches_a_reduction_of_the_scan(n, m):
     # At these n the scan has more than one row of 2**_PROFILE_BITS masks.
     an = hl.analyze(hl.random_hypergraph(n, m, 2, 5, n))
     assert n - 1 > analysis._PROFILE_BITS
-    boundary, sizes = an.scan
+    boundary = an.scan
+    sizes = np.bitwise_count(np.arange(boundary.size))
     least = np.full(n, m, dtype=np.int64)
     most = np.zeros(n, dtype=np.int64)
     np.minimum.at(least, sizes, boundary)
     np.maximum.at(most, sizes, boundary)
     got_least, got_most = an.profile
     assert got_least.tolist() == least.tolist() and got_most.tolist() == most.tolist()
-
-
-def test_a_stored_scan_gets_a_profile_of_its_own():
-    an = hl.analyze(hl.random_hypergraph(10, 20, 2, 4, 4))
-    assert an.profile is an.profile
-    boundary, sizes = an.scan
-    boundary = boundary.astype(np.int32)  # a copy wide enough for 10**6
-    boundary[77] = 10**6
-    vars(an)["scan"] = (boundary, sizes)  # replace the cached scan
-    _, most = an.profile
-    assert most[sizes[77]] == 10**6
 
 
 @pytest.mark.parametrize(
@@ -484,9 +474,9 @@ def test_subset_scan_of_the_smallest_inputs(n, edges, want):
     assert boundary.dtype == _count_type(len(edges)) and boundary.tolist() == want
 
 
-# Distinct nonempty masks drawn at random, m = 0 to 32768, with the table
-# path (m at least the 2**(n - 8) high parts) and the block path (n=16,
-# m=200) both taken; the type steps up past m = 127 and past m = 32767.
+# Distinct nonempty masks drawn at random, m = 0 to 32768, with blocks that
+# hold every row of the table (n = 8; n = 16 with m >= 32767) and one that
+# holds some (n=16, m=200); the type steps up past m = 127 and past m = 32767.
 @pytest.mark.parametrize(
     "n, m, dtype",
     [(4, 0, np.int8), (8, 127, np.int8), (8, 128, np.int16), (16, 200, np.int16),
@@ -506,6 +496,28 @@ def test_subset_scan_counts_in_the_narrowest_type_holding_m(n, m, dtype):
         assert int(boundary[mask]) == m - inside - outside, mask
 
 
+def test_a_scan_whose_block_is_the_whole_table_peaks_at_two_tables():
+    # 40000 of the 2**18 masks put an edge in every row of 2**8, so the
+    # block copies the whole table.  It is freed before the boundary is
+    # built, so the int32 scan holds at most two tables, 16 bytes per
+    # scanned subset of the 20 that core.scan_bytes charges, beside numpy's
+    # fixed ufunc buffers.
+    n, m = 18, 40000
+    rng = np.random.default_rng(n)
+    masks = np.sort(rng.choice(np.arange(1, 1 << n, dtype=np.int64), m, replace=False))
+    assert np.unique(masks >> _kernels._LOW_BITS).size == 1 << (n - _kernels._LOW_BITS)
+    sizes = np.zeros(m, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        boundary = _kernels.subset_scan(masks, sizes, n - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = 2 * boundary.nbytes
+    assert boundary.dtype == np.int32
+    assert peak <= 2 * table + (256 << 10), f"{peak / table:.3f} tables"
+
+
 @pytest.mark.parametrize("n, m", [(19, 44), (24, 72)])
 def test_scan_and_profile_peak_at_a_quarter_of_the_scan_price(n, m):
     # With m <= 127 the table and the boundary are int8, so the scan and its
@@ -519,5 +531,5 @@ def test_scan_and_profile_peak_at_a_quarter_of_the_scan_price(n, m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert an.scan[0].dtype == np.int8
+    assert an.scan.dtype == np.int8
     assert peak <= hl.core.scan_bytes(n) // 4, f"{peak / 2**20:.2f} MiB"

@@ -138,14 +138,40 @@ class TestVerifyInstances:
     def test_subset_sandwich_reports_the_first_offending_mask(self, side):
         an = hl.analyze(hl.random_hypergraph(n=10, m=20, k_min=2, k_max=4, seed=4))
         assert verify._check_subset_sandwich(an, 0) is None
-        boundary, sizes = an.scan
-        boundary = boundary.astype(np.int32)  # a copy wide enough for 10**6
+        boundary = an.scan.astype(np.int32)  # a copy wide enough for 10**6
         boundary[[300, 77]] = -1 if side == "below" else 10**6
-        vars(an)["scan"] = (boundary, sizes)  # replace the cached scan
-        lower, upper = sandwich_bounds(an, int(sizes[77]))
+        vars(an)["scan"] = boundary  # replace the cached scan
+        del vars(an)["profile"]  # and the profile read from the old one
+        lower, upper = sandwich_bounds(an, (77).bit_count())
         bound = f"lower bound {lower:.6f}" if side == "below" else f"upper bound {upper:.6f}"
         assert verify._check_subset_sandwich(an, 0) == (
             f"boundary {boundary[77]} {side} {bound} (mask 77)"
+        )
+
+    @pytest.mark.parametrize("search", [64, verify._SEARCH_MASKS], ids=["chunks", "one_chunk"])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_subset_sandwich_holds_each_mask_to_its_own_size(self, side, search, monkeypatch):
+        # Mask 2 (size 1) is past the loosest bound of any size, the lower
+        # bound of size 5 or the upper bound of size 0, but within its own;
+        # mask 77 (size 4) offends.  The search must pass over mask 2, also
+        # when it takes 64 masks at a time and so finds mask 77 in its second
+        # chunk.
+        monkeypatch.setattr(verify, "_SEARCH_MASKS", search)
+        an = hl.analyze(hl.random_hypergraph(n=10, m=20, k_min=2, k_max=4, seed=4))
+        lower, upper = sandwich_bounds(an, np.arange(an.n, dtype=np.int64))
+        if side == "below":
+            inside, offending = int(np.ceil(lower[1])), -1
+            assert inside < lower.max() - verify.SANDWICH_LOWER_MARGIN
+        else:
+            inside, offending = int(np.floor(upper[1])), 10**6
+            assert inside > upper.min() + verify.SANDWICH_UPPER_MARGIN
+        assert lower[1] <= inside <= upper[1]
+        boundary = an.scan.astype(np.int32)  # a copy wide enough for 10**6
+        boundary[[2, 77]] = inside, offending
+        vars(an)["scan"] = boundary  # replace the cached scan
+        bound = f"lower bound {lower[4]:.6f}" if side == "below" else f"upper bound {upper[4]:.6f}"
+        assert verify._check_subset_sandwich(an, 0) == (
+            f"boundary {offending} {side} {bound} (mask 77)"
         )
 
 
@@ -238,6 +264,55 @@ def test_isoperimetric_margin(margins):
     low = hl.connectivity_summary(an).iso_lower_bound
     want = f"isoperimetric {value} below 2 lambda_2 / k_max^2 = {low:.6f}"
     assert verify._check_maxcut_iso_bounds(an, 0) == (want if margins > 1 else None)
+
+
+def _two_graph_input():
+    """A connected 2-graph on 10 vertices whose largest Laplacian degree
+    sits at both ends of an edge, so its two degree bounds are equal."""
+    an = hl.analyze(hl.random_hypergraph(n=10, m=20, k_min=2, k_max=2, seed=4))
+    assert an.connected and an.degrees.k_max == 2
+    assert verify._check_degree_bounds(an, 0) is None
+    assert verify._check_zhu_two_graph(an, 0) is None
+    return an
+
+
+def _seed_lambda_n_past(an, value, margins):
+    """Seed lambda_n ``margins`` holds tolerances (bounds.HOLDS_TOL, relative
+    to lambda_n) past the bound ``value``, and drop the cached bounds."""
+    lam = value * (1 + margins * bounds.HOLDS_TOL)
+    _seed_eigenvalue(an, -1, lam)
+    del vars(an)["bounds"]
+    return lam
+
+
+@_PAST_OR_INSIDE
+@pytest.mark.parametrize(
+    "name, make, text",
+    [("twice_max_laplacian_degree", _two_graph_input, "2 max delta = {} < lambda_n = {}"),
+     ("adjacent_laplacian_degree_sum", _margin_input,
+      "max delta_i+delta_j = {} < lambda_n = {}")],
+    ids=["twice_max", "pair_sum"],
+)
+def test_degree_bounds_margin(margins, name, make, text):
+    an = make()
+    twice, pair = (an.bounds[key].value for key in
+                   ("twice_max_laplacian_degree", "adjacent_laplacian_degree_sum"))
+    # The pair sum is checked after twice the max, so it is faulted on an
+    # input where it lies below twice the max.
+    assert (pair == twice) == (name == "twice_max_laplacian_degree")
+    value = an.bounds[name].value
+    lam = _seed_lambda_n_past(an, value, margins)
+    want = text.format(value, lam)
+    assert verify._check_degree_bounds(an, 0) == (want if margins > 1 else None)
+
+
+@_PAST_OR_INSIDE
+def test_zhu_two_graph_margin(margins):
+    an = _two_graph_input()
+    value = an.bounds["zhu_uniform"].value
+    lam = _seed_lambda_n_past(an, value, margins)
+    want = f"2-graph bound {value} < lambda_n {lam}"
+    assert verify._check_zhu_two_graph(an, 0) == (want if margins > 1 else None)
 
 
 # The spectrum certificates and the zero eigenvalue compare an exact zero
@@ -428,9 +503,9 @@ class TestBatteries:
 
 @pytest.mark.parametrize("n, m", [(19, 44), (22, 66)])
 def test_exact_layer_peak_memory_per_scanned_subset(n, m):
-    # The exact checks keep each per-subset array in the scan's own narrow
-    # types (boundaries in the narrowest signed type holding m, uint8
-    # sizes), so they trace at most 20 bytes per scanned subset, 2**(n-1)
+    # The exact checks keep each per-subset array in a narrow type
+    # (boundaries in the narrowest signed type holding m, bools), so they
+    # trace at most 20 bytes per scanned subset, 2**(n-1)
     # of them: the price core.scan_bytes puts on the scan.
     an = hl.analyze(hl.random_hypergraph(n, m, 2, 4, 3))
     tracemalloc.start()
