@@ -14,22 +14,21 @@ A label is any token that does not start with ``#`` or ``!``
 the directive the universe is the union of all labels in first-appearance
 order.
 
-``loads`` reads a long text with no Python object per token.  It takes
-the text as one array of code units, its bytes when it is ASCII and UTF-32
-otherwise, and finds every token and every token's line in a few numpy
-passes over it, with the whitespace of ``str.split`` and the line breaks
-of ``str.splitlines``.  A line is a comment or a directive by the first
-code unit of its first token; the directive, of which a valid text has at
-most one, is split and checked in Python.  Each label token is matched to
-its vertex by its code units, read as 8-byte words masked to the token's
-length: by a hash of the words, then a comparison word by word with the
-label's own, so that a hash collision never gives a wrong vertex.  The
-tokens a collision involves fall back to a dict; in the rare text without
-the directive where a collision hides a label's first appearance, the
-text is read again line by line.  A short text, below 5000 code units, is
-read line by line in Python from the start, which costs less there than
-those numpy calls' fixed overhead; both readers give the same universe,
-vertex indices and errors.
+``loads`` reads a long ASCII text whose directive precedes its edge
+lines with no Python object per token.  It takes the text's bytes as one
+array and finds every token and every token's line in a few numpy passes
+over it, with the whitespace of ``str.split`` and the line breaks of
+``str.splitlines``.  A line is a comment or a directive by the first byte
+of its first token; the directive, of which a valid text has at most one,
+is split and checked in Python.  Each label token is matched to its
+vertex by its bytes, read as 8-byte words masked to the token's length:
+by a hash of the words, then a comparison word by word with the label's
+own, so that a hash collision never gives a wrong vertex.  The tokens a
+collision involves fall back to a dict.  Every other text is read line by
+line in Python: a short one, below 5000 code units, where that costs less
+than those numpy calls' fixed overhead, and one that is not ASCII or has
+no directive before its first edge line.  Both readers give the same
+universe, vertex indices and errors.
 
 The per-edge work that follows, sorting each edge, finding repeated labels
 and duplicate sets, and ordering the edges, is a few numpy calls over the
@@ -76,10 +75,11 @@ _CHUNK = 1 << 13
 def loads(text: str) -> Hypergraph:
     """Parse ``.hg`` text; parse errors carry 1-based line numbers.
 
-    A short text is read line by line (:func:`_read_lines`), a long one by
-    numpy passes over its code units (:func:`_read_units`); both give the
-    universe, every edge line's vertex indices, sizes and line numbers, and
-    the error of the first edge line with a label outside the universe.
+    A long ASCII text whose directive precedes its edge lines is read by
+    numpy passes over its bytes (:func:`_read_units`), every other text
+    line by line (:func:`_read_lines`); both give the universe, every edge
+    line's vertex indices, sizes and line numbers, and the error of the
+    first edge line with a label outside the universe.
     numpy then sorts every edge, finds repeated labels, short edges and
     duplicate sets, and puts the edges in canonical order
     (:func:`_canonical`).  The Hypergraph is built directly, already
@@ -90,8 +90,10 @@ def loads(text: str) -> Hypergraph:
     """
     # A leading byte-order mark is no part of the first line's first token.
     text = text.removeprefix("\ufeff")
-    read = _read_lines if len(text) < _SHORT else _read_units
-    universe, pinned, members, sizes, linenos, edge_error = read(text)
+    read = None
+    if len(text) >= _SHORT and text.isascii():
+        read = _read_units(text)  # None for a text without a leading directive
+    universe, pinned, members, sizes, linenos, edge_error = read or _read_lines(text)
     incidence, bad = _canonical(len(universe), members, sizes)
     del members, sizes
     if bad is not None:
@@ -183,35 +185,37 @@ def _read_lines(text: str) -> tuple:
     return index, index.pinned, members, np.array(sizes, dtype=np.int64), linenos, edge_error
 
 
-def _read_units(text: str) -> tuple:
-    """:func:`_read_lines`'s results, with no Python object per token.
+def _read_units(text: str) -> Optional[tuple]:
+    """:func:`_read_lines`'s results for an ASCII text, with no Python
+    object per token, or None when no directive precedes its first edge
+    line.
 
     Tokens, lines and each line's kind come from numpy passes over the
-    text's code units (:func:`_lines`), and the directive rules are checked
-    in Python, in line order.  The universe is the directive's labels, or
-    else the edge lines' distinct labels in first-appearance order
-    (:func:`_first_appearances`).  Every edge token is matched to its
-    vertex (:class:`_Matcher`), and a dict resolves the few that the
-    matcher leaves.  A label that only the dict finds, in a text without
-    the directive, has the whole text read by :func:`_read_lines`."""
-    buf, units, width = _code_units(text)
+    text's bytes (:func:`_lines`), and the directive rules are checked in
+    Python, in line order.  Every edge token is matched to its vertex among
+    the directive's labels (:class:`_Matcher`), and a dict resolves the few
+    that the matcher leaves."""
+    buf = text.encode("ascii") + bytes(8)  # so a word can be read at any byte
+    units = np.frombuffer(buf, dtype=np.uint8)[: len(text)]
     starts, ends, heads, linenos = _lines(units)
     counts = np.diff(heads, append=starts.size)
     first_unit = units[starts[heads]]
     directive = np.flatnonzero(first_unit == ord("!"))
     edge = first_unit != ord("#")
     edge[directive] = False
-    del first_unit
+    del first_unit, units
+    first_edge = int(edge.argmax()) if edge.any() else heads.size
+    if not directive.size or directive[0] > first_edge:
+        return None
 
     universe: dict = {}
     pinned = False
-    first_edge = int(edge.argmax()) if edge.any() else heads.size
     for line in directive.tolist():
         head, last = heads[line], heads[line] + counts[line]
         tokens = text[starts[head] : ends[last - 1]].split()
         _pin(universe, tokens, int(linenos[line]), pinned, first_edge < line)
         pinned = True
-        matcher = _Matcher(buf, width, starts[head + 1 : last], ends[head + 1 : last])
+        matcher = _Matcher(buf, starts[head + 1 : last], ends[head + 1 : last])
 
     # From here on only the edge lines' tokens count.  Arrays go as soon
     # as they are read, to keep the peak low.
@@ -219,25 +223,14 @@ def _read_units(text: str) -> tuple:
     starts, ends = starts[on_edge], ends[on_edge]
     sizes, linenos = counts[edge], linenos[edge]
     del on_edge, heads, counts, edge, directive
-    if not pinned:
-        first = _first_appearances(buf, width, units, starts, ends)
-        universe = {text[s:e]: i for i, (s, e) in enumerate(
-            zip(starts[first].tolist(), ends[first].tolist())
-        )}
-        matcher = _Matcher(buf, width, starts[first], ends[first])
     index = matcher.match(starts, ends)
-    del matcher, buf, units
+    del matcher, buf
 
     # The matcher leaves a token outside the universe, or one whose hash
     # collides; a dict tells them apart, up to the first token outside.
     outside = None
     for i in np.flatnonzero(index < 0).tolist():
-        label = text[starts[i] : ends[i]]
-        v = universe.get(label)
-        if v is None and not pinned and is_label(label):
-            # A label whose hash collides with an earlier token's, which
-            # _first_appearances dropped: rare enough to read the text again.
-            return _read_lines(text)
+        v = universe.get(text[starts[i] : ends[i]])
         if v is None:
             outside = i
             break
@@ -250,43 +243,24 @@ def _read_units(text: str) -> tuple:
         kept = int(np.searchsorted(np.cumsum(sizes), outside, side="right"))
         lineno = int(linenos[kept])
         tokens = text.splitlines()[lineno - 1].split()
-        edge_error = _edge_error(tokens, universe if pinned else None, lineno)
+        edge_error = _edge_error(tokens, universe, lineno)
         sizes = sizes[:kept]
         index = index[: int(sizes.sum())]
-    return universe, pinned, index.astype(np.int64), sizes, linenos, edge_error
-
-
-def _code_units(text: str) -> tuple:
-    """(buf, units, width): the text's code units, one byte each (width 1)
-    when it is ASCII and UTF-32 otherwise, lone surrogates included, both
-    as a numpy array and as the bytes under it.  The bytes end in 8 zeros,
-    so that an 8-byte word can be read at any unit."""
-    if text.isascii():
-        buf, width = text.encode("ascii"), 1
-    else:
-        buf, width = text.encode("utf-32-le", "surrogatepass"), 4
-    buf += bytes(8)
-    units = np.frombuffer(buf, dtype=f"<u{width}")[: len(text)]
-    return buf, units, width
+    return universe, True, index.astype(np.int64), sizes, linenos, edge_error
 
 
 def _among(units, chars: str) -> np.ndarray:
-    """Whether each code unit is one of ``chars``: one comparison for each
-    run of consecutive code points below 128 among them, and a table for
-    the others, which only UTF-32 units can be."""
+    """Whether each byte is one of the ASCII ``chars``: one comparison for
+    each run of consecutive code points among them."""
     runs: list = []
-    for code in sorted(map(ord, chars)):
+    for code in sorted(ord(c) for c in chars if c.isascii()):
         if runs and runs[-1][1] == code - 1:
             runs[-1][1] = code
-        elif code < 128:
+        else:
             runs.append([code, code])
     hit = np.zeros(units.size, dtype=bool)
     for low, high in runs:
-        hit |= units - units.dtype.type(low) <= high - low  # below low wraps
-    if units.dtype.itemsize > 1:
-        codes = np.array([ord(c) for c in chars if ord(c) >= 128], dtype=units.dtype)
-        wide = np.flatnonzero(units >= 128)
-        hit[wide] = np.isin(units[wide], codes)
+        hit |= units - np.uint8(low) <= high - low  # below low wraps
     return hit
 
 
@@ -323,13 +297,13 @@ def _lines(units) -> tuple:
     return starts, ends, heads, linenos
 
 
-def _words(buf: bytes, width: int, starts, ends) -> tuple:
-    """(words, lead, nbytes): the code units of each token as
-    little-endian 8-byte words, zero past its end, with token i's words
-    from ``lead[i]`` on, and each token's length in bytes."""
+def _words(buf: bytes, starts, ends) -> tuple:
+    """(words, lead, nbytes): the bytes of each token as little-endian
+    8-byte words, zero past its end, with token i's words from ``lead[i]``
+    on, and each token's length in bytes."""
     view = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-    at = starts.astype(np.int64) * width
-    nbytes = (ends - starts) * width
+    at = starts.astype(np.int64)
+    nbytes = ends - starts
     count = (nbytes + 7) >> 3
     if count.max(initial=1) == 1:
         lead = np.arange(starts.size)
@@ -363,31 +337,6 @@ def _chunks(size: int):
     return (slice(at, at + _CHUNK) for at in range(0, size, _CHUNK))
 
 
-def _first_appearances(buf: bytes, width: int, units, starts, ends) -> np.ndarray:
-    """The positions, ascending, of the tokens that first show each
-    distinct hash and are labels: the first appearance of every label,
-    but for one whose hash collides with an earlier token's.
-
-    Chunk by chunk, the tokens are sorted stably by hash, so each hash's
-    first token leads its run, and a hash not seen in an earlier chunk
-    appears first there."""
-    seen = np.empty(0, dtype=np.uint32)
-    first = []
-    for part in _chunks(starts.size):
-        keys = _keys(*_words(buf, width, starts[part], ends[part]))
-        order = _argsort(keys)
-        keys = keys[order]
-        lead = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=lead[1:])
-        keys, order = keys[lead], order[lead]
-        new = ~np.isin(keys, seen, assume_unique=True)
-        first.append(order[new] + part.start)
-        seen = np.concatenate((seen, keys[new]))
-    first = np.sort(np.concatenate(first), kind="stable") if first else np.empty(0, np.int64)
-    unit = units[starts[first]]
-    return first[(unit != ord("#")) & (unit != ord("!"))]
-
-
 class _Matcher:
     """The vertex of each token among labels given as tokens of the same
     text, by the labels' hashes: a table on their top bits, a search of
@@ -396,9 +345,9 @@ class _Matcher:
     equals gets -1, as does one whose hash collides with another label's;
     no token gets a wrong vertex."""
 
-    def __init__(self, buf: bytes, width: int, starts, ends):
-        self.buf, self.width = buf, width
-        self.words, self.lead, self.nbytes = _words(buf, width, starts, ends)
+    def __init__(self, buf: bytes, starts, ends):
+        self.buf = buf
+        self.words, self.lead, self.nbytes = _words(buf, starts, ends)
         keys = _keys(self.words, self.lead, self.nbytes)
         bits = min(16, keys.size.bit_length() + 6)
         self.shift = np.uint32(32 - bits)
@@ -413,7 +362,7 @@ class _Matcher:
     def match(self, starts, ends) -> np.ndarray:
         index = np.empty(starts.size, dtype=starts.dtype)
         for part in _chunks(starts.size):
-            words, lead, nbytes = _words(self.buf, self.width, starts[part], ends[part])
+            words, lead, nbytes = _words(self.buf, starts[part], ends[part])
             keys = _keys(words, lead, nbytes)
             label = self.table[keys >> self.shift]
             shared = np.flatnonzero(label == -2)

@@ -287,7 +287,8 @@ def _outcome(parse, text):
 
 
 def _loads_units(text):
-    """``loads`` through the code-unit reader, however short the text, in
+    """``loads`` with no text too short for the code-unit reader, which
+    then reads every ASCII text whose directive precedes its edge lines, in
     chunks of a few tokens."""
     short, chunk = hgio._SHORT, hgio._CHUNK
     hgio._SHORT, hgio._CHUNK = 0, 5
@@ -316,9 +317,6 @@ def test_reader_whitespace_and_line_breaks_are_those_of_str():
     assert hgio._SPACE == "".join(c for c in chars if c.isspace())
     breaks = "".join(c for c in chars if len(("x" + c + "x").splitlines()) == 2)
     assert hgio._BREAKS == breaks
-    units = np.arange(0x110000, dtype=np.uint32)
-    assert np.array_equal(hgio._among(units, hgio._SPACE), [c.isspace() for c in chars])
-    assert np.array_equal(hgio._among(units, hgio._BREAKS), [c in breaks for c in chars])
     ascii_units = np.arange(256, dtype=np.uint8)
     assert np.array_equal(hgio._among(ascii_units, hgio._SPACE),
                           [c.isspace() for c in chars[:128]] + [False] * 128)
@@ -331,10 +329,13 @@ def test_reader_whitespace_and_line_breaks_are_those_of_str():
     "!vertices a b c\na b\nb d\n",
     "p q\nq r #s\n",
     "p q\nq r\nr p q\nq p\n",
+    "!vertices a b vertex_0001 vertex_0002 e\n"
+    "a vertex_0001\nvertex_0002 e b\nb a\n",
+    "!vertices p q r\np q\nq r\nr p q\nq p\n",
 ])
 def test_a_hash_that_every_token_shares_gives_no_wrong_vertex(monkeypatch, text):
-    # With zero multipliers every token hashes alike, so every match goes
-    # through the collision path.
+    # With zero multipliers every token hashes alike, so every match of a
+    # pinned ASCII text goes through the collision path.
     want = _outcome(_loads_loops, text)
     monkeypatch.setattr(hgio, "_MIX", np.uint64(0))
     monkeypatch.setattr(hgio, "_MIX_LENGTH", np.uint64(0))
@@ -347,14 +348,34 @@ def _hash_by_length(monkeypatch):
     monkeypatch.setattr(hgio, "_MIX_LENGTH", np.uint64(1 << 32))
 
 
-def test_a_label_found_after_a_collision_takes_its_first_appearance_place(monkeypatch):
-    # 'cd' shares the hash of 'ab', so the first appearances leave it out
-    # and the text is read again line by line: 'cd' appears before 'x' and
-    # takes the index before x's.
+_ROUTED_EDGES = "ab cd\nx ef\nef cd x\n" + "".join(f"v{i} w{i}\n" for i in range(600))
+_ROUTED_LABELS = "ab cd x ef " + " ".join(f"v{i} w{i}" for i in range(600))
+
+
+@pytest.mark.parametrize("text, units", [
+    (_ROUTED_EDGES, False),
+    (_ROUTED_EDGES + "!vertices " + _ROUTED_LABELS + "\n", False),
+    ("\xe9 " + _ROUTED_EDGES, False),
+    ("!vertices \xe9 " + _ROUTED_LABELS + "\n\xe9 " + _ROUTED_EDGES, False),
+    ("# c\n!vertices " + _ROUTED_LABELS + "\n" + _ROUTED_EDGES, True),
+], ids=["unpinned", "late_directive", "non_ascii", "non_ascii_pinned", "pinned_ascii"])
+def test_only_a_long_pinned_ascii_text_is_read_by_code_units(monkeypatch, text, units):
+    # Under hashes that collide ('cd' shares the hash of 'ab'), a long text
+    # is matched by code units only when it is ASCII and its directive
+    # precedes its edge lines; every other one is read line by line, so an
+    # unpinned 'cd' still takes its first-appearance place, before 'x'.
+    assert len(text) >= hgio._SHORT
     _hash_by_length(monkeypatch)
-    text = "ab cd\nx ef\nef cd x\n"
-    assert _loads_units(text) == _loads_loops(text)
-    assert _loads_units(text).labels == ("ab", "cd", "x", "ef")
+    built, matcher = [], hgio._Matcher
+
+    def counted(*args):
+        built.append(args)
+        return matcher(*args)
+
+    monkeypatch.setattr(hgio, "_Matcher", counted)
+    want = _outcome(_loads_loops, text)
+    assert _outcome(hl.loads, text) == want
+    assert len(built) == units
 
 
 def test_labels_that_share_a_table_slot_are_told_apart_by_their_hashes(monkeypatch):
@@ -362,9 +383,9 @@ def test_labels_that_share_a_table_slot_are_told_apart_by_their_hashes(monkeypat
     # still finds each label, and a token that equals none gets -1.
     _hash_by_length(monkeypatch)
     text = "a bb ccc dd ccc"
-    buf, units, width = hgio._code_units(text)
-    starts, ends, _, _ = hgio._lines(units)
-    matcher = hgio._Matcher(buf, width, starts[:3], ends[:3])
+    buf = text.encode("ascii") + bytes(8)
+    starts, ends, _, _ = hgio._lines(np.frombuffer(buf, dtype=np.uint8)[: len(text)])
+    matcher = hgio._Matcher(buf, starts[:3], ends[:3])
     assert matcher.match(starts, ends).tolist() == [0, 1, 2, -1, 2]
 
 

@@ -255,6 +255,20 @@ def test_max_cut_margin(margins):
     assert verify._check_maxcut_iso_bounds(an, 0) == (want if margins > 1 else None)
 
 
+# The max cut seeded 2 margins past its k_max bound is recorded; half a
+# margin past it, inside the margin, is not.
+@pytest.mark.parametrize("margins", [2.0, 0.5], ids=["past", "inside"])
+def test_max_cut_kmax_margin(margins):
+    an = _margin_input()
+    value, _ = an.max_cut
+    n, k_max = an.n, an.degrees.k_max
+    _seed_eigenvalue(an, -1, (value - margins * verify.MAX_CUT_KMAX_MARGIN) * 4 * (k_max - 1) / n)
+    summary = hl.connectivity_summary(an)
+    want = {"max_cut": value, "bound": summary.max_cut_bound_kmax,
+            "witness": list(summary.max_cut_witness)}
+    assert verify._record_maxcut_printed(an) == (want if margins > 1 else None)
+
+
 @_PAST_OR_INSIDE
 def test_isoperimetric_margin(margins):
     an = _margin_input()
