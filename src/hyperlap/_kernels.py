@@ -1,24 +1,29 @@
-"""Hot numeric kernels: the eigensolver's two stages, round-robin Jacobi
+"""Hot numeric kernels: the eigensolver's stages, round-robin Jacobi
 sweeps and the subset-boundary scan.
 
 These loops do nearly all of the package's numeric work: the eigensolve
 behind every spectrum, and the scan over all vertex subsets behind exact
 max cut and the isoperimetric number.  Each has one numpy build.  The
 eigensolver works on a stack of same-size matrices, (B, n, n), giving each
-matrix the arithmetic it would get alone: :func:`tridiagonal_eigenvalues`
+matrix the arithmetic it would get alone: :func:`householder_reduction`
 reduces each to a tridiagonal T by Householder reflections (for a lone
-matrix, with each reflector's scalars as Python floats) and finds every
-eigenvalue of T by Sturm-count multisection; :func:`warm_start` finds
-every eigenvector by inverse iteration and maps them back: a basis in
-which the matrix is diagonal to rounding.
-:func:`jacobi_sweeps` then confirms it on one (n, n) matrix at a time,
-which from a good warm start costs one off-diagonal norm; otherwise it
-applies the n/2 disjoint rotations of each round-robin step at once, as
-fancy-indexed row updates.  The scan counts, for every subset, the edges
-inside it with a subset-sum (zeta) transform: its b low-bit passes run on a
-block of at most m rows of 2**b entries, one row per distinct high part of
-an edge, and the n - b passes that follow run on the whole table, so the
-cost is
+matrix, with each reflector's scalars as Python floats);
+:func:`reduced_eigenvalues` finds every eigenvalue of T by Sturm-count
+multisection; :func:`warm_start` finds every eigenvector by inverse
+iteration and maps them back: a basis in which the matrix is diagonal to
+rounding.  :func:`jacobi_sweeps` then confirms it on one (n, n) matrix at
+a time, which from a good warm start costs one off-diagonal norm;
+otherwise it applies the n/2 disjoint rotations of each round-robin step
+at once, as fancy-indexed row updates.  For one matrix whose T does not
+split, :func:`extreme_midpoints` runs the multisection at ranks 0, 1, 2,
+n-3, n-2 and n-1 only, two passes per row loop, and
+:func:`extreme_eigenvalues` and :func:`fiedler_vector` read lambda_2,
+lambda_n and the eigenvector of lambda_2 from it, with one inverse
+iteration in Python floats, each bit for bit as the full solve gives it.
+The scan counts, for every subset, the edges inside it with a subset-sum
+(zeta) transform: its b low-bit passes run on a block of at most m rows of
+2**b entries, one row per distinct high part of an edge, and the n - b
+passes that follow run on the whole table, so the cost is
 O(b m 2**b + (n - b) 2**n).  Its counts are held in the narrowest signed
 integer type that holds m.
 """
@@ -357,12 +362,14 @@ def _multisection(d, e, lo, hi, start, stop, rows):
     e2 = (e * e).T
     # Where T splits, q_i is d_i - x afresh: for each row, None where no
     # matrix splits, True where all do, else the indices of those that do.
-    split = [None if x.all() else True if not x.any() else np.flatnonzero(~x)
-             for x in (e2 != 0.0)]
+    joined = np.count_nonzero(e2, axis=1).tolist()  # matrices not split there, per row
+    split = [None if k == b else True if k == 0 else np.flatnonzero(e2[i] == 0.0)
+             for i, k in enumerate(joined)]
     if b == 1:
-        # A Python float divides one matrix's pivots faster than a (1,)
-        # array broadcast across them, with the same quotients.
-        e2 = e2[:, 0].tolist()
+        # A 0-d array divides one matrix's pivots faster than a (1,) array
+        # broadcast across them, or than a Python float, which numpy
+        # converts at every call; the quotients are the same.
+        e2 = _zero_d(e2[:, 0])
     shifts = ends[1:-1]
     ratio = np.empty((_SHIFTS, n, b))
     q = np.empty((rows, _SHIFTS, n, b))
@@ -393,6 +400,67 @@ def _multisection(d, e, lo, hi, start, stop, rows):
             count = np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.int32)
             ends[:: _SHIFTS + 1] = flat[base + (count <= rank).sum(axis=0) * (n * b)]
     return (0.5 * (ends[0] + ends[-1])).T.copy()
+
+
+def _zero_d(x):
+    """The entries of the 1-D array ``x`` as 0-d arrays."""
+    return [x[i, ...] for i in range(x.shape[0])]
+
+
+def _rank_multisection(d, e, lo, hi, ranks):
+    """:func:`_multisection`'s midpoints, bit for bit, at ``ranks`` only,
+    for one T (d (n,), e (n - 1,)) that does not split, from [lo, hi].
+
+    A rank's interval after a pass depends only on its own shifts and on
+    the Sturm counts there (Demmel, Dhillon & Ren 1995), so each row loop
+    runs two passes: it counts at the pass's _SHIFTS shifts and at the
+    _SHIFTS shifts of each of the _SHIFTS + 1 intervals the pass can leave,
+    63 shifts per rank, each made as _multisection makes it.  The first
+    pass's counts pick the interval, and the second pass's counts inside
+    it pick the next, so each rank follows _multisection's intervals in
+    half as many row loops.  A loop takes one call for every d_i - x, two
+    per row and one for the negative pivots.  The pivots are one (n, 63 r)
+    array, about 3 KiB a row for six ranks: linear in n, so no chunking
+    bounds them, as the full multisection's (rows, 7, n) chunks need."""
+    n, r = d.shape[0], len(ranks)
+    rank = np.array(ranks)
+    cols = np.arange(r)
+    frac = np.arange(1, _SHIFTS + 1)[:, None] / (_SHIFTS + 1)
+    # ends holds the first pass's interval ends; shifts[0] is the first
+    # pass's shifts, and shifts[1 + k] the second pass's in interval k,
+    # between ends[k] and ends[k + 1].
+    ends = np.empty((_SHIFTS + 2, r))
+    shifts = np.empty((_SHIFTS + 2, _SHIFTS, r))
+    flat = shifts.reshape(1, -1)
+    q = np.empty((n, flat.shape[1]))
+    pivots = list(q)
+    ratio = np.empty(flat.shape[1])
+    negative = np.empty(q.shape, dtype=bool)
+    # (e_{i-1}**2, q_{i-1}, q_i) for each row i from 1.
+    steps = list(zip(_zero_d(e * e), pivots[:-1], pivots[1:]))
+    lo = np.full(r, lo)
+    hi = np.full(r, hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_PASSES // 2):
+            ends[0], ends[-1] = lo, hi
+            np.multiply(hi - lo, frac, out=shifts[0])
+            shifts[0] += lo
+            ends[1:-1] = shifts[0]
+            np.multiply((ends[1:] - ends[:-1])[:, None], frac, out=shifts[1:])
+            shifts[1:] += ends[:-1, None]
+            np.subtract(d[:, None], flat, q)
+            for e2, prev, cur in steps:
+                np.divide(e2, prev, ratio)
+                np.subtract(cur, ratio, cur)
+            np.less(q, 0.0, negative)
+            count = np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.int32)
+            below = count.reshape(_SHIFTS + 2, _SHIFTS, r) <= rank
+            k = below[0].sum(axis=0)
+            lo, hi = ends[k, cols], ends[k + 1, cols]
+            j = below[1 + k, :, cols].sum(axis=1)
+            inner = np.concatenate([lo[:, None], shifts[1 + k, :, cols], hi[:, None]], axis=1)
+            lo, hi = inner[cols, j], inner[cols, j + 1]
+    return 0.5 * (lo + hi)
 
 
 def splitmix64_mix(z):
@@ -548,28 +616,151 @@ def _orthogonalize_clusters(w, lam, start, gap, restart):
         w[:, j] = np.where(joined[:, None], row, w[:, j])
 
 
-def tridiagonal_eigenvalues(a):
-    """The eigenvalues (B, n) of each symmetric matrix of the float64 stack
-    ``a``, left unmodified, and the reduction for :func:`warm_start`, whose
-    first array holds the reflectors below the diagonal and ``a`` on and
-    above it.  Sturm counts in floating point need not be monotone, so the
-    midpoints can descend at a multiple eigenvalue: sorted, as in dstebz."""
-    b, n = a.shape[0], a.shape[1]
-    # Scaled by a power of two to entries below 1, so no square overflows.
+def householder_reduction(a):
+    """Each symmetric matrix of the float64 stack ``a`` (B, n, n), left
+    unmodified, scaled by a power of two to entries below 1, so that no
+    square overflows, and reduced to a split tridiagonal T:
+    (h, tau, d, e, norm, lo, hi, exp).  ``h`` holds the reflectors below
+    the diagonal and ``a`` on and above it; d, e, norm, lo and hi are
+    those of :func:`_tridiagonalize` and :func:`_split_tridiagonal`, and
+    ``exp`` (B,) undoes the scaling."""
+    n = a.shape[1]
     _, exp = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))
     h = a * np.ldexp(1.0, -exp)[:, None, None]
     d, e, tau = _tridiagonalize(h)
     norm, lo, hi = _split_tridiagonal(d, e)
-    start, stop = _blocks(e, n)
-    lam = _multisection(d, e, lo, hi, start, stop, _chunks(n, b)[1])
     upper = np.triu_indices(n)
     h[:, upper[0], upper[1]] = a[:, upper[0], upper[1]]
+    return h, tau, d, e, norm, lo, hi, exp
+
+
+def reduced_eigenvalues(reduced):
+    """The eigenvalues (B, n) of each matrix of a
+    :func:`householder_reduction`, and the reduction for
+    :func:`warm_start`.  Sturm counts in floating point need not be
+    monotone, so the midpoints can descend at a multiple eigenvalue:
+    sorted, as in dstebz."""
+    h, tau, d, e, norm, lo, hi, exp = reduced
+    b, n = d.shape
+    start, stop = _blocks(e, n)
+    lam = _multisection(d, e, lo, hi, start, stop, _chunks(n, b)[1])
     return np.ldexp(np.sort(lam, axis=1), exp[:, None]), (h, tau, d, e, norm, start, stop, lam)
+
+
+# lambda_2 and lambda_n alone, read from one matrix's reduction when its T
+# does not split.  The midpoints of ranks 0, 1, 2 and n-3, n-2, n-1 are
+# _multisection's, and each lies within 7.5 eps ||T|| of its eigenvalue:
+# every Sturm count is the exact count of T with its off-diagonals moved by
+# at most 2.5 eps relative (Kahan 1966; e_i**2 rounded once included), so
+# of a T within 5 eps ||T|| in the 2-norm, whose eigenvalues are within 5
+# eps ||T|| of T's; each interval keeps its eigenvalue within that of its
+# ends, even where the counts are not monotone, and ends at most 4 eps
+# ||T|| wide, whose midpoint rounds by at most half an ulp.  So if the
+# midpoints of ranks i < j are more than _TIE_GAP ||T|| apart, more than
+# twice 7.5 eps ||T||, every rank above j has its midpoint above rank i's,
+# and every rank below i has its midpoint below rank j's.
+_TIE_GAP = 32 * _EPS
+
+
+def extreme_midpoints(reduced):
+    """The :func:`_multisection` midpoints of ranks 0, 1, 2, n-3, n-2 and
+    n-1 of the one matrix of ``reduced`` (:func:`_rank_multisection`), or
+    None when n < 6, where those ranks are not six, or when T splits, where
+    the multisection ranks each block's eigenvalues apart."""
+    _, _, d, e, _, lo, hi, _ = reduced
+    n = d.shape[1]
+    if n < 6 or not e.all():
+        return None
+    return _rank_multisection(d[0], e[0], lo[0], hi[0], (0, 1, 2, n - 3, n - 2, n - 1))
+
+
+def extreme_eigenvalues(reduced, mid):
+    """(lambda_2, lambda_n) as Python floats, equal bit for bit to entries 1
+    and n-1 of :func:`reduced_eigenvalues`, from the :func:`extreme_midpoints`
+    ``mid``; or None when the sort could place another midpoint there.
+    Entry 1 of the sorted midpoints is mid[1] when mid[0] < mid[1] and
+    mid[2] is more than _TIE_GAP ||T|| above it, and entry n-1 is the
+    larger of mid[4] and mid[5] when it is that far above mid[3]."""
+    norm, exp = reduced[4][0], reduced[7]
+    m0, m1, m2, m3, m4, m5 = mid.tolist()
+    top = max(m4, m5)
+    tie = _TIE_GAP * norm
+    if not (m0 < m1 and m2 - m1 > tie and top - m3 > tie):
+        return None
+    return tuple(np.ldexp([m1, top], exp).tolist())
+
+
+def fiedler_vector(reduced, mid):
+    """The eigenvector of rank 1 of the one matrix of ``reduced`` that
+    :func:`warm_start` builds, bit for bit, from the :func:`extreme_midpoints`
+    ``mid``: one :func:`_inverse_iteration_one` for mid[1], then back through
+    the reflectors; or None when mid[1] is within _CLUSTER_GAP ||T|| of
+    mid[0] or mid[2], where the warm start's vectors may be
+    reorthogonalised and its order may move another vector to rank 1."""
+    h, tau, d, e, norm, _, _, _ = reduced
+    n = d.shape[1]
+    unit = float(norm[0])  # warm_start's unit: ||T|| > 0, as T does not split
+    m0, m1, m2 = mid[:3].tolist()
+    gap = _CLUSTER_GAP * unit
+    if m1 - m0 <= gap or m2 - m1 <= gap:
+        return None
+    x = _inverse_iteration_one(d[0].tolist(), e[0].tolist(), m1, _PIVOT_TOL * unit,
+                               _start_vectors([1], n)[:, 0].tolist())
+    w = np.array(x)[None, None, :]
+    _back_transform(h, tau, w)
+    return w[0, 0]
+
+
+def _inverse_iteration_one(d, e, lam, pivot_tol, x):
+    """:func:`_inverse_iteration` of one T that does not split, for one
+    eigenvalue ``lam``, from the start vector ``x``: the same IEEE
+    operations, in the same order, on Python floats (lists d, e and x), with
+    the norm summed in row order as the stacked call sums it."""
+    n = len(d)
+    u0 = [di - lam for di in d]
+    u1, u2, mult, swap = [0.0] * n, [0.0] * n, [0.0] * n, [False] * n
+    ee = [*e, 0.0]
+    top, nxt, below = u0[0], ee[0], ee[0]
+    for i in range(n - 1):
+        sub, below, diag = below, ee[i + 1], u0[i + 1]
+        s = abs(sub) > abs(top)
+        p0 = sub if s else top
+        v1 = diag if s else nxt
+        v2 = below if s else 0.0
+        m = (top if s else sub) / p0 if p0 != 0.0 else 0.0
+        top = (nxt if s else diag) - m * v1
+        nxt = (0.0 if s else below) - m * v2
+        u0[i], u1[i], u2[i], mult[i], swap[i] = p0, v1, v2, m, s
+        x[i], x[i + 1] = _eliminate_one(x[i], x[i + 1], s, m)
+    u0[n - 1] = top
+    u0 = [math.copysign(pivot_tol, u) if abs(u) < pivot_tol else u for u in u0]
+    for solve in range(_SOLVES):
+        if solve:
+            for i in range(n - 1):
+                x[i], x[i + 1] = _eliminate_one(x[i], x[i + 1], swap[i], mult[i])
+        x[n - 1] /= u0[n - 1]
+        for i in range(n - 2, -1, -1):
+            xi = x[i] - u1[i] * x[i + 1]
+            if i < n - 2:
+                xi -= u2[i] * x[i + 2]
+            x[i] = xi / u0[i]
+        total = 0.0
+        for xi in x:
+            total += xi * xi
+        norm = math.sqrt(total)
+        x = [xi / norm for xi in x]
+    return x
+
+
+def _eliminate_one(x0, x1, swap, mult):
+    """:func:`_eliminate` on two floats: the new (x0, x1)."""
+    top = x1 if swap else x0
+    return top, (x0 if swap else x1) - mult * top
 
 
 def warm_start(reduction):
     """An orthonormal basis (B, n, n) of approximate eigenvectors, one per
-    column, from a :func:`tridiagonal_eigenvalues` reduction: inverse
+    column, from a :func:`reduced_eigenvalues` reduction: inverse
     iteration, Gram-Schmidt within clusters, then back through the
     reflectors.  Inverse iteration takes every eigenvalue in one pass while
     its factors and iterates fit in _CHUNK_BYTES, and half of them a pass

@@ -54,7 +54,13 @@ from .core import (
     scan_bytes,
 )
 from .errors import TooSmallError
-from .spectral import ZERO_EIGENVALUE_TOL, Spectrum, eigendecompose, eigendecompose_stack
+from .spectral import (
+    ZERO_EIGENVALUE_TOL,
+    Reduction,
+    Spectrum,
+    eigendecompose,
+    eigendecompose_stack,
+)
 
 
 def _lex_least(sides: np.ndarray) -> tuple:
@@ -134,22 +140,57 @@ class Analysis(Hypergraph):
 
     @cached_property
     def spectrum(self) -> Spectrum:
+        if "_reduction" in vars(self):  # made by an earlier read: reuse it
+            return self._reduction.spectrum()
         return eigendecompose(self.laplacian)
+
+    @cached_property
+    def _reduction(self) -> Reduction:
+        return Reduction(self.laplacian)
+
+    def _extremes(self) -> tuple:
+        """(lambda_2, lambda_n): from the spectrum once it has been read,
+        else from :attr:`Reduction.extremes`, or from the spectrum when
+        that falls back."""
+        if "spectrum" not in vars(self):
+            found = self._reduction.extremes
+            if found is not None:
+                return found
+        lam = self.spectrum.eigenvalues
+        return float(lam[1]), float(lam[-1])
 
     @property
     def lambda2(self) -> float:
-        """The second-smallest eigenvalue (algebraic connectivity).  Raises
-        TooSmallError below two vertices."""
+        """The second-smallest eigenvalue (algebraic connectivity), equal bit
+        for bit to ``spectrum.eigenvalues[1]``.  Before the spectrum is read
+        it comes from a multisection at six ranks, which costs a quarter to
+        a half of the full one at n = 64 to 128.  Raises TooSmallError below
+        two vertices."""
         if self.n < 2:
             raise TooSmallError("lambda_2 needs at least two vertices")
-        return float(self.spectrum.eigenvalues[1])
+        return self._extremes()[0]
 
     @property
     def lambda_n(self) -> float:
-        """The largest eigenvalue.  Raises TooSmallError below two vertices."""
+        """The largest eigenvalue, equal bit for bit to
+        ``spectrum.eigenvalues[-1]`` and read as :attr:`lambda2` is.  Raises
+        TooSmallError below two vertices."""
         if self.n < 2:
             raise TooSmallError("lambda_n needs at least two vertices")
-        return float(self.spectrum.eigenvalues[-1])
+        return self._extremes()[1]
+
+    @property
+    def fiedler(self) -> np.ndarray:
+        """The eigenvector of lambda_2 that the sweep cut orders by:
+        ``spectrum.eigenvectors[:, 1]`` once the spectrum has been read,
+        else :attr:`Reduction.fiedler`, one inverse iteration that builds no
+        full basis and equals that column bit for bit when Jacobi takes 0
+        sweeps, or the column when that falls back."""
+        if "spectrum" not in vars(self):
+            found = self._reduction.fiedler
+            if found is not None:
+                return found
+        return self.spectrum.eigenvectors[:, 1]
 
     @cached_property
     def bounds(self) -> dict:

@@ -150,7 +150,7 @@ def fiedler_sweep(h: Hypergraph) -> tuple:
     if not h.connected:
         raise DisconnectedError("sweep cut needs a connected hypergraph")
     n = h.n
-    order = np.argsort(-h.spectrum.eigenvectors[:, 1], kind="stable")
+    order = np.argsort(-h.fiedler, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     # counts[t] = #edges with minrank < t <= maxrank, from a difference array.

@@ -103,13 +103,13 @@ def test_verify_over_the_scan_budget_scans_nothing(counts, tmp_path, capsys):
 def solves(monkeypatch):
     """The stack size of every eigensolve, a single solve counted as 1."""
     sizes = []
-    real = spectral.tridiagonal_eigenvalues
+    real = spectral.householder_reduction
 
     def recorded(a):
         sizes.append(a.shape[0])
         return real(a)
 
-    monkeypatch.setattr(spectral, "tridiagonal_eigenvalues", recorded)
+    monkeypatch.setattr(spectral, "householder_reduction", recorded)
     return sizes
 
 
@@ -130,14 +130,57 @@ def vector_builds(monkeypatch):
 
 @pytest.mark.parametrize("argv, builds", [
     (["spectrum"], 0), (["bounds"], 0), (["cuts", "--exact"], 0),
-    (["cuts", "--subset", "0,3,5"], 0), (["cuts", "--sweep"], 1), (["verify"], 1),
+    (["cuts", "--subset", "0,3,5"], 0), (["cuts", "--sweep"], 0), (["verify"], 1),
 ])
 def test_only_the_sweep_and_verify_build_eigenvectors(vector_builds, small_file, capsys,
                                                      argv, builds):
-    # The paper's bounds read eigenvalues only; the Fiedler sweep and the
-    # spectrum certificates read the vectors.
+    # The paper's bounds read eigenvalues only, and the Fiedler sweep one
+    # vector, built alone; the spectrum certificates read every vector.
     assert cli.run([argv[0], small_file, *argv[1:]]) == 0
     assert vector_builds == [1] * builds
+
+
+@pytest.fixture
+def solve_stages(monkeypatch):
+    return _counting(
+        monkeypatch,
+        householder=_kernels._tridiagonalize,
+        multisection=_kernels._multisection,
+        six_ranks=_kernels._rank_multisection,
+        jacobi=_kernels.jacobi_sweeps,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds"], ["cuts", "--sweep"], ["cuts", "--subset", "0,3,5"], ["cuts", "--exact"],
+], ids=["bounds", "sweep", "subset", "exact"])
+def test_bounds_and_cuts_run_no_full_multisection(solve_stages, small_file, capsys, argv):
+    # lambda_2, lambda_n and the Fiedler vector come from one multisection
+    # at six ranks; no full one runs, and no Jacobi check.
+    assert cli.run([argv[0], small_file, *argv[1:]]) == 0
+    assert solve_stages == {"householder": 1, "six_ranks": 1}
+
+
+@pytest.mark.parametrize("first", ["lambda2", "lambda_n", "fiedler"])
+def test_a_later_spectrum_read_reuses_the_householder_reduction(solve_stages, first):
+    h = hl.random_hypergraph(12, 24, 2, 4, 7)
+    an = hl.analyze(h)
+    early = getattr(an, first)
+    spectrum = an.spectrum
+    assert solve_stages == {"householder": 1, "six_ranks": 1, "multisection": 1}
+    alone = hl.eigendecompose(hl.analyze(h).laplacian)
+    assert np.array_equal(spectrum.eigenvalues, alone.eigenvalues)
+    assert np.array_equal(spectrum.eigenvectors, alone.eigenvectors)
+    # The early read equals the spectrum's, and later reads come from it.
+    want = {"lambda2": spectrum.eigenvalues[1], "lambda_n": spectrum.eigenvalues[-1],
+            "fiedler": spectrum.eigenvectors[:, 1]}[first]
+    assert np.array_equal(early, want) and np.array_equal(getattr(an, first), want)
+
+
+def test_verify_reads_lambda_2_and_the_fiedler_vector_from_its_spectrum(solve_stages,
+                                                                       small_file, capsys):
+    assert cli.run(["verify", small_file]) == 0
+    assert solve_stages == {"householder": 1, "multisection": 1, "jacobi": 1}
 
 
 def test_a_battery_chunk_builds_its_vectors_in_one_stacked_call(vector_builds, capsys):

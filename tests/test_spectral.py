@@ -495,6 +495,154 @@ class TestRewrittenLoopsMatchOracles:
         assert np.any(e == 0.0)
 
 
+# lambda_2, lambda_n and the Fiedler vector alone (spectral.Reduction): the
+# multisection at six ranks must give _multisection's midpoints, and each
+# read the full solve's bits, or fall back to it.
+def _reduced(matrix):
+    return _kernels.householder_reduction(np.array(matrix, dtype=np.float64)[None])
+
+
+def _path(n):
+    return hl.Hypergraph(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
+
+
+_UNSPLIT = {
+    "n40": lambda: hl.analyze(GOLDEN["n40"]()).laplacian,
+    "r18": lambda: hl.analyze(GOLDEN["r18"]()).laplacian,
+    "r6": lambda: hl.analyze(hl.random_hypergraph(6, 12, 2, 4, 3)).laplacian,
+    "r64": lambda: hl.analyze(hl.random_hypergraph(64, 400, 2, 4, 1)).laplacian,
+    "path50": lambda: hl.analyze(_path(50)).laplacian,
+    "wilkinson21": lambda: _wilkinson_plus(21),
+    "minus-wilkinson25": lambda: -_wilkinson_plus(25),
+}
+
+
+class TestSixRanks:
+    @pytest.mark.parametrize("name", sorted(_UNSPLIT))
+    def test_any_ranks_get_the_multisection_midpoints(self, name):
+        reduced = _reduced(_UNSPLIT[name]())
+        _, _, d, e, _, lo, hi, _ = reduced
+        n = d.shape[1]
+        assert e.all()
+        start, stop = _kernels._blocks(e, n)
+        full = _kernels._multisection(d, e, lo, hi, start, stop, _kernels._chunks(n, 1)[1])
+        _assert_same_bits(full, _multisection_by_rows(d, e, lo, hi, start, stop))
+        every = _kernels._rank_multisection(d[0], e[0], lo[0], hi[0], range(n))
+        _assert_same_bits(every, full[0])
+        six = [0, 1, 2, n - 3, n - 2, n - 1]
+        _assert_same_bits(_kernels.extreme_midpoints(reduced), full[0, six])
+
+    @pytest.mark.parametrize("name", sorted(_UNSPLIT))
+    def test_the_scalar_iteration_is_inverse_iterations_row(self, name):
+        _, _, d, e, norm, _, _, _ = reduced = _reduced(_UNSPLIT[name]())
+        lam = _kernels.reduced_eigenvalues(reduced)[1][7]
+        n = d.shape[1]
+        tol = _kernels._PIVOT_TOL * norm
+        stacked = _kernels._inverse_iteration(
+            d, e, lam, np.arange(n), np.zeros((1, n), dtype=int), np.full((1, n), n), tol)
+        for j in (0, 1, n // 2, n - 1):
+            alone = _kernels._inverse_iteration_one(
+                d[0].tolist(), e[0].tolist(), float(lam[0, j]), float(tol[0]),
+                _kernels._start_vectors([j], n)[:, 0].tolist())
+            _assert_same_bits(np.array(alone), stacked[0, j])
+
+    @pytest.mark.parametrize("name", sorted(_UNSPLIT))
+    def test_each_read_is_the_full_solves_or_falls_back(self, name):
+        matrix = _UNSPLIT[name]()
+        full = hl.eigendecompose(matrix)
+        alone = spectral.Reduction(matrix)
+        if alone.extremes is not None:
+            _assert_same_bits(np.array(alone.extremes), full.eigenvalues[[1, -1]])
+        if alone.fiedler is not None:
+            _assert_same_bits(alone.fiedler, full.eigenvectors[:, 1])
+        fallbacks = {"minus-wilkinson25": (True, True), "path50": (False, True)}
+        assert (alone.extremes is None, alone.fiedler is None) == fallbacks.get(
+            name, (False, False))
+
+    def test_the_tie_guard_refuses_midpoints_the_sort_could_reorder(self):
+        # Each midpoint is within 7.5 eps ||T|| of its eigenvalue, so one
+        # more than _TIE_GAP ||T|| past its neighbour keeps its sorted place.
+        reduced = _reduced(_UNSPLIT["r18"]())
+        mid = _kernels.extreme_midpoints(reduced)
+        tie = _kernels._TIE_GAP * reduced[4][0]
+
+        def read(**moved):
+            m = mid.copy()
+            for i, value in moved.items():
+                m[int(i[1])] = value
+            return _kernels.extreme_eigenvalues(reduced, m)
+
+        want = tuple(np.ldexp(mid[[1, 5]], reduced[7]).tolist())
+        assert read() == want
+        assert read(m2=mid[1] + 2 * tie) == want
+        assert read(m0=mid[1]) is None  # ranks 0 and 1 equal or descending
+        assert read(m2=mid[1] + tie / 2) is None
+        assert read(m3=mid[5] - tie / 2) is None
+        # lambda_n is the larger of ranks n-2 and n-1, which may descend.
+        assert read(m4=mid[5] + tie) == (want[0], float(np.ldexp(mid[5] + tie, reduced[7])[0]))
+
+    @pytest.mark.parametrize("h, reason", [
+        (hl.random_hypergraph(7, 16, 2, 2, 212), "split"),
+        (hl.star_kgraph(4, 2), "split"),
+        (hl.complete_kgraph(9, 3), "split"),
+        (hl.complete_kpartite([2, 3, 4]), "split"),
+        (_path(50), "cluster"),
+        (hl.random_hypergraph(5, 8, 2, 4, 1), "small"),
+        (hl.random_hypergraph(2, 1, 2, 2, 1), "small"),
+    ], ids=["random-7-16-212", "star-4-2", "complete-9-3", "kpartite-2-3-4", "path50",
+            "random-5", "random-2"])
+    def test_guarded_inputs_read_the_full_solve(self, h, reason, monkeypatch):
+        # A T that splits ranks each block's eigenvalues apart (without the
+        # guard, the first two vectors differ from the full build's in their
+        # last bits); at a cluster the warm start reorthogonalises; below
+        # n = 6 the six ranks are not distinct, and the full multisection
+        # costs no more.
+        six = []
+        real = _kernels._rank_multisection
+        monkeypatch.setattr(_kernels, "_rank_multisection",
+                            lambda *args: six.append(1) or real(*args))
+        an, full = hl.analyze(h), hl.analyze(h).spectrum
+        assert an.connected
+        alone = spectral.Reduction(an.laplacian)
+        assert alone.fiedler is None
+        assert (alone.extremes is None) == (reason != "cluster")
+        _assert_same_bits(np.array([an.lambda2, an.lambda_n]), full.eigenvalues[[1, -1]])
+        _assert_same_bits(an.fiedler, full.eigenvectors[:, 1])
+        assert bool(six) == (reason == "cluster")
+
+    @pytest.mark.parametrize("n", [6, 7, 9, 12, 19, 33, 64, 96])
+    def test_random_inputs_take_the_six_ranks(self, n):
+        for seed in range(3):
+            h = hl.random_hypergraph(n, 3 * n, 2, 4, seed)
+            an, full = hl.analyze(h), hl.analyze(h).spectrum
+            if an._reduction.extremes is None:
+                continue
+            _assert_same_bits(np.array([an.lambda2, an.lambda_n]), full.eigenvalues[[1, -1]])
+            if an.connected and an._reduction.fiedler is not None:
+                assert full.sweeps == 0
+                _assert_same_bits(an.fiedler, full.eigenvectors[:, 1])
+            assert "spectrum" not in vars(an)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=st.integers(6, 12).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, n), elements=st.floats(-4.0, 4.0, width=32))))
+def test_six_ranks_match_the_multisection_on_random_matrices(matrix):
+    matrix = matrix + matrix.T
+    reduced = _reduced(matrix)
+    _, _, d, e, _, lo, hi, _ = reduced
+    n = d.shape[1]
+    if not e.all():
+        assert _kernels.extreme_midpoints(reduced) is None
+        return
+    start, stop = _kernels._blocks(e, n)
+    full = _kernels._multisection(d, e, lo, hi, start, stop, _kernels._chunks(n, 1)[1])
+    _assert_same_bits(_kernels.extreme_midpoints(reduced), full[0, [0, 1, 2, n - 3, n - 2, n - 1]])
+    found = _kernels.extreme_eigenvalues(reduced, _kernels.extreme_midpoints(reduced))
+    if found is not None:
+        _assert_same_bits(np.array(found), _kernels.reduced_eigenvalues(reduced)[0][0, [1, -1]])
+
+
 class TestRestartInsideACluster:
     # Instance 18 of this battery has an isolated vertex, so 0 is a double
     # eigenvalue, but T does not split: both inverse iterations give the

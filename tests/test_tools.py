@@ -20,7 +20,7 @@ def _interleave(parent, change, *extra, check=True):
 def test_interleave_rounds_runs_a_tree_against_itself():
     done = _interleave(ROOT, ROOT)
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["rounds"] == 1
+    assert result["rounds"] == 1 and result["seed"] == 1
     assert result["calls_per_round"] == 7
     assert result["median_s"]["parent"] > 0 and result["median_s"]["change"] > 0
     assert result["median_s_by_first"]["change_first"]["parent"] is None
@@ -31,6 +31,14 @@ def test_interleave_rounds_runs_a_tree_against_itself():
         medians = result["op_median_s"][label]
         assert set(medians) == {"parent", "change"} and min(medians.values()) > 0
     assert "op_peak_mib" not in result
+
+
+def test_interleave_rounds_takes_the_benchmark_seed():
+    # The default is seed 1, as above; --seed makes perfbench's inputs of
+    # another seed, so one command times a perfbench pair's inputs.
+    result = json.loads(_interleave(ROOT, ROOT, "--seed", "2").stdout.splitlines()[-1])
+    assert result["seed"] == 2
+    assert result["calls_per_round"] == 7
 
 
 def test_interleave_rounds_reports_each_calls_peak():

@@ -175,11 +175,12 @@ class TestVerifyInstances:
         )
 
 
-# Faults at each check's margin.  A fault set 2 margins past the tolerance
-# must fail with the check's exact text, and one set half a margin inside it
-# must pass, so a loosened or a tightened margin fails one of the pair.  The
-# fault is seeded into a cached slot of a connected n=10 input.
-_PAST_OR_INSIDE = pytest.mark.parametrize("margins", [2.0, -0.5], ids=["past", "inside"])
+# Faults at each check's margin.  A fault set 2 margins past the bound must
+# fail with the check's exact text, and one set half a margin past it, so
+# inside the margin, must pass: a loosened margin fails the first, and a
+# tightened or dropped one the second.  The fault is seeded into a cached
+# slot of a connected n=10 input.
+_PAST_OR_INSIDE = pytest.mark.parametrize("margins", [2.0, 0.5], ids=["past", "inside"])
 
 
 def _margin_input():
@@ -257,7 +258,7 @@ def test_max_cut_margin(margins):
 
 # The max cut seeded 2 margins past its k_max bound is recorded; half a
 # margin past it, inside the margin, is not.
-@pytest.mark.parametrize("margins", [2.0, 0.5], ids=["past", "inside"])
+@_PAST_OR_INSIDE
 def test_max_cut_kmax_margin(margins):
     an = _margin_input()
     value, _ = an.max_cut

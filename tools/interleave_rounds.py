@@ -2,23 +2,25 @@
 """Time two hyperlap trees on one perfbench workload, interleaved in one
 process.
 
-    python3 tools/interleave_rounds.py PARENT CHANGE --workload exact --rounds 40
+    python3 tools/interleave_rounds.py PARENT CHANGE --workload exact --rounds 40 [--seed 1]
 
 PARENT and CHANGE are checkouts of this repository.  Each tree's
 ``src/hyperlap`` is copied into a temporary directory under its own package
 name, so both import side by side.  The round is the workload's list of CLI
-calls, at seed 1, from ``perfbench/workloads.py`` of the repository holding
-this script, with its inputs written once and shared.  After one untimed
-warm-up round per tree, rounds alternate which tree runs first, starting
-with the parent.  Every call's (exit code, stdout, stderr) must be equal in
-the two trees, or the script exits 1.  Alternating in one process cancels
-most of a shared host's drift, which separate runs in fresh directories do
-not.
+calls, at the benchmark seed ``--seed`` (default 1), from
+``perfbench/workloads.py`` of the repository holding this script, with its
+inputs written once and shared; ``perfbench/run.py`` at that seed makes
+the same inputs and calls.  After one untimed warm-up round per tree,
+rounds alternate which tree runs first, starting with the parent.  Every
+call's (exit code, stdout, stderr) must be equal in the two trees, or the
+script exits 1.  Alternating in one process cancels most of a shared
+host's drift, which separate runs in fresh directories do not.
 
-The last stdout line is JSON: the median round seconds of each tree, overall
-and by which tree ran first, the median of the per-round ratios
-parent / change (above 1 when the change is faster), and each operation's
-median seconds in each tree, keyed by the operation's label.
+The last stdout line is JSON: the workload and its seed, the median round
+seconds of each tree, overall and by which tree ran first, the median of
+the per-round ratios parent / change (above 1 when the change is faster),
+and each operation's median seconds in each tree, keyed by the operation's
+label.
 
 With ``--peaks``, one more untimed round per tree, after the timed ones,
 traces each call with ``tracemalloc``, and the JSON gains each operation's
@@ -108,6 +110,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the changed tree")
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--rounds", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="benchmark seed of the workload's inputs (default 1)")
     parser.add_argument("--peaks", action="store_true",
                         help="add an untimed round per tree that reports each call's "
                              "tracemalloc peak")
@@ -120,7 +124,7 @@ def main(argv=None) -> int:
         packages = {name: load_tree(root.resolve(), f"hyperlap_{name}", tmp / "pkgs")
                     for name, root in zip(TREES, (args.parent, args.change))}
         warm = workloads.warm_up_ops(tmp)
-        ops = workloads.build_ops(args.workload, 1, tmp)
+        ops = workloads.build_ops(args.workload, args.seed, tmp)
         for name in TREES:
             run_round(packages[name], warm)
 
@@ -148,6 +152,7 @@ def main(argv=None) -> int:
 
     result = {
         "workload": args.workload,
+        "seed": args.seed,
         "rounds": args.rounds,
         "calls_per_round": len(ops),
         "median_s": {name: median(times[name]) for name in TREES},
